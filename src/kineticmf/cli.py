@@ -311,8 +311,8 @@ def _check_ranges(values, errors):
         bad("[experiment] seeds must not be empty")
     if values[("experiment", "tol")] <= 0:
         bad("[experiment] tol must be > 0")
-    if values[("experiment", "max_iter")] < 0:
-        bad("[experiment] max_iter must be >= 0")
+    if values[("experiment", "max_iter")] < 1:
+        bad("[experiment] max_iter must be >= 1")
     if values[("experiment", "budget")] < 1:
         bad("[experiment] budget must be >= 1")
     if values[("experiment", "step0")] <= 0:

@@ -30,6 +30,7 @@ __all__ = [
     "KERNEL_NAMES",
     "kernel_convolution_drift",
     "leader_coupling_drift",
+    "pair_mean",
     "drift_from_kernel",
     "linear_damping_field",
     "constant_field",
@@ -249,37 +250,45 @@ class LeaderCouplingField:
         return self.eval(t, leaders_prefix, z)
 
 
+_PAIR_BLOCK = 256
+
+
+def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
+    """(1/n) sum_j K(a_j - a_i, b_j - b_i) for every target row i.
+
+    a_i, b_i are the rows of A_to, B_to and the sum runs over the n rows of
+    A_from, B_from. Position kernels read A only; a phase kernel given no B
+    raises the kernel's own "needs both dx and dv". This is the one pairwise
+    engine: the finite-N simulator and every kernel-built field call it.
+    With no sources the result is zero rows of shape (len(A_to), d). Rows
+    are processed in tiles of _PAIR_BLOCK targets, which bounds the
+    temporaries to _PAIR_BLOCK x n x d values; each row's reduction is
+    unchanged, so it comes out bit for bit as in the untiled sum.
+    """
+    out = np.zeros(np.shape(A_to))
+    if len(A_from) == 0:
+        return out
+    for lo in range(0, len(A_to), _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
+        dA = A_from[None, :, :] - A_to[rows, None, :]
+        if K.arity == "position" or B_to is None:
+            vals = K(dA)
+        else:
+            vals = K(dA, B_from[None, :, :] - B_to[rows, None, :])
+        out[rows] = np.asarray(vals, dtype=float).mean(axis=1)
+    return out
+
+
 def kernel_convolution_drift(K, ens, z):
     """(K * mu)(z) = (1/N) sum_i K(xi_i - x, nu_i - v) for the empirical mu."""
     if ens.d != z.d:
         raise ValueError("ensemble and point dimensions differ")
-    if K.arity == "position":
-        vals = K(ens.X - z.x)
-    else:
-        vals = K(ens.X - z.x, ens.V - z.v)
-    return np.asarray(vals, dtype=float).mean(axis=0)
-
-
-def _kernel_convolution_batch(K, ens, X, V):
-    """Convolution against mu at every row of (X, V): (N_eval, d) output."""
-    dX = ens.X[None, :, :] - X[:, None, :]
-    if K.arity == "position":
-        vals = K(dX)
-    else:
-        dV = ens.V[None, :, :] - V[:, None, :]
-        vals = K(dX, dV)
-    return np.asarray(vals, dtype=float).mean(axis=1)
+    return pair_mean(K, z.x[None], ens.X, z.v[None], ens.V)[0]
 
 
 def leader_coupling_drift(K12, leaders, z):
     """(1/m) sum_i K12(Y_i - x, W_i - v); zero vector when m = 0."""
-    if leaders.m == 0:
-        return np.zeros(z.d)
-    if K12.arity == "position":
-        vals = K12(leaders.Y - z.x)
-    else:
-        vals = K12(leaders.Y - z.x, leaders.W - z.v)
-    return np.asarray(vals, dtype=float).mean(axis=0)
+    return pair_mean(K12, z.x[None], leaders.Y, z.v[None], leaders.W)[0]
 
 
 def drift_from_kernel(K, p=2.0):
@@ -296,7 +305,8 @@ def drift_from_kernel(K, p=2.0):
         return kernel_convolution_drift(K, flow.at_time(t), z)
 
     def batch(t, flow, X, V, K=K):
-        return _kernel_convolution_batch(K, flow.at_time(t), X, V)
+        ens = flow.at_time(t)
+        return pair_mean(K, X, ens.X, V, ens.V)
 
     return DriftField(fn=fn, batch=batch, K=K.M_ker if not K.unbounded else 1.0,
                       beta=0.0, alpha=1.0, L=K.L_ker, D=2.0 * K.L_ker, p=p,
@@ -483,17 +493,8 @@ def leader_field_from_kernels(K21, K22, m):
     def fn(t, flow, leaders_prefix, K21=K21, K22=K22):
         leaders = leaders_prefix.at_time(t) if hasattr(leaders_prefix, "at_time") \
             else leaders_prefix
-        mm = leaders.m
-        if mm == 0:
-            return np.zeros((0, flow.d))
-        ens = flow.at_time(t)
-        out = np.empty((mm, flow.d))
-        for j in range(mm):
-            yj = leaders.Y[j]
-            conv = np.asarray(K21(ens.X - yj), dtype=float).mean(axis=0)
-            pair = np.asarray(K22(leaders.Y - yj), dtype=float).mean(axis=0)
-            out[j] = conv + pair
-        return out
+        Y = leaders.Y
+        return pair_mean(K21, Y, flow.at_time(t).X) + pair_mean(K22, Y, Y)
 
     K_F = (K21.M_ker if not K21.unbounded else 1.0) \
         + (K22.M_ker if not K22.unbounded else 1.0)
@@ -515,15 +516,7 @@ def coupling_from_kernel(K12):
     def batch(t, leaders_prefix, X, V, K12=K12):
         leaders = leaders_prefix.at_time(t) if hasattr(leaders_prefix, "at_time") \
             else leaders_prefix
-        if leaders.m == 0:
-            return np.zeros_like(X)
-        dY = leaders.Y[None, :, :] - X[:, None, :]
-        if K12.arity == "position":
-            vals = K12(dY)
-        else:
-            dW = leaders.W[None, :, :] - V[:, None, :]
-            vals = K12(dY, dW)
-        return np.asarray(vals, dtype=float).mean(axis=1)
+        return pair_mean(K12, X, leaders.Y, V, leaders.W)
 
     return LeaderCouplingField(fn=fn, batch=batch,
                                K_w=K12.M_ker if not K12.unbounded else 1.0,

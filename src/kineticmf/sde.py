@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drift import pair_mean
 from .phase_space import (LeaderPath, LeaderState, MeasureFlow,
                           ParticleEnsemble, time_grid)
 
@@ -166,17 +167,6 @@ def simulate_frozen(F, init, cfg, paths):
     return MeasureFlow(times, snapshots)
 
 
-def _pair_sum(K, A_to, A_from, B_to=None, B_from=None):
-    """(1/n) sum_j K(a_j - a_i, b_j - b_i) for every i; (rows of *_to)."""
-    dA = A_from[None, :, :] - A_to[:, None, :]
-    if K.arity == "position":
-        vals = K(dA)
-    else:
-        dB = B_from[None, :, :] - B_to[:, None, :]
-        vals = K(dA, dB)
-    return np.asarray(vals, dtype=float).mean(axis=1)
-
-
 def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     """Finite-N leader-follower system.
 
@@ -185,8 +175,10 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     average over leaders. Leaders follow the first-order ODE whose
     right-hand side is the K21 average over followers, the K22 average
     over leaders, and the control u(t, mu^N) evaluated on the running
-    empirical flow. W stores that evaluated right-hand side at every node,
-    including t = 0 and t = T.
+    empirical flow. All four kernel averages run through drift.pair_mean,
+    the same engine the mean-field drift and leader fields use. W stores
+    that evaluated right-hand side at every node, including t = 0 and
+    t = T.
 
     kernels is a mapping with keys K11, K12, K21, K22 (None entries mean
     zero); u is a callable (t, flow prefix) -> (m, d) or None.
@@ -213,17 +205,13 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     W_hist = np.empty((cfg.n_steps + 1, m, d))
     Y_hist[0] = Y
 
-    def leader_rhs(k, X, V, Y):
+    def leader_rhs(k, X, Y):
         rhs = np.zeros((m, d))
-        if m == 0:
-            return rhs
         if K21 is not None:
-            for j in range(m):
-                rhs[j] += np.asarray(K21(X - Y[j]), dtype=float).mean(axis=0)
+            rhs += pair_mean(K21, Y, X)
         if K22 is not None:
-            for j in range(m):
-                rhs[j] += np.asarray(K22(Y - Y[j]), dtype=float).mean(axis=0)
-        if u is not None:
+            rhs += pair_mean(K22, Y, Y)
+        if u is not None and m > 0:
             prefix = MeasureFlow(times[: k + 1], snapshots[: k + 1])
             rhs += np.asarray(u(times[k], prefix), dtype=float).reshape(m, d)
         return rhs
@@ -231,19 +219,13 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     for k in range(cfg.n_steps):
         # Leader velocities are defined as the evaluated RHS, so compute
         # them first: the K12 coupling below reads them at this node.
-        rhs = leader_rhs(k, X, V, Y)
+        rhs = leader_rhs(k, X, Y)
         W_hist[k] = rhs
         drift = np.zeros((cfg.N, d))
         if K11 is not None:
-            drift += _pair_sum(K11, X, X, V, V)
-        if K12 is not None and m > 0:
-            dY = Y[None, :, :] - X[:, None, :]
-            if K12.arity == "position":
-                vals = K12(dY)
-            else:
-                dW = rhs[None, :, :] - V[:, None, :]
-                vals = K12(dY, dW)
-            drift += np.asarray(vals, dtype=float).mean(axis=1)
+            drift += pair_mean(K11, X, X, V, V)
+        if K12 is not None:
+            drift += pair_mean(K12, X, Y, V, rhs)
         if not np.all(np.isfinite(drift)):
             raise FloatingPointError(
                 f"non-finite follower drift at step {k}, particle {_first_bad(drift)}")
@@ -255,7 +237,7 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
             raise FloatingPointError(f"non-finite state at step {k + 1}")
         snapshots.append(ParticleEnsemble(X, V))
         Y_hist[k + 1] = Y
-    W_hist[cfg.n_steps] = leader_rhs(cfg.n_steps, X, V, Y)
+    W_hist[cfg.n_steps] = leader_rhs(cfg.n_steps, X, Y)
     flow = MeasureFlow(times, snapshots)
     return flow, LeaderPath(times, Y_hist, W_hist)
 

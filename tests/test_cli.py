@@ -81,14 +81,16 @@ class TestParseConfig:
         text = ("[run]\nscenario = simulate\n"
                 "[model]\nsigma = -1\n"
                 "[grid]\nn_steps = 0\n"
-                "[control]\nbins = 0\n")
+                "[control]\nbins = 0\n"
+                "[experiment]\nmax_iter = 0\n")
         with pytest.raises(ConfigError) as exc:
             parse_config(_write(tmp_path, text))
         joined = "\n".join(exc.value.errors)
-        assert len(exc.value.errors) == 3
+        assert len(exc.value.errors) == 4
         assert "sigma" in joined
         assert "n_steps" in joined
         assert "bins" in joined
+        assert "max_iter must be >= 1" in joined
 
     def test_unknown_key_gets_a_suggestion(self, tmp_path):
         text = MINIMAL + "[model]\nsigm = 0.1\n"

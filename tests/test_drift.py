@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kineticmf.drift import (
     KERNEL_NAMES,
@@ -19,6 +21,7 @@ from kineticmf.drift import (
     leader_coupling_drift,
     leader_field_from_kernels,
     linear_damping_field,
+    pair_mean,
     validate_dissipativity_v3pp,
     validate_hoelder,
     validate_sublinearity,
@@ -125,7 +128,7 @@ class TestConvolution:
             batch = f.eval_batch(0.5, flow, X, V)
             rows = np.stack([f.eval(0.5, flow, PhasePoint(X[i], V[i]))
                              for i in range(7)])
-            np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=1e-15)
+            np.testing.assert_array_equal(batch, rows)
 
     def test_leader_coupling_empty_returns_zero(self):
         K = kernel("bounded_attraction_position")
@@ -331,6 +334,44 @@ class TestTruncation:
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
             clamp_drift(zero_field(), N_cap=0.0)
+
+
+def _untiled_pair_mean(K, A_to, A_from, B_to, B_from):
+    """Reference: the whole N x n x d difference array in one kernel call."""
+    dA = A_from[None, :, :] - A_to[:, None, :]
+    if K.arity == "position":
+        vals = K(dA)
+    else:
+        vals = K(dA, B_from[None, :, :] - B_to[:, None, :])
+    return np.asarray(vals, dtype=float).mean(axis=1)
+
+
+class TestPairMean:
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 255, 256, 257, 3 * 256 + 1]),
+           st.sampled_from([1, 3, 300]),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from(["bounded_alignment", "bounded_attraction",
+                            "alignment", "constant",
+                            "bounded_attraction_position",
+                            "attraction_position"]))
+    @settings(max_examples=30, deadline=None)
+    def test_tiles_reproduce_the_untiled_sum_bitwise(self, seed, N, n, d, name):
+        rng = np.random.default_rng(seed)
+        K = kernel(name, d=d, params={"value": 0.5})
+        A_to, B_to = rng.standard_normal((2, N, d))
+        A_from, B_from = rng.standard_normal((2, n, d))
+        np.testing.assert_array_equal(
+            pair_mean(K, A_to, A_from, B_to, B_from),
+            _untiled_pair_mean(K, A_to, A_from, B_to, B_from))
+
+    @pytest.mark.parametrize("name", ["bounded_alignment",
+                                      "bounded_attraction_position"])
+    def test_no_sources_gives_zero_rows(self, name):
+        K = kernel(name, d=3)
+        out = pair_mean(K, np.ones((5, 3)), np.empty((0, 3)),
+                        np.ones((5, 3)), np.empty((0, 3)))
+        np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
 
 class TestLeaderFields:

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from kineticmf.drift import kernel
-from kineticmf.phase_space import LeaderState, ParticleEnsemble
+from kineticmf.drift import (coupling_from_kernel, drift_from_kernel, kernel,
+                             leader_field_from_kernels)
+from kineticmf.phase_space import LeaderState, MeasureFlow, ParticleEnsemble
 from kineticmf.sde import (
     STREAM_BROWNIAN,
     STREAM_INITIAL,
@@ -264,6 +265,30 @@ class TestInteracting:
         # rhs = K21(1 - 0) = 0.5, one Euler step of size 0.5.
         assert lp.Y[1, 0, 0] == pytest.approx(0.25)
         assert lp.W[0, 0, 0] == pytest.approx(0.5)
+
+    def test_first_step_matches_the_mean_field_fields(self):
+        # The finite-N right-hand sides are the mean-field fields evaluated
+        # on the empirical state, bit for bit.
+        cfg = SimConfig(T=0.5, n_steps=2, N=300, sigma=0.0, seed=3, d=2)
+        rng = np.random.default_rng(12)
+        init = ParticleEnsemble(rng.standard_normal((300, 2)),
+                                rng.standard_normal((300, 2)))
+        Y0 = LeaderState(rng.standard_normal((2, 2)), np.zeros((2, 2)))
+        K11 = kernel("bounded_attraction")
+        K12 = kernel("bounded_alignment", d=2)
+        K21 = kernel("bounded_attraction_position")
+        K22 = kernel("attraction_position")
+        ks = {"K11": K11, "K12": K12, "K21": K21, "K22": K22}
+        flow, lp = simulate_interacting(ks, None, init, Y0, cfg,
+                                        generate_brownian(cfg))
+        mu = MeasureFlow.constant(init, cfg.grid())
+        np.testing.assert_array_equal(
+            lp.W[0], leader_field_from_kernels(K21, K22, 2).eval(0.0, mu, Y0))
+        drift = drift_from_kernel(K11).eval_batch(0.0, mu, init.X, init.V) \
+            + coupling_from_kernel(K12).eval_batch(
+                0.0, LeaderState(Y0.Y, lp.W[0]), init.X, init.V)
+        np.testing.assert_array_equal(flow.snapshots[1].V,
+                                      init.V + cfg.dt * drift)
 
     def test_nonfinite_leader_state_detected(self):
         cfg = _cfg(N=2, n_steps=3)
