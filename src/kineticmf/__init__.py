@@ -10,8 +10,8 @@ from .phase_space import (IDENTITY_YOUNG, LeaderPath, LeaderState, MeasureFlow,
                           read_leader_csv, sup_moment, time_grid, young_moment,
                           write_flow_csv, write_leader_csv)
 from .wasserstein import (EXACT_SIZE_CAP, TransportPlan, sliced_w1,
-                          sliced_w1_points, wasserstein_exact,
-                          wasserstein_paired_bound)
+                          sliced_w1_points, wasserstein_distance,
+                          wasserstein_exact, wasserstein_paired_bound)
 from .drift import (KERNEL_NAMES, DriftField, InteractionKernel,
                     LeaderCouplingField, LeaderField, ValidationReport,
                     clamp_drift, constant_field, coupling_from_kernel,

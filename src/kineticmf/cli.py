@@ -53,8 +53,7 @@ __all__ = [
 SCENARIOS = ("simulate", "meanfield", "coupled", "optimize", "chaos", "gamma",
              "validate")
 INITIAL_KINDS = ("point", "gaussian", "uniform", "mixture")
-_POSITION_KERNELS = tuple(n for n in KERNEL_NAMES
-                          if n.endswith("position") or n in ("zero", "constant"))
+_POSITION_KERNELS = tuple(n for n in KERNEL_NAMES if n.endswith("_position"))
 
 
 class ConfigError(Exception):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .phase_space import LeaderState, MeasureFlow, PhasePoint, sup_moment
-from .wasserstein import wasserstein_exact, wasserstein_paired_bound
+from .wasserstein import EXACT_GAP_MAX_N, wasserstein_gap
 
 __all__ = [
     "InteractionKernel",
@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 _VALIDATOR_TOL = 1e-9
-
-# Exact dissipativity checks switch to the paired bound above this size,
-# matching the Picard gap convention.
-_EXACT_W_MAX_N = 256
 
 
 @dataclass(frozen=True)
@@ -408,12 +404,6 @@ def validate_hoelder(f, flow, pairs, L, alpha, R=None):
                             worst=worst_info, note=f"hoelder with alpha={alpha}")
 
 
-def _flow_distance(a, b, p):
-    if a.N <= _EXACT_W_MAX_N:
-        return wasserstein_exact(a, b, p)[0]
-    return wasserstein_paired_bound(a, b, p)
-
-
 def validate_dissipativity_v3pp(f, flows, samples):
     """Sampled check of the Lipschitz sufficient condition for
     dissipativity: |f[t, mu1](z1) - f[t, mu2](z2)| <= D * (sup_{s<=t}
@@ -424,11 +414,11 @@ def validate_dissipativity_v3pp(f, flows, samples):
     samples is an iterable of (t, z1, z2) triples.
     """
     flow1, flow2 = flows
-    d0 = _flow_distance(flow1.snapshots[0], flow2.snapshots[0], f.p)
+    d0 = wasserstein_gap(flow1.snapshots[0], flow2.snapshots[0], f.p)
     if d0 > 1e-12:
         raise ValueError("dissipativity check requires flows sharing mu_0")
     # sup_{s<=t} W_p along the shared grid, exact below the size switch.
-    per_node = [_flow_distance(a, b, f.p)
+    per_node = [wasserstein_gap(a, b, f.p)
                 for a, b in zip(flow1.snapshots, flow2.snapshots)]
     run_sup = np.maximum.accumulate(per_node)
     worst, worst_info, n = 0.0, {}, 0
@@ -442,7 +432,7 @@ def validate_dissipativity_v3pp(f, flows, samples):
         n += 1
         if q > worst:
             worst, worst_info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
-    metric = "exact" if flow1.N <= _EXACT_W_MAX_N else "paired-bound"
+    metric = "exact" if flow1.N <= EXACT_GAP_MAX_N else "paired-bound"
     return ValidationReport(passed=bool(worst <= f.D * (1.0 + _VALIDATOR_TOL)),
                             worst_ratio=worst, bound=f.D, n_checked=n,
                             worst=worst_info,

@@ -20,7 +20,7 @@ from .control_opt import (evaluate_cost_N, evaluate_cost_meanfield, optimize,
                           sv_zero)
 from .phase_space import ParticleEnsemble
 from .sde import STREAM_SUBSAMPLE, generate_brownian, path_rng, simulate_interacting
-from .wasserstein import EXACT_SIZE_CAP, wasserstein_exact
+from .wasserstein import EXACT_SIZE_CAP, wasserstein_distance
 
 __all__ = [
     "ConvergenceTable",
@@ -120,7 +120,7 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=None,
         worst = 0.0
         for snap, ref in zip(flow.snapshots, ref_flow.snapshots):
             sub = ParticleEnsemble(ref.X[idx], ref.V[idx])
-            worst = max(worst, wasserstein_exact(snap, sub, 1.0)[0])
+            worst = max(worst, wasserstein_distance(snap, sub, 1.0))
         return worst
 
     cells = [(N, s) for N in N_list for s in seeds]

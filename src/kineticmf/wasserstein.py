@@ -14,23 +14,33 @@ from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "TransportPlan",
+    "wasserstein_distance",
     "wasserstein_exact",
     "wasserstein_paired_bound",
+    "wasserstein_gap",
     "sliced_w1",
     "sliced_w1_points",
     "EXACT_SIZE_CAP",
+    "EXACT_GAP_MAX_N",
 ]
 
 # Cost matrices are dense float64; 4096^2 entries = 128 MiB is the default
 # ceiling. Larger ensembles must opt into sliced_w1 or the paired bound.
 EXACT_SIZE_CAP = 4096
 
+# Below this N convergence gaps use exact optimal transport; above it the
+# index-paired coupling bound (an upper bound, so a convergent gap still
+# certifies convergence).
+EXACT_GAP_MAX_N = 256
+
 # Assignments whose costs agree to this relative tolerance count as ties.
 _TIE_RTOL = 1e-12
 
-# Lexicographic tie refinement re-solves reduced assignment problems, which
-# is worth it only at small N; above the cutoff the solver's (deterministic)
-# assignment is returned as-is. Values are unaffected.
+# Lexicographic tie refinement re-solves reduced assignment problems (about
+# N^2 / 2 of them), so only wasserstein_exact runs it, for callers that read
+# the plan, and only at small N; above the cutoff the solver's
+# (deterministic) assignment is returned as-is. wasserstein_distance never
+# refines. Values are unaffected.
 _LEX_REFINE_MAX_N = 32
 
 
@@ -94,15 +104,9 @@ def _lex_smallest_assignment(C, base_value):
     return out
 
 
-def wasserstein_exact(a, b, p, size_cap=EXACT_SIZE_CAP):
-    """Exact W_p between equal-N uniform empirical measures.
-
-    Returns (distance, TransportPlan). distance solves
-    min over permutations of ((1/N) sum_i |z_i - z'_{sigma(i)}|^p)^(1/p).
-    Among cost-tied optimal assignments the lexicographically smallest
-    sigma is reported (refined below a small-N cutoff; ties are
-    measure-zero for continuous data).
-    """
+def _solve(a, b, p, size_cap):
+    """Checks, cost matrix and one assignment solve: (C, cols, value), where
+    row i pairs with column cols[i] and value is the optimal total cost."""
     _check_pair(a, b, p)
     if a.N > size_cap:
         raise ValueError(
@@ -110,9 +114,27 @@ def wasserstein_exact(a, b, p, size_cap=EXACT_SIZE_CAP):
             "use sliced_w1 or wasserstein_paired_bound")
     C = _cost_matrix(a, b, p)
     rows, cols = linear_sum_assignment(C)
-    value = float(C[rows, cols].sum())
-    sigma = np.empty(a.N, dtype=int)
-    sigma[rows] = cols
+    return C, cols, float(C[rows, cols].sum())
+
+
+def wasserstein_distance(a, b, p, size_cap=EXACT_SIZE_CAP):
+    """Exact W_p between equal-N uniform empirical measures, value only:
+    one assignment solve, no plan and no tie refinement."""
+    _, _, value = _solve(a, b, p, size_cap)
+    return (value / a.N) ** (1.0 / p)
+
+
+def wasserstein_exact(a, b, p, size_cap=EXACT_SIZE_CAP):
+    """Exact W_p between equal-N uniform empirical measures.
+
+    Returns (distance, TransportPlan). distance solves
+    min over permutations of ((1/N) sum_i |z_i - z'_{sigma(i)}|^p)^(1/p).
+    Among cost-tied optimal assignments the lexicographically smallest
+    sigma is reported (refined below a small-N cutoff; ties are
+    measure-zero for continuous data). Callers that need only the value
+    should use wasserstein_distance.
+    """
+    C, sigma, value = _solve(a, b, p, size_cap)
     if a.N <= _LEX_REFINE_MAX_N:
         sigma = _lex_smallest_assignment(C, value)
         value = float(C[np.arange(a.N), sigma].sum())
@@ -131,6 +153,14 @@ def wasserstein_paired_bound(a, b, p):
     diff = a.Z() - b.Z()
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return float(np.mean(dist**p) ** (1.0 / p))
+
+
+def wasserstein_gap(a, b, p):
+    """The W_p used for convergence gaps: exact up to EXACT_GAP_MAX_N
+    points, the paired bound above."""
+    if a.N <= EXACT_GAP_MAX_N:
+        return wasserstein_distance(a, b, p)
+    return wasserstein_paired_bound(a, b, p)
 
 
 def _sliced_w1_samples(A, B, n_proj, seed):

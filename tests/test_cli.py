@@ -113,9 +113,12 @@ class TestParseConfig:
             parse_config(_write(tmp_path, text))
 
     def test_leader_slots_must_hold_position_kernels(self, tmp_path):
-        text = MINIMAL + "[model]\nk21 = bounded_alignment\n"
-        with pytest.raises(ConfigError, match="position kernel"):
-            parse_config(_write(tmp_path, text))
+        # zero and constant are phase kernels too: a leader right-hand side
+        # calls them with dx only, which they reject.
+        for name in ("bounded_alignment", "zero", "constant"):
+            text = MINIMAL + f"[model]\nn_leaders = 1\nk21 = {name}\n"
+            with pytest.raises(ConfigError, match="position kernel"):
+                parse_config(_write(tmp_path, text))
 
     def test_unparseable_number_reported_with_description(self, tmp_path):
         text = MINIMAL + "[grid]\nn_steps = owl\n"

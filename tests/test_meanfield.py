@@ -1,7 +1,13 @@
 """Picard solver, weak-form residual, stability, and certificate tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kineticmf import meanfield
 
 from kineticmf.drift import (
     DriftField,
@@ -30,6 +36,7 @@ from kineticmf.phase_space import (
     time_grid,
 )
 from kineticmf.sde import SimConfig, generate_brownian, simulate_frozen
+from kineticmf.wasserstein import wasserstein_exact, wasserstein_paired_bound
 
 
 def _cfg(**kw):
@@ -78,6 +85,69 @@ class TestFlowGap:
         a = MeasureFlow([0.0, 1.0], [small, small])
         b = MeasureFlow([0.0, 1.0], [small, far])
         assert flow_gap(a, b, 2.0) == pytest.approx(3.0)
+
+    @given(st.sampled_from([1, 2, 7, 32, 33, 64, 256, 257]),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1.0, 1.5, 2.0]),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=-12.0, max_value=0.0),
+           st.lists(st.tuples(st.sampled_from(["same", "near", "shuffled",
+                                               "translated"]),
+                              st.floats(min_value=-1.0, max_value=0.0)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_pruned_sup_equals_full_sup(self, N, d, p, seed, log_eps, nodes):
+        # Per node, b is a copy of a (gap exactly 0), a perturbation of size
+        # eps in 1e-13..1 (near the identity the paired coupling is optimal,
+        # so exact and paired agree up to rounding), a shuffled copy plus
+        # noise (exact far below paired), or a translate (exact = paired).
+        # One scale with per-node offsets of at most a decade makes the
+        # bound order and the exact order interleave.
+        rng = np.random.default_rng(seed)
+        snaps_a, snaps_b = [], []
+        for kind, offset in nodes:
+            eps = 10.0 ** (log_eps + offset)
+            a = _spread_init(N, d, seed=int(rng.integers(2**32)))
+            X = a.X + eps * rng.standard_normal((N, d))
+            V = a.V + eps * rng.standard_normal((N, d))
+            if kind == "same":
+                b = a
+            elif kind == "near":
+                b = ParticleEnsemble(X, V)
+            elif kind == "shuffled":
+                b = ParticleEnsemble(X, V).permuted(rng.permutation(N))
+            else:
+                shift = eps * rng.standard_normal(2 * d)
+                b = ParticleEnsemble(a.X + shift[:d], a.V + shift[d:])
+            snaps_a.append(a)
+            snaps_b.append(b)
+        times = np.arange(len(nodes), dtype=float)
+        fa, fb = MeasureFlow(times, snaps_a), MeasureFlow(times, snaps_b)
+        if N <= EXACT_GAP_MAX_N:
+            full = max(wasserstein_exact(a, b, p)[0]
+                       for a, b in zip(snaps_a, snaps_b))
+        else:
+            full = max(wasserstein_paired_bound(a, b, p)
+                       for a, b in zip(snaps_a, snaps_b))
+        assert flow_gap(fa, fb, p) == full
+
+    def test_pruning_skips_dominated_nodes(self):
+        # Perturbations shrinking tenfold per node keep the identity
+        # coupling optimal, so the first node solved attains its bound and
+        # every later bound falls below it.
+        rng = np.random.default_rng(4)
+        base = _spread_init(16, 2, seed=9)
+        shifted = [ParticleEnsemble(base.X + 10.0**-k * rng.standard_normal((16, 2)),
+                                    base.V)
+                   for k in range(1, 7)]
+        times = np.arange(6, dtype=float)
+        fa = MeasureFlow(times, [base] * 6)
+        fb = MeasureFlow(times, shifted)
+        full = max(wasserstein_exact(base, s, 2.0)[0] for s in shifted)
+        with mock.patch.object(meanfield, "wasserstein_distance",
+                               wraps=meanfield.wasserstein_distance) as spy:
+            assert flow_gap(fa, fb, 2.0) == full
+        assert spy.call_count < 6
 
     def test_report_rejects_negative_gaps(self):
         flow = MeasureFlow.constant(ParticleEnsemble([[0.0]], [[0.0]]), [0.0])

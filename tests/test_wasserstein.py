@@ -18,6 +18,7 @@ from kineticmf.wasserstein import (
     TransportPlan,
     sliced_w1,
     sliced_w1_points,
+    wasserstein_distance,
     wasserstein_exact,
     wasserstein_paired_bound,
 )
@@ -94,6 +95,20 @@ class TestBruteForceAgreement:
             assert realized == pytest.approx(got, rel=1e-12, abs=1e-12)
 
 
+class TestValueOnly:
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1.0, 1.5, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_bitwise(self, seed, N, d, p):
+        # N straddles the tie-refinement cutoff (32): refinement picks a
+        # plan among ties, never a different value.
+        rng = np.random.default_rng(seed)
+        a, b = _random_ens(rng, N, d), _random_ens(rng, N, d)
+        assert wasserstein_distance(a, b, p) == wasserstein_exact(a, b, p)[0]
+
+
 class TestTieBreaking:
     def test_equal_cost_assignments_pick_lexicographic_smallest(self):
         # Both pairings cost |0-1| + |2-1| = 2, so sigma = (0, 1) wins.
@@ -161,8 +176,9 @@ class TestPairedBound:
         rng = np.random.default_rng(seed)
         a, b = _random_ens(rng, 6, 2), _random_ens(rng, 6, 2)
         for p in (1.0, 2.0):
-            exact = wasserstein_exact(a, b, p)[0]
-            assert wasserstein_paired_bound(a, b, p) >= exact - 1e-12
+            for exact in (wasserstein_exact(a, b, p)[0],
+                          wasserstein_distance(a, b, p)):
+                assert wasserstein_paired_bound(a, b, p) >= exact - 1e-12
 
     def test_hand_value(self):
         a = _ens([[0.0], [0.0]])
@@ -199,12 +215,17 @@ class TestSliced:
         v2 = sliced_w1(a, b, n_proj=8, seed=4)
         assert v1 == v2
 
-    def test_lower_bounds_exact_w1(self):
-        # Projections are 1-Lipschitz, so each slice sits below W_1.
-        rng = np.random.default_rng(30)
-        a, b = _random_ens(rng, 10, 2), _random_ens(rng, 10, 2)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_lower_bounds_exact_w1(self, seed, d):
+        # Each projection is 1-Lipschitz, so each slice sits below W_1 and
+        # so does their average. The 1e-12 slack covers rounding only: the
+        # sorted 1-d sums and the assignment sum add in different orders.
+        rng = np.random.default_rng(seed)
+        a, b = _random_ens(rng, 10, d), _random_ens(rng, 10, d)
         exact = wasserstein_exact(a, b, 1.0)[0]
-        assert sliced_w1(a, b, n_proj=32, seed=1) <= exact + 1e-12
+        assert sliced_w1(a, b, n_proj=32, seed=seed) <= exact + 1e-12
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(1)
