@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .phase_space import LeaderState, MeasureFlow, PhasePoint, sup_moment
-from .wasserstein import EXACT_GAP_MAX_N, wasserstein_gap
+from .wasserstein import gap_is_exact, wasserstein_gap
 
 __all__ = [
     "InteractionKernel",
@@ -432,7 +432,7 @@ def validate_dissipativity_v3pp(f, flows, samples):
         n += 1
         if q > worst:
             worst, worst_info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
-    metric = "exact" if flow1.N <= EXACT_GAP_MAX_N else "paired-bound"
+    metric = "exact" if gap_is_exact(flow1.N) else "paired-bound"
     return ValidationReport(passed=bool(worst <= f.D * (1.0 + _VALIDATOR_TOL)),
                             worst_ratio=worst, bound=f.D, n_checked=n,
                             worst=worst_info,

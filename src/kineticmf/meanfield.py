@@ -20,8 +20,9 @@ from .drift import clamp_drift
 from .phase_space import (MeasureFlow, gamma_p, holder_ratio, moment_p,
                           sup_moment, young_moment)
 from .sde import generate_brownian, simulate_frozen
-from .wasserstein import (EXACT_GAP_MAX_N, wasserstein_distance,
-                          wasserstein_gap, wasserstein_paired_bound)
+# EXACT_GAP_MAX_N is re-exported: callers read the size switch from here.
+from .wasserstein import (EXACT_GAP_MAX_N, wasserstein_gap,
+                          wasserstein_paired_bound)
 
 __all__ = [
     "PicardReport",
@@ -46,24 +47,23 @@ _PRUNE_RTOL = 1e-9
 
 
 def flow_gap(flow_a, flow_b, p):
-    """sup over grid nodes of the W_p between snapshots: exact optimal
-    transport up to EXACT_GAP_MAX_N points, the paired bound above.
+    """sup over grid nodes of wasserstein_gap between snapshots: exact
+    optimal transport up to EXACT_GAP_MAX_N points, the paired bound above.
 
-    The exact sup is pruned by the paired bound, which dominates exact W_p
-    and is far cheaper: nodes are solved in descending bound order, and the
-    rest are skipped once bound * (1 + _PRUNE_RTOL) is at or below the
-    running max. The tolerance covers the rounding between the two
-    computations, so the result is the same sup bit for bit.
+    The sup is pruned by the paired bound, which dominates exact W_p and is
+    far cheaper: nodes are solved in descending bound order, and the rest
+    are skipped once bound * (1 + _PRUNE_RTOL) is at or below the running
+    max. The tolerance covers the rounding between the two computations,
+    so the result is the same sup bit for bit. Above EXACT_GAP_MAX_N the
+    first node solved already attains the largest bound.
     """
     pairs = list(zip(flow_a.snapshots, flow_b.snapshots))
     bounds = [wasserstein_paired_bound(a, b, p) for a, b in pairs]
-    if flow_a.N > EXACT_GAP_MAX_N:
-        return max(bounds)
     gap = 0.0
     for k in sorted(range(len(pairs)), key=bounds.__getitem__, reverse=True):
         if bounds[k] * (1.0 + _PRUNE_RTOL) <= gap:
             break
-        gap = max(gap, wasserstein_distance(*pairs[k], p))
+        gap = max(gap, wasserstein_gap(*pairs[k], p))
     return gap
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "wasserstein_exact",
     "wasserstein_paired_bound",
     "wasserstein_gap",
+    "gap_is_exact",
     "sliced_w1",
     "sliced_w1_points",
     "EXACT_SIZE_CAP",
@@ -34,6 +35,11 @@ EXACT_SIZE_CAP = 4096
 EXACT_GAP_MAX_N = 256
 
 # Assignments whose costs agree to this relative tolerance count as ties.
+# A cost is a sum of N nonnegative entries, each computed to a few ulps, so
+# two assignments of equal exact cost differ in computed cost by a relative
+# amount of order N * eps. The tolerance is relative only: an absolute
+# floor would merge genuinely different costs below it (near-coincident
+# points) and let the refinement report a non-optimal plan.
 _TIE_RTOL = 1e-12
 
 # Lexicographic tie refinement re-solves reduced assignment problems (about
@@ -80,7 +86,7 @@ def _lex_smallest_assignment(C, base_value):
     lexicographically smallest, by pinning rows in order to the smallest
     column that still admits an optimal completion."""
     n = C.shape[0]
-    tol = _TIE_RTOL * max(1.0, abs(base_value)) * n
+    tol = _TIE_RTOL * abs(base_value) * n
     free_cols = list(range(n))
     fixed_cost = 0.0
     out = np.empty(n, dtype=int)
@@ -117,10 +123,10 @@ def _solve(a, b, p, size_cap):
     return C, cols, float(C[rows, cols].sum())
 
 
-def wasserstein_distance(a, b, p, size_cap=EXACT_SIZE_CAP):
+def wasserstein_distance(a, b, p):
     """Exact W_p between equal-N uniform empirical measures, value only:
     one assignment solve, no plan and no tie refinement."""
-    _, _, value = _solve(a, b, p, size_cap)
+    _, _, value = _solve(a, b, p, EXACT_SIZE_CAP)
     return (value / a.N) ** (1.0 / p)
 
 
@@ -131,13 +137,14 @@ def wasserstein_exact(a, b, p, size_cap=EXACT_SIZE_CAP):
     min over permutations of ((1/N) sum_i |z_i - z'_{sigma(i)}|^p)^(1/p).
     Among cost-tied optimal assignments the lexicographically smallest
     sigma is reported (refined below a small-N cutoff; ties are
-    measure-zero for continuous data). Callers that need only the value
-    should use wasserstein_distance.
+    measure-zero for continuous data). The distance is the solver's
+    optimal value, the same bits as wasserstein_distance, which callers
+    that need only the value should use; a refined plan's own cost agrees
+    with it to the tie tolerance.
     """
     C, sigma, value = _solve(a, b, p, size_cap)
     if a.N <= _LEX_REFINE_MAX_N:
         sigma = _lex_smallest_assignment(C, value)
-        value = float(C[np.arange(a.N), sigma].sum())
     dist = (value / a.N) ** (1.0 / p)
     return dist, TransportPlan(assignment=sigma, cost=dist)
 
@@ -155,10 +162,15 @@ def wasserstein_paired_bound(a, b, p):
     return float(np.mean(dist**p) ** (1.0 / p))
 
 
+def gap_is_exact(N):
+    """Whether wasserstein_gap solves exact transport at ensemble size N."""
+    return N <= EXACT_GAP_MAX_N
+
+
 def wasserstein_gap(a, b, p):
     """The W_p used for convergence gaps: exact up to EXACT_GAP_MAX_N
     points, the paired bound above."""
-    if a.N <= EXACT_GAP_MAX_N:
+    if gap_is_exact(a.N):
         return wasserstein_distance(a, b, p)
     return wasserstein_paired_bound(a, b, p)
 

@@ -144,8 +144,8 @@ class TestFlowGap:
         fa = MeasureFlow(times, [base] * 6)
         fb = MeasureFlow(times, shifted)
         full = max(wasserstein_exact(base, s, 2.0)[0] for s in shifted)
-        with mock.patch.object(meanfield, "wasserstein_distance",
-                               wraps=meanfield.wasserstein_distance) as spy:
+        with mock.patch.object(meanfield, "wasserstein_gap",
+                               wraps=meanfield.wasserstein_gap) as spy:
             assert flow_gap(fa, fb, 2.0) == full
         assert spy.call_count < 6
 

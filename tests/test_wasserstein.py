@@ -99,14 +99,49 @@ class TestValueOnly:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=1, max_value=40),
            st.integers(min_value=1, max_value=3),
-           st.sampled_from([1.0, 1.5, 2.0]))
+           st.sampled_from([1.0, 1.5, 2.0]),
+           st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matches_exact_bitwise(self, seed, N, d, p):
+    def test_matches_exact_bitwise(self, seed, N, d, p, lattice):
         # N straddles the tie-refinement cutoff (32): refinement picks a
-        # plan among ties, never a different value.
+        # plan among ties, never a different value. Points on a 3-point
+        # lattice make cost ties common, so refinement often moves the plan.
         rng = np.random.default_rng(seed)
-        a, b = _random_ens(rng, N, d), _random_ens(rng, N, d)
-        assert wasserstein_distance(a, b, p) == wasserstein_exact(a, b, p)[0]
+        if lattice:
+            a, b = (ParticleEnsemble(rng.integers(0, 3, (N, d)).astype(float),
+                                     rng.integers(0, 3, (N, d)).astype(float))
+                    for _ in range(2))
+        else:
+            a, b = _random_ens(rng, N, d), _random_ens(rng, N, d)
+        dist, plan = wasserstein_exact(a, b, p)
+        assert wasserstein_distance(a, b, p) == dist
+        realized = np.mean(np.linalg.norm(a.Z() - b.Z()[plan.assignment],
+                                          axis=1) ** p) ** (1 / p)
+        assert realized == pytest.approx(dist, rel=1e-12, abs=1e-12)
+
+    def test_tie_refinement_keeps_solver_value(self):
+        # In 1-d every pairing of {0.8, 0.7} with {3.0, 2.9} costs 4.4 in
+        # W_1. The solver's pairing sums to 4.3999999999999995 in floating
+        # point, the refined identity plan to 4.4; the reported distance is
+        # the solver's, so both paths return the same bits.
+        a = _ens([[0.8], [0.7]])
+        b = _ens([[3.0], [2.9]])
+        dist, plan = wasserstein_exact(a, b, 1.0)
+        np.testing.assert_array_equal(plan.assignment, [0, 1])
+        assert dist == wasserstein_distance(a, b, 1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_near_coincident_points_keep_optimal_value(self, p):
+        # {0, h} vs {h, 0}: swapping costs 0, the identity 2 h^p. Costs far
+        # below 1 must not count as ties with the optimum, or refinement
+        # would report the identity and a distance of h.
+        h = 1e-7
+        a = _ens([[0.0], [h]])
+        b = _ens([[h], [0.0]])
+        dist, plan = wasserstein_exact(a, b, p)
+        assert dist == 0.0
+        assert wasserstein_distance(a, b, p) == 0.0
+        np.testing.assert_array_equal(plan.assignment, [1, 0])
 
 
 class TestTieBreaking:
