@@ -429,9 +429,10 @@ def optimize(u0, cost_fn, budget, step0=0.5, seed=0):
     evaluation (the search never leaves the feasible region, so the
     returned control is admissible by construction).
 
-    cost_fn failures score the candidate +inf and count against the
-    budget. Deterministic given seed (used only to jitter the initial
-    simplex off exact ties). Returns (best control, history) with history
+    A candidate whose cost_fn raises RuntimeError or FloatingPointError
+    (a solver failure) or returns NaN scores +inf and counts against the
+    budget; any other exception propagates. Deterministic given seed
+    (used only to jitter the initial simplex off exact ties). Returns (best control, history) with history
     rows (evaluation index, cost, best cost so far). Stops at the budget
     or when the simplex diameter drops below 1e-8.
     """
@@ -452,7 +453,7 @@ def optimize(u0, cost_fn, budget, step0=0.5, seed=0):
             c = float(cost_fn(cand))
             if math.isnan(c):
                 c = math.inf
-        except Exception:
+        except (RuntimeError, FloatingPointError):
             c = math.inf
         if c < best["cost"]:
             best["cost"], best["control"] = c, cand

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .phase_space import LeaderState, MeasureFlow, PhasePoint, sup_moment
+from .phase_space import PhasePoint, sup_moment
 from .wasserstein import gap_is_exact, wasserstein_gap
 
 __all__ = [
@@ -161,15 +161,15 @@ KERNEL_NAMES = ("zero", "constant", "alignment", "bounded_alignment", "attractio
 class DriftField:
     """Nonlocal drift f[t, flow](z) with its declared assumption constants.
 
-    fn(t, flow, z: PhasePoint) -> (d,) is the scalar interface; batch, when
-    provided, evaluates all rows of (X, V) at once and must agree with fn.
+    batch(t, flow, X, V) -> (n, d) evaluates the field at every row z_i =
+    (X[i], V[i]) at once; eval_batch is the one way to call it.
     Constants: K and beta for sublinearity, alpha and L for the anisotropic
     Hoelder bound, D for the dissipativity sufficient condition, p for the
     Wasserstein order the field is paired with. Fields flagged unbounded
     ship constants that the validators are expected to reject.
     """
 
-    fn: Callable
+    batch: Callable
     K: float = 1.0
     beta: float = 0.0
     alpha: float = 1.0
@@ -178,7 +178,6 @@ class DriftField:
     p: float = 2.0
     name: str = "custom"
     unbounded: bool = False
-    batch: Callable | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.beta < 1.0):
@@ -188,62 +187,37 @@ class DriftField:
         if self.p < 1:
             raise ValueError("Wasserstein order p must be >= 1")
 
-    def eval(self, t, flow, z):
-        return np.asarray(self.fn(t, flow, z), dtype=float)
-
     def eval_batch(self, t, flow, X, V):
-        if self.batch is not None:
-            return np.asarray(self.batch(t, flow, X, V), dtype=float)
-        out = np.empty_like(X)
-        for i in range(X.shape[0]):
-            out[i] = self.fn(t, flow, PhasePoint(X[i], V[i]))
-        return out
-
-    def __call__(self, t, flow, z):
-        return self.eval(t, flow, z)
+        return np.asarray(self.batch(t, flow, X, V), dtype=float)
 
 
 @dataclass(frozen=True)
 class LeaderField:
-    """Leader drive F[t, flow](leader path prefix) -> (m, d), with declared
-    sublinearity constant K_F and Lipschitz constant L_F. Non-anticipative
-    in both the flow and the trajectory prefix."""
+    """Leader drive F[t, flow](Y) -> (m, d) at the current (m, d) leader
+    positions Y, with declared sublinearity constant K_F and Lipschitz
+    constant L_F. Non-anticipative in the flow."""
 
     fn: Callable
     K_F: float = 1.0
     L_F: float = 1.0
     name: str = "custom"
 
-    def eval(self, t, flow, leaders_prefix):
-        return np.asarray(self.fn(t, flow, leaders_prefix), dtype=float)
-
-    def __call__(self, t, flow, leaders_prefix):
-        return self.eval(t, flow, leaders_prefix)
+    def eval(self, t, flow, Y):
+        return np.asarray(self.fn(t, flow, Y), dtype=float)
 
 
 @dataclass(frozen=True)
 class LeaderCouplingField:
-    """Leader-to-follower coupling w[t, leader path prefix](z) -> (d,)."""
+    """Leader-to-follower coupling w[t, path](z): batch(t, path, X, V) ->
+    (n, d) reads the LeaderPath at its last node <= t, for every row."""
 
-    fn: Callable
+    batch: Callable
     K_w: float = 1.0
     L_w: float = 1.0
     name: str = "custom"
-    batch: Callable | None = None
 
-    def eval(self, t, leaders_prefix, z):
-        return np.asarray(self.fn(t, leaders_prefix, z), dtype=float)
-
-    def eval_batch(self, t, leaders_prefix, X, V):
-        if self.batch is not None:
-            return np.asarray(self.batch(t, leaders_prefix, X, V), dtype=float)
-        out = np.empty_like(X)
-        for i in range(X.shape[0]):
-            out[i] = self.fn(t, leaders_prefix, PhasePoint(X[i], V[i]))
-        return out
-
-    def __call__(self, t, leaders_prefix, z):
-        return self.eval(t, leaders_prefix, z)
+    def eval_batch(self, t, path, X, V):
+        return np.asarray(self.batch(t, path, X, V), dtype=float)
 
 
 _PAIR_BLOCK = 256
@@ -297,14 +271,11 @@ def drift_from_kernel(K, p=2.0):
     measure variations). Unbounded kernels propagate the unbounded flag.
     """
 
-    def fn(t, flow, z, K=K):
-        return kernel_convolution_drift(K, flow.at_time(t), z)
-
     def batch(t, flow, X, V, K=K):
         ens = flow.at_time(t)
         return pair_mean(K, X, ens.X, V, ens.V)
 
-    return DriftField(fn=fn, batch=batch, K=K.M_ker if not K.unbounded else 1.0,
+    return DriftField(batch=batch, K=K.M_ker if not K.unbounded else 1.0,
                       beta=0.0, alpha=1.0, L=K.L_ker, D=2.0 * K.L_ker, p=p,
                       name=f"conv[{K.name}]", unbounded=K.unbounded)
 
@@ -312,23 +283,20 @@ def drift_from_kernel(K, p=2.0):
 def linear_damping_field(p=2.0):
     """f(z) = -v. Linear, hence outside the sublinear class: flagged
     unbounded and expected to fail validate_sublinearity."""
-    return DriftField(fn=lambda t, flow, z: -z.v,
-                      batch=lambda t, flow, X, V: -V,
+    return DriftField(batch=lambda t, flow, X, V: -V,
                       K=1.0, beta=0.0, alpha=1.0, L=1.0, D=1.0, p=p,
                       name="linear_damping", unbounded=True)
 
 
 def constant_field(c, p=2.0):
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return DriftField(fn=lambda t, flow, z: c.copy(),
-                      batch=lambda t, flow, X, V: np.broadcast_to(c, X.shape).copy(),
+    return DriftField(batch=lambda t, flow, X, V: np.broadcast_to(c, X.shape).copy(),
                       K=float(np.linalg.norm(c)) if np.any(c) else 1.0,
                       beta=0.0, alpha=1.0, L=0.0, D=0.0, p=p, name="constant")
 
 
 def zero_field(p=2.0):
-    return DriftField(fn=lambda t, flow, z: np.zeros(z.d),
-                      batch=lambda t, flow, X, V: np.zeros_like(X),
+    return DriftField(batch=lambda t, flow, X, V: np.zeros_like(X),
                       K=1.0, beta=0.0, alpha=1.0, L=0.0, D=0.0, p=p, name="zero")
 
 
@@ -354,6 +322,38 @@ def latin_hypercube_points(n, d, low, high, seed):
     return [PhasePoint(row[:d], row[d:]) for row in u]
 
 
+def _stack(points, d):
+    """(X, V) arrays of shape (n, d) from n PhasePoints."""
+    return (np.array([z.x for z in points] or np.empty((0, d))),
+            np.array([z.v for z in points] or np.empty((0, d))))
+
+
+def _row_norms(A):
+    """Euclidean norm of every row, bit for bit np.linalg.norm(row): both
+    take one BLAS dot per row. np.linalg.norm(A, axis=1) sums in another
+    order and differs in the last bit on about one row in ten."""
+    A = np.ascontiguousarray(A, dtype=float)
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+
+
+def _pow(r, e):
+    """r ** e entry by entry with the scalar power. numpy's SIMD array power
+    rounds differently from it in the last bit on a few percent of inputs."""
+    return np.array([x ** e for x in r], dtype=float)
+
+
+def _worst(q, offender):
+    """(worst, worst_info) as a scan `if q[i] > worst` from worst = 0 leaves
+    them: the first strict maximum above zero, never a NaN. offender(i)
+    names sample i; the ratio keeps the type of q's entries."""
+    a = np.asarray(q, dtype=float)
+    if a.size:
+        i = int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
+        if a[i] > 0.0:
+            return q[i], {**offender(i), "ratio": q[i]}
+    return 0.0, {}
+
+
 def validate_sublinearity(f, flow, sample_z, sample_t):
     """Sampled check of the sublinear growth bound: PASS iff
     |f[t, flow](z)| <= K * (1 + |x|^{beta/3} + |v|^beta + Mbar_p(T)^{1/p})
@@ -361,18 +361,17 @@ def validate_sublinearity(f, flow, sample_z, sample_t):
     position exponent beta/3 (kinetic scaling: x ~ t^3, v ~ t)."""
     K, beta, p = f.K, f.beta, f.p
     mbar = sup_moment(flow, p, flow.T) ** (1.0 / p)
-    worst, worst_info = 0.0, {}
-    n = 0
-    for t in sample_t:
-        for z in sample_z:
-            denom = 1.0 + np.linalg.norm(z.x) ** (beta / 3.0) \
-                + np.linalg.norm(z.v) ** beta + mbar
-            ratio = float(np.linalg.norm(f.eval(t, flow, z))) / denom
-            n += 1
-            if ratio > worst:
-                worst, worst_info = ratio, {"t": t, "z": z, "ratio": ratio}
+    sample_z, sample_t = list(sample_z), list(sample_t)
+    X, V = _stack(sample_z, flow.d)
+    denom = 1.0 + _pow(_row_norms(X), beta / 3.0) \
+        + _pow(_row_norms(V), beta) + mbar
+    # t outer, z inner
+    q = np.array([_row_norms(f.eval_batch(t, flow, X, V)) / denom
+                  for t in sample_t if len(X)]).ravel()
+    worst, worst_info = _worst(q, lambda i: {"t": sample_t[i // len(X)],
+                                             "z": sample_z[i % len(X)]})
     return ValidationReport(passed=bool(worst <= K * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=K, n_checked=n,
+                            worst_ratio=worst, bound=K, n_checked=q.size,
                             worst=worst_info,
                             note=f"sublinearity with beta={beta}, p={p}")
 
@@ -383,24 +382,31 @@ def validate_hoelder(f, flow, pairs, L, alpha, R=None):
     sampled pairs. Coincident pairs are skipped (quotient undefined).
     When R is given, pairs outside |z| <= R are skipped too, mirroring the
     local form of the assumption."""
-    worst, worst_info = 0.0, {}
-    n = 0
-    times = flow.times
-    for z1, z2 in pairs:
-        if R is not None and (np.linalg.norm(z1.z) > R or np.linalg.norm(z2.z) > R):
-            continue
-        dx = np.linalg.norm(z1.x - z2.x)
-        dv = np.linalg.norm(z1.v - z2.v)
-        denom = dx ** (alpha / 3.0) + dv**alpha
-        if denom == 0.0:
-            continue
-        for t in times:
-            q = float(np.linalg.norm(f.eval(t, flow, z1) - f.eval(t, flow, z2))) / denom
-            n += 1
-            if q > worst:
-                worst, worst_info = q, {"t": float(t), "z1": z1, "z2": z2, "ratio": q}
+    pairs = list(pairs)
+    X1, V1 = _stack([z1 for z1, _ in pairs], flow.d)
+    X2, V2 = _stack([z2 for _, z2 in pairs], flow.d)
+    denom = _pow(_row_norms(X1 - X2), alpha / 3.0) \
+        + _pow(_row_norms(V1 - V2), alpha)
+    keep = denom != 0.0
+    if R is not None:
+        keep &= ~((_row_norms(np.hstack([X1, V1])) > R)
+                  | (_row_norms(np.hstack([X2, V2])) > R))
+    kept = np.flatnonzero(keep)
+    n, times = kept.size, flow.times
+    Xs = np.concatenate([X1[kept], X2[kept]])
+    Vs = np.concatenate([V1[kept], V2[kept]])
+    F = [f.eval_batch(t, flow, Xs, Vs) for t in times if n]
+    # pairs outer, times inner
+    q = np.array([_row_norms(Ft[:n] - Ft[n:]) / denom[kept]
+                  for Ft in F]).T.ravel()
+
+    def offender(i):
+        z1, z2 = pairs[kept[i // len(times)]]
+        return {"t": float(times[i % len(times)]), "z1": z1, "z2": z2}
+
+    worst, worst_info = _worst(q, offender)
     return ValidationReport(passed=bool(worst <= L * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=L, n_checked=n,
+                            worst_ratio=worst, bound=L, n_checked=q.size,
                             worst=worst_info, note=f"hoelder with alpha={alpha}")
 
 
@@ -421,20 +427,26 @@ def validate_dissipativity_v3pp(f, flows, samples):
     per_node = [wasserstein_gap(a, b, f.p)
                 for a, b in zip(flow1.snapshots, flow2.snapshots)]
     run_sup = np.maximum.accumulate(per_node)
-    worst, worst_info, n = 0.0, {}, 0
-    for t, z1, z2 in samples:
-        k = flow1.index_at(t)
-        denom = float(run_sup[k]) + float(np.linalg.norm(z1.z - z2.z))
-        if denom == 0.0:
-            continue
-        num = float(np.linalg.norm(f.eval(t, flow1, z1) - f.eval(t, flow2, z2)))
-        q = num / denom
-        n += 1
-        if q > worst:
-            worst, worst_info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
+    samples = list(samples)
+    X1, V1 = _stack([z1 for _, z1, _ in samples], flow1.d)
+    X2, V2 = _stack([z2 for _, _, z2 in samples], flow1.d)
+    k = np.array([flow1.index_at(t) for t, _, _ in samples], dtype=int)
+    denom = run_sup[k] + _row_norms(np.hstack([X1 - X2, V1 - V2]))
+    kept = np.flatnonzero(denom != 0.0)
+    # one batch per flow and distinct sample time
+    rows_at = {}
+    for i in kept:
+        rows_at.setdefault(samples[i][0], []).append(i)
+    diff = np.empty_like(X1)
+    for t, rows in rows_at.items():
+        diff[rows] = f.eval_batch(t, flow1, X1[rows], V1[rows]) \
+            - f.eval_batch(t, flow2, X2[rows], V2[rows])
+    q = (_row_norms(diff[kept]) / denom[kept]).tolist()
+    worst, worst_info = _worst(q, lambda i: dict(zip(("t", "z1", "z2"),
+                                                     samples[kept[i]])))
     metric = "exact" if gap_is_exact(flow1.N) else "paired-bound"
     return ValidationReport(passed=bool(worst <= f.D * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=f.D, n_checked=n,
+                            worst_ratio=worst, bound=f.D, n_checked=len(q),
                             worst=worst_info,
                             note=f"dissipativity sufficient condition, {metric} W_p")
 
@@ -456,23 +468,19 @@ def clamp_drift(f, N_cap):
     if N_cap <= 0:
         raise ValueError("truncation cap must be positive")
 
-    def fn(t, flow, z):
-        eta = cutoff_eta(sup_moment(flow, f.p, t), N_cap)
-        return eta * f.eval(t, flow, z)
-
     def batch(t, flow, X, V):
         eta = cutoff_eta(sup_moment(flow, f.p, t), N_cap)
         return eta * f.eval_batch(t, flow, X, V)
 
-    return DriftField(fn=fn, batch=batch, K=f.K, beta=f.beta, alpha=f.alpha,
+    return DriftField(batch=batch, K=f.K, beta=f.beta, alpha=f.alpha,
                       L=f.L, D=f.D, p=f.p, name=f"clamped[{f.name}]",
                       unbounded=f.unbounded)
 
 
 def leader_field_from_kernels(K21, K22, m):
     """Kernel-built leader drive: component j is
-    (K21 * mu_t)(Y_j) + (1/m) sum_i K22(Y_i - Y_j), evaluated at the current
-    leader positions (the last node of the trajectory prefix).
+    (K21 * mu_t)(Y_j) + (1/m) sum_i K22(Y_i - Y_j) at the current leader
+    positions Y.
 
     Declared constants: K_F = M_21 + M_22 and L_F = L_21 + 2 L_22 where
     finite.
@@ -480,10 +488,7 @@ def leader_field_from_kernels(K21, K22, m):
     if m < 0:
         raise ValueError("m must be nonnegative")
 
-    def fn(t, flow, leaders_prefix, K21=K21, K22=K22):
-        leaders = leaders_prefix.at_time(t) if hasattr(leaders_prefix, "at_time") \
-            else leaders_prefix
-        Y = leaders.Y
+    def fn(t, flow, Y, K21=K21, K22=K22):
         return pair_mean(K21, Y, flow.at_time(t).X) + pair_mean(K22, Y, Y)
 
     K_F = (K21.M_ker if not K21.unbounded else 1.0) \
@@ -495,19 +500,13 @@ def leader_field_from_kernels(K21, K22, m):
 
 def coupling_from_kernel(K12):
     """Leader-to-follower coupling w[t, H](z) = (1/m) sum_i
-    K12(Y_i(t) - x, W_i(t) - v), reading the trajectory prefix at its last
+    K12(Y_i(t) - x, W_i(t) - v), reading the LeaderPath H at its last
     node <= t; zero when m = 0."""
 
-    def fn(t, leaders_prefix, z, K12=K12):
-        leaders = leaders_prefix.at_time(t) if hasattr(leaders_prefix, "at_time") \
-            else leaders_prefix
-        return leader_coupling_drift(K12, leaders, z)
+    def batch(t, path, X, V, K12=K12):
+        k = path.index_at(t)
+        return pair_mean(K12, X, path.Y[k], V, path.W[k])
 
-    def batch(t, leaders_prefix, X, V, K12=K12):
-        leaders = leaders_prefix.at_time(t) if hasattr(leaders_prefix, "at_time") \
-            else leaders_prefix
-        return pair_mean(K12, X, leaders.Y, V, leaders.W)
-
-    return LeaderCouplingField(fn=fn, batch=batch,
+    return LeaderCouplingField(batch=batch,
                                K_w=K12.M_ker if not K12.unbounded else 1.0,
                                L_w=K12.L_ker, name=f"coupling[{K12.name}]")

@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drift import (DriftField, LeaderCouplingField, LeaderField,
-                    coupling_from_kernel, drift_from_kernel,
+from .drift import (DriftField, coupling_from_kernel, drift_from_kernel,
                     leader_field_from_kernels, kernel, zero_field)
 from .meanfield import PicardReport, flow_gap, picard_solve
 from .phase_space import LeaderPath, LeaderState, MeasureFlow
@@ -91,9 +90,9 @@ def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
 
     Explicit Euler by default; method="heun" adds one corrector stage. The
     returned path stores W as the right-hand side evaluated at every node
-    (including both endpoints), matching the finite-N convention. The
-    equation is first-order, so the state handed to F carries the current
-    positions with a zero W channel.
+    (including both endpoints), matching the finite-N convention. F reads
+    the current (m, d) positions Y; a non-finite Y or right-hand side
+    raises FloatingPointError naming the time.
 
     Both schemes are causal, so solving on the full grid subsumes every
     prefix solve.
@@ -105,8 +104,9 @@ def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
     M = times.size - 1
 
     def rhs(t, Y):
-        out = np.asarray(F(t, flow, LeaderState(Y, np.zeros_like(Y))),
-                         dtype=float).reshape(m, d).copy()
+        if not np.all(np.isfinite(Y)):
+            raise FloatingPointError(f"non-finite leader state at t={t}")
+        out = F.eval(t, flow, Y).reshape(m, d).copy()
         if u is not None:
             out += np.asarray(u(t, flow), dtype=float).reshape(m, d)
         if not np.all(np.isfinite(out)):
@@ -164,9 +164,6 @@ def combined_drift(v, w, F, u, Y0, T=1.0, method="euler"):
             cache.pop(0)
         return path
 
-    def fn(t, flow, z):
-        return v.eval(t, flow, z) + w.eval(t, leaders_for(flow), z)
-
     def batch(t, flow, X, V):
         return v.eval_batch(t, flow, X, V) \
             + w.eval_batch(t, leaders_for(flow), X, V)
@@ -177,7 +174,7 @@ def combined_drift(v, w, F, u, Y0, T=1.0, method="euler"):
         * math.exp((F.K_F + 1.0) * T)
     C2 = T * (F.L_F + L_u) * math.exp(F.L_F * T)
     K_G = v.K + w.K_w * (1.0 + F.K_F) * (1.0 + C1 + F.K_F + K_u)
-    return DriftField(fn=fn, batch=batch, K=K_G, beta=v.beta, alpha=v.alpha,
+    return DriftField(batch=batch, K=K_G, beta=v.beta, alpha=v.alpha,
                       L=v.L + w.L_w, D=v.D + w.L_w * (1.0 + C2), p=v.p,
                       name=f"{v.name}+{w.name}", unbounded=v.unbounded)
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import pair_mean
-from .phase_space import (LeaderPath, LeaderState, MeasureFlow,
-                          ParticleEnsemble, time_grid)
+from .phase_space import LeaderPath, MeasureFlow, ParticleEnsemble, time_grid
 
 __all__ = [
     "SimConfig",
@@ -163,6 +162,8 @@ def simulate_frozen(F, init, cfg, paths):
                 f"non-finite drift at step {k} (t={times[k]}), particle {i}")
         V = V + drift * dt + noise * paths.increments[k, : cfg.N]
         X = X + V * dt
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+            raise FloatingPointError(f"non-finite state at step {k + 1}")
         snapshots.append(ParticleEnsemble(X, V))
     return MeasureFlow(times, snapshots)
 

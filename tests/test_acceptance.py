@@ -271,7 +271,6 @@ def test_06_moment_certificates():
 
 def _perturbed(f, g, eps):
     return DriftField(
-        fn=lambda t, fl, z: f.eval(t, fl, z) + eps * g.eval(t, fl, z),
         batch=lambda t, fl, X, V: (f.eval_batch(t, fl, X, V)
                                    + eps * g.eval_batch(t, fl, X, V)),
         K=f.K + eps * g.K, beta=f.beta, alpha=f.alpha,

@@ -6,6 +6,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kineticmf import __version__
 from kineticmf.cli import (
@@ -170,12 +172,21 @@ class TestInitialLaw:
         assert np.all(np.abs(ens.X - 2.0) <= 0.5)
         assert np.all(np.abs(ens.V) <= 0.5)
 
-    def test_prefix_stable_in_ensemble_size(self):
-        law = _law("gaussian", d=2)
-        small = initial_law_sampler(law, 6, seed=7)
-        large = initial_law_sampler(law, 12, seed=7)
-        np.testing.assert_array_equal(small.X, large.X[:6])
-        np.testing.assert_array_equal(small.V, large.V[:6])
+    @given(st.integers(min_value=0, max_value=2**63 - 1),
+           st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from(["point", "gaussian", "uniform", "mixture"]))
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_stable_in_ensemble_size(self, seed, N_small, extra, d,
+                                            kind):
+        law = _law(kind, d=d, mean_x=np.arange(d, dtype=float),
+                   mix_weight=0.3, mean_x2=np.full(d, 5.0),
+                   mean_v2=np.full(d, -1.0), std2=np.full(d, 0.1))
+        small = initial_law_sampler(law, N_small, seed=seed)
+        large = initial_law_sampler(law, N_small + extra, seed=seed)
+        np.testing.assert_array_equal(small.X, large.X[:N_small])
+        np.testing.assert_array_equal(small.V, large.V[:N_small])
 
     def test_deterministic_in_the_seed(self):
         law = _law("mixture", mean_x2=np.array([5.0]),
@@ -268,6 +279,17 @@ class TestRunScenarios:
         report = (out / "picard_report.txt").read_text()
         assert "converged: false" in report
         assert "gap[1]" in report
+
+    def test_meanfield_state_overflow_exits_3(self, tmp_path, capsys):
+        # A finite constant drift of 1e308 overflows the velocity in one
+        # step of dt = 2: a solver failure, not a configuration error.
+        text = ("[run]\nscenario = meanfield\n"
+                "[model]\nk11 = constant\nconstant_value = 1e308\n"
+                "sigma = 0.0\nn_particles = 1\n"
+                "[grid]\nt = 4.0\nn_steps = 2\n")
+        cfg = _write(tmp_path, text)
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "non-finite state at step 1" in capsys.readouterr().out
 
     def test_meanfield_convergent_run_exits_0(self, tmp_path):
         text = ("[run]\nscenario = meanfield\n"

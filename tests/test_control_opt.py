@@ -448,17 +448,33 @@ class TestOptimizer:
         assert np.all(norms <= best.M_h * (1 + 1e-9))
 
     def test_failures_scored_infinite_but_search_continues(self):
+        # Solver failures: non-convergence (RuntimeError) and overflow
+        # (FloatingPointError).
+        for error in (RuntimeError, FloatingPointError):
+            def cost(u, error=error):
+                val = u.h[0, 0, 0]
+                if val > 0.3:
+                    raise error("window blew up")
+                return (val - 0.25) ** 2
+
+            u0 = SVControl(h=np.zeros((1, 1, 1)), T=1.0, M_h=1.0,
+                           features=_unit_feature(), m=1, d=1)
+            best, history = optimize(u0, cost, budget=120, step0=0.5, seed=0)
+            assert any(math.isinf(row[1]) for row in history)
+            assert best.h[0, 0, 0] == pytest.approx(0.25, abs=1e-3)
+
+    def test_cost_function_bugs_propagate(self):
+        # A TypeError is a bug in the cost function, not an infeasible
+        # candidate: it must reach the caller instead of scoring +inf.
         def cost(u):
-            val = u.h[0, 0, 0]
-            if val > 0.3:
-                raise RuntimeError("window blew up")
-            return (val - 0.25) ** 2
+            if u.h[0, 0, 0] > 0.3:
+                return None + 1.0
+            return float(u.h[0, 0, 0]) ** 2
 
         u0 = SVControl(h=np.zeros((1, 1, 1)), T=1.0, M_h=1.0,
                        features=_unit_feature(), m=1, d=1)
-        best, history = optimize(u0, cost, budget=120, step0=0.5, seed=0)
-        assert any(math.isinf(row[1]) for row in history)
-        assert best.h[0, 0, 0] == pytest.approx(0.25, abs=1e-3)
+        with pytest.raises(TypeError):
+            optimize(u0, cost, budget=120, step0=0.5, seed=0)
 
     def test_deterministic_in_seed(self):
         u0 = sv_zero(1, 1, T=1.0, K=2)

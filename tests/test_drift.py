@@ -28,12 +28,15 @@ from kineticmf.drift import (
     zero_field,
 )
 from kineticmf.phase_space import (
+    LeaderPath,
     LeaderState,
     MeasureFlow,
     ParticleEnsemble,
     PhasePoint,
+    sup_moment,
     time_grid,
 )
+from kineticmf.wasserstein import wasserstein_gap
 
 
 def _flow_from_seeds(N, d, seeds, times=None):
@@ -126,8 +129,9 @@ class TestConvolution:
         for name in ("bounded_alignment", "bounded_attraction", "zero"):
             f = drift_from_kernel(kernel(name, d=2))
             batch = f.eval_batch(0.5, flow, X, V)
-            rows = np.stack([f.eval(0.5, flow, PhasePoint(X[i], V[i]))
-                             for i in range(7)])
+            rows = np.stack([kernel_convolution_drift(
+                kernel(name, d=2), flow.at_time(0.5), PhasePoint(X[i], V[i]))
+                for i in range(7)])
             np.testing.assert_array_equal(batch, rows)
 
     def test_leader_coupling_empty_returns_zero(self):
@@ -165,24 +169,18 @@ class TestFieldConstruction:
     def test_zero_field_is_zero(self):
         f = zero_field()
         flow = _origin_flow(d=2)
-        out = f.eval(0.3, flow, PhasePoint([1.0, 2.0], [3.0, 4.0]))
-        np.testing.assert_array_equal(out, [0.0, 0.0])
+        out = f.eval_batch(0.3, flow, np.array([[1.0, 2.0]]),
+                           np.array([[3.0, 4.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
     def test_exponent_windows_enforced(self):
-        ok = lambda t, flow, z: z.v
+        ok = lambda t, flow, X, V: V
         with pytest.raises(ValueError):
-            DriftField(fn=ok, beta=1.0)
+            DriftField(batch=ok, beta=1.0)
         with pytest.raises(ValueError):
-            DriftField(fn=ok, beta=0.5, alpha=0.5)
+            DriftField(batch=ok, beta=0.5, alpha=0.5)
         with pytest.raises(ValueError):
-            DriftField(fn=ok, p=0.5)
-
-    def test_eval_batch_falls_back_to_row_loop(self):
-        f = DriftField(fn=lambda t, flow, z: 2.0 * z.v)
-        flow = _origin_flow(d=1)
-        V = np.array([[1.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(
-            f.eval_batch(0.0, flow, np.zeros((3, 1)), V), 2.0 * V)
+            DriftField(batch=ok, p=0.5)
 
 
 class TestLatinHypercube:
@@ -251,7 +249,7 @@ class TestHoelderValidator:
 
     def test_violation_detected(self):
         # A step function is not Hoelder with any small constant.
-        f = DriftField(fn=lambda t, flow, z: np.sign(z.v), L=0.01)
+        f = DriftField(batch=lambda t, flow, X, V: np.sign(V), L=0.01)
         flow = _origin_flow(d=1)
         pair = (PhasePoint([0.0], [-0.01]), PhasePoint([0.0], [0.01]))
         rep = validate_hoelder(f, flow, [pair], L=f.L, alpha=1.0)
@@ -294,6 +292,142 @@ class TestDissipativityValidator:
             validate_dissipativity_v3pp(f, (mk(), mk()), [])
 
 
+def _row_at(f, t, flow, z):
+    """f at one point, as a one-row batch."""
+    return f.eval_batch(t, flow, z.x[None], z.v[None])[0]
+
+
+def _loop_sublinearity(f, flow, pts, ts):
+    mbar = sup_moment(flow, f.p, flow.T) ** (1.0 / f.p)
+    worst, info, n = 0.0, {}, 0
+    for t in ts:
+        for z in pts:
+            denom = 1.0 + np.linalg.norm(z.x) ** (f.beta / 3.0) \
+                + np.linalg.norm(z.v) ** f.beta + mbar
+            ratio = float(np.linalg.norm(_row_at(f, t, flow, z))) / denom
+            n += 1
+            if ratio > worst:
+                worst, info = ratio, {"t": t, "z": z, "ratio": ratio}
+    return worst, n, info
+
+
+def _loop_hoelder(f, flow, pairs, alpha, R):
+    worst, info, n = 0.0, {}, 0
+    for z1, z2 in pairs:
+        if R is not None and (np.linalg.norm(z1.z) > R
+                              or np.linalg.norm(z2.z) > R):
+            continue
+        denom = np.linalg.norm(z1.x - z2.x) ** (alpha / 3.0) \
+            + np.linalg.norm(z1.v - z2.v) ** alpha
+        if denom == 0.0:
+            continue
+        for t in flow.times:
+            q = float(np.linalg.norm(_row_at(f, t, flow, z1)
+                                     - _row_at(f, t, flow, z2))) / denom
+            n += 1
+            if q > worst:
+                worst, info = q, {"t": float(t), "z1": z1, "z2": z2, "ratio": q}
+    return worst, n, info
+
+
+def _loop_dissipativity(f, flow1, flow2, samples):
+    run_sup = np.maximum.accumulate(
+        [wasserstein_gap(a, b, f.p)
+         for a, b in zip(flow1.snapshots, flow2.snapshots)])
+    worst, info, n = 0.0, {}, 0
+    for t, z1, z2 in samples:
+        denom = float(run_sup[flow1.index_at(t)]) \
+            + float(np.linalg.norm(z1.z - z2.z))
+        if denom == 0.0:
+            continue
+        q = float(np.linalg.norm(_row_at(f, t, flow1, z1)
+                                 - _row_at(f, t, flow2, z2))) / denom
+        n += 1
+        if q > worst:
+            worst, info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
+    return worst, n, info
+
+
+def _same_report(rep, ref):
+    worst, n, info = ref
+    assert float(rep.worst_ratio).hex() == float(worst).hex()
+    assert rep.n_checked == n
+    assert rep.worst.keys() == info.keys()
+    for key, val in info.items():
+        if isinstance(val, PhasePoint):
+            assert rep.worst[key] is val
+        else:
+            assert float(rep.worst[key]).hex() == float(val).hex()
+
+
+def _tanh_field(beta, alpha):
+    return DriftField(batch=lambda t, flow, X, V: np.tanh(X) + (1.0 + t) * V,
+                      beta=beta, alpha=alpha, name="tanh")
+
+
+class TestValidatorsAgainstPointLoop:
+    """The vectorized validators reproduce a per-point loop bit for bit:
+    worst ratio, number of checks and the first worst offender."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=12),
+           st.sampled_from(["bounded_alignment", "bounded_attraction",
+                            "alignment", "constant", "zero", "damping",
+                            "tanh"]),
+           st.sampled_from([(0.0, 1.0), (0.3, 0.9), (0.6, 0.75)]),
+           st.sampled_from([None, 0.5, 2.5, 100.0]),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_reports_match_the_loop(self, seed, d, n, name, exponents, R,
+                                    n_dup):
+        rng = np.random.default_rng(seed)
+        beta, alpha = exponents
+        if name == "damping":
+            f = linear_damping_field()
+        elif name == "tanh":
+            f = _tanh_field(beta, alpha)
+        else:
+            f = drift_from_kernel(kernel(name, d=d, params={"value": 0.7}))
+        flow1, flow2 = TestDissipativityValidator._paired_flows(
+            N=int(rng.integers(1, 9)), d=d, seed=seed)
+        # Rounded coordinates and repeated points give coincident pairs and
+        # tied ratios; the repeats are new objects, so the offender's
+        # identity tells which of two tied samples was kept.
+        pts = [PhasePoint(*np.round(rng.uniform(-2, 2, (2, d)), 1))
+               for _ in range(n)]
+        pts += [PhasePoint(z.x, z.v) for z in
+                rng.choice(np.array(pts, dtype=object), n_dup)]
+        rng.shuffle(pts)
+        ts = list(rng.choice(flow1.times, int(rng.integers(1, 4))))
+        pairs = [(pts[i], pts[j]) for i, j in
+                 rng.integers(0, len(pts), (len(pts), 2))]
+        samples = [(float(rng.choice(flow1.times)), z1, z2)
+                   for z1, z2 in pairs]
+        samples.append((0.0, pts[0], pts[0]))
+        # The whole sample set decides the offender and the tie order; one
+        # sample at a time checks every quotient, not only the largest.
+        for sub in [slice(None)] + [slice(i, i + 1) for i in range(len(pts))]:
+            _same_report(validate_sublinearity(f, flow1, pts[sub], ts),
+                         _loop_sublinearity(f, flow1, pts[sub], ts))
+            _same_report(validate_hoelder(f, flow1, pairs[sub], L=1.0,
+                                          alpha=alpha, R=R),
+                         _loop_hoelder(f, flow1, pairs[sub], alpha, R))
+            _same_report(
+                validate_dissipativity_v3pp(f, (flow1, flow2), samples[sub]),
+                _loop_dissipativity(f, flow1, flow2, samples[sub]))
+
+    def test_empty_samples_check_nothing(self):
+        f = zero_field()
+        flow = _origin_flow(d=2)
+        for rep in (validate_sublinearity(f, flow, [], flow.times),
+                    validate_sublinearity(f, flow,
+                                          [PhasePoint([0, 0], [1, 1])], []),
+                    validate_hoelder(f, flow, [], L=1.0, alpha=1.0)):
+            assert (rep.n_checked, rep.worst_ratio, rep.worst) == (0, 0.0, {})
+            assert rep.passed
+
+
 class TestTruncation:
     def test_cutoff_pinned_values(self):
         assert cutoff_eta(0.0, 2.0) == 1.0
@@ -310,15 +444,16 @@ class TestTruncation:
         flow = _origin_flow(d=1, N=4)
         f = constant_field([2.0])
         fc = clamp_drift(f, N_cap=1.0)
-        z = PhasePoint([0.5], [0.5])
-        np.testing.assert_array_equal(fc.eval(0.0, flow, z), f.eval(0.0, flow, z))
+        X, V = np.array([[0.5]]), np.array([[0.5]])
+        np.testing.assert_array_equal(fc.eval_batch(0.0, flow, X, V),
+                                      f.eval_batch(0.0, flow, X, V))
 
     def test_clamp_kills_field_beyond_ramp(self):
         big = ParticleEnsemble([[10.0]], [[0.0]])
         flow = MeasureFlow.constant(big, time_grid(1.0, 1))
         fc = clamp_drift(constant_field([2.0]), N_cap=1.0)
-        np.testing.assert_array_equal(fc.eval(0.5, flow, PhasePoint([0.0], [0.0])),
-                                      [0.0])
+        np.testing.assert_array_equal(
+            fc.eval_batch(0.5, flow, np.zeros((1, 1)), np.zeros((1, 1))), [[0.0]])
 
     def test_clamp_never_increases_norm(self):
         rng = np.random.default_rng(11)
@@ -326,10 +461,10 @@ class TestTruncation:
         f = drift_from_kernel(kernel("bounded_alignment", d=2))
         fc = clamp_drift(f, N_cap=0.5)
         for _ in range(20):
-            z = PhasePoint(rng.standard_normal(2), rng.standard_normal(2))
+            X, V = rng.standard_normal((2, 1, 2))
             t = float(rng.uniform(0, 1))
-            assert (np.linalg.norm(fc.eval(t, flow, z))
-                    <= np.linalg.norm(f.eval(t, flow, z)) + 1e-15)
+            assert (np.linalg.norm(fc.eval_batch(t, flow, X, V))
+                    <= np.linalg.norm(f.eval_batch(t, flow, X, V)) + 1e-15)
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -381,8 +516,7 @@ class TestLeaderFields:
         F = leader_field_from_kernels(K21, K22, m=1)
         ens = ParticleEnsemble([[1.0]], [[0.0]])
         flow = MeasureFlow.constant(ens, time_grid(1.0, 1))
-        leaders = LeaderState([[0.0]], [[0.0]])
-        out = F.eval(0.0, flow, leaders)
+        out = F.eval(0.0, flow, np.array([[0.0]]))
         # Single follower at x = 1, leader at 0: K21(1) = 1/2.
         np.testing.assert_allclose(out, [[0.5]])
 
@@ -390,7 +524,7 @@ class TestLeaderFields:
         F = leader_field_from_kernels(kernel("zero_position"),
                                       kernel("zero_position"), m=0)
         flow = _origin_flow(d=2)
-        out = F.eval(0.0, flow, LeaderState.empty(2))
+        out = F.eval(0.0, flow, np.zeros((0, 2)))
         assert out.shape == (0, 2)
 
     def test_pairwise_term_sees_all_leaders(self):
@@ -398,23 +532,27 @@ class TestLeaderFields:
         K22 = kernel("attraction_position")
         F = leader_field_from_kernels(K21, K22, m=2)
         flow = _origin_flow(d=1)
-        leaders = LeaderState([[0.0], [2.0]], [[0.0], [0.0]])
-        out = F.eval(0.0, flow, leaders)
+        out = F.eval(0.0, flow, np.array([[0.0], [2.0]]))
         # Leader 0: mean(0 - 0, 2 - 0) = 1; leader 1 mirrors to -1.
         np.testing.assert_allclose(out, [[1.0], [-1.0]])
 
     def test_coupling_from_kernel_batch_matches_scalar(self):
-        w = coupling_from_kernel(kernel("bounded_attraction_position"))
-        leaders = LeaderState([[1.0], [-1.0]], [[0.0], [0.0]])
+        K12 = kernel("bounded_attraction_position")
+        w = coupling_from_kernel(K12)
+        Y = np.array([[[1.0], [-1.0]], [[2.0], [0.5]]])
+        path = LeaderPath([0.0, 1.0], Y, -Y)
         rng = np.random.default_rng(31)
         X = rng.standard_normal((5, 1))
         V = rng.standard_normal((5, 1))
-        batch = w.eval_batch(0.0, leaders, X, V)
-        rows = np.stack([w.eval(0.0, leaders, PhasePoint(X[i], V[i]))
-                         for i in range(5)])
-        np.testing.assert_allclose(batch, rows, rtol=1e-14)
+        for t, k in ((0.0, 0), (0.7, 0), (1.0, 1)):
+            batch = w.eval_batch(t, path, X, V)
+            rows = np.stack([leader_coupling_drift(K12, path.state(k),
+                                                   PhasePoint(X[i], V[i]))
+                             for i in range(5)])
+            np.testing.assert_array_equal(batch, rows)
 
     def test_coupling_empty_leaders_zero(self):
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
-        out = w.eval_batch(0.0, LeaderState.empty(1), np.ones((3, 1)), np.ones((3, 1)))
+        path = LeaderPath([0.0, 1.0], np.zeros((2, 0, 1)), np.zeros((2, 0, 1)))
+        out = w.eval_batch(0.0, path, np.ones((3, 1)), np.ones((3, 1)))
         np.testing.assert_array_equal(out, np.zeros((3, 1)))

@@ -54,13 +54,10 @@ def _spread_init(N, d, seed=2, scale=0.5):
 def _mean_reversion_field():
     """f[t, mu](z) = mean_v(mu_t) - v, the linear alignment convolution."""
 
-    def fn(t, flow, z):
-        return flow.at_time(t).V.mean(axis=0) - z.v
-
     def batch(t, flow, X, V):
         return flow.at_time(t).V.mean(axis=0)[None, :] - V
 
-    return DriftField(fn=fn, batch=batch, K=1.0, L=1.0, D=2.0, p=2.0,
+    return DriftField(batch=batch, K=1.0, L=1.0, D=2.0, p=2.0,
                       name="mean_reversion", unbounded=True)
 
 
@@ -366,8 +363,7 @@ class TestStability:
         def perturbed(eps):
             def batch(t, flow, X, V, eps=eps):
                 return base.eval_batch(t, flow, X, V) + eps
-            return DriftField(fn=lambda t, flow, z: base.eval(t, flow, z) + eps,
-                              batch=batch, K=base.K + abs(eps), L=base.L,
+            return DriftField(batch=batch, K=base.K + abs(eps), L=base.L,
                               D=base.D, p=base.p, name=f"pert[{eps}]")
 
         init = _spread_init(16, 1, seed=21)

@@ -84,7 +84,7 @@ class TestModelBundle:
         assert model.m == 1
         flow = _const_flow(1.0)
         np.testing.assert_array_equal(
-            F.eval(0.0, flow, LeaderState([[0.5]], [[0.0]])), [[0.0]])
+            F.eval(0.0, flow, np.array([[0.5]])), [[0.0]])
 
     def test_mean_field_fields_wire_the_kernels(self):
         model = LeaderFollowerModel(
@@ -154,6 +154,16 @@ class TestLeaderOde:
         with pytest.raises(FloatingPointError, match="t=0.5"):
             solve_leader_ode(_zero_F(), bad, flow,
                              LeaderState([[0.0]], [[0.0]]))
+
+    @pytest.mark.parametrize("method", ["euler", "heun"])
+    def test_state_overflow_raises_with_time(self, method):
+        # A finite drive of 1e308 with dt = 2 overflows Y in one step.
+        F = LeaderField(fn=lambda t, flow, Y: np.full_like(Y, 1e308))
+        flow = _const_flow(0.0, n_steps=2, T=4.0)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite leader state at t=2.0"):
+            solve_leader_ode(F, None, flow, LeaderState([[0.0]], [[0.0]]),
+                             method=method)
 
     def test_custom_grid_overrides_flow_grid(self):
         flow = _const_flow(0.0, n_steps=4)

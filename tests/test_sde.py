@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kineticmf.drift import (coupling_from_kernel, drift_from_kernel, kernel,
                              leader_field_from_kernels)
@@ -66,11 +68,17 @@ class TestRandomness:
         b = path_rng(3, STREAM_BROWNIAN, 1).standard_normal(5)
         assert not np.array_equal(a, b)
 
-    def test_prefix_stability_in_population_size(self):
+    @given(st.integers(min_value=0, max_value=2**63 - 1),
+           st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_stability_in_population_size(self, seed, N_small, extra, d):
         """Adding particles must not disturb the existing paths."""
-        small = generate_brownian(_cfg(N=4, sigma=1.0))
-        large = generate_brownian(_cfg(N=8, sigma=1.0))
-        np.testing.assert_array_equal(large.increments[:, :4, :],
+        small = generate_brownian(_cfg(N=N_small, sigma=1.0, seed=seed, d=d))
+        large = generate_brownian(_cfg(N=N_small + extra, sigma=1.0,
+                                       seed=seed, d=d))
+        np.testing.assert_array_equal(large.increments[:, :N_small, :],
                                       small.increments)
 
     def test_increments_scaled_by_sqrt_dt(self):
@@ -155,6 +163,15 @@ class TestFrozenDrift:
 
         with pytest.raises(FloatingPointError, match=r"step 3.*particle 2"):
             simulate_frozen(bad, _point_init(4, 1), cfg, generate_brownian(cfg))
+
+    def test_state_overflow_names_the_step(self):
+        # A finite drift whose Euler update overflows: 1e308 * dt with
+        # dt = 2 leaves the velocity infinite after the first step.
+        cfg = _cfg(T=4.0, n_steps=2, N=3)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite state at step 1"):
+            simulate_frozen(lambda t, X, V: np.full_like(X, 1e308),
+                            _point_init(3, 1), cfg, generate_brownian(cfg))
 
     def test_init_and_path_guards(self):
         cfg = _cfg(N=4)
@@ -283,10 +300,9 @@ class TestInteracting:
                                         generate_brownian(cfg))
         mu = MeasureFlow.constant(init, cfg.grid())
         np.testing.assert_array_equal(
-            lp.W[0], leader_field_from_kernels(K21, K22, 2).eval(0.0, mu, Y0))
+            lp.W[0], leader_field_from_kernels(K21, K22, 2).eval(0.0, mu, Y0.Y))
         drift = drift_from_kernel(K11).eval_batch(0.0, mu, init.X, init.V) \
-            + coupling_from_kernel(K12).eval_batch(
-                0.0, LeaderState(Y0.Y, lp.W[0]), init.X, init.V)
+            + coupling_from_kernel(K12).eval_batch(0.0, lp, init.X, init.V)
         np.testing.assert_array_equal(flow.snapshots[1].V,
                                       init.V + cfg.dt * drift)
 
