@@ -322,36 +322,9 @@ def latin_hypercube_points(n, d, low, high, seed):
     return [PhasePoint(row[:d], row[d:]) for row in u]
 
 
-def _stack(points, d):
-    """(X, V) arrays of shape (n, d) from n PhasePoints."""
-    return (np.array([z.x for z in points] or np.empty((0, d))),
-            np.array([z.v for z in points] or np.empty((0, d))))
-
-
-def _row_norms(A):
-    """Euclidean norm of every row, bit for bit np.linalg.norm(row): both
-    take one BLAS dot per row. np.linalg.norm(A, axis=1) sums in another
-    order and differs in the last bit on about one row in ten."""
-    A = np.ascontiguousarray(A, dtype=float)
-    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
-
-
-def _pow(r, e):
-    """r ** e entry by entry with the scalar power. numpy's SIMD array power
-    rounds differently from it in the last bit on a few percent of inputs."""
-    return np.array([x ** e for x in r], dtype=float)
-
-
-def _worst(q, offender):
-    """(worst, worst_info) as a scan `if q[i] > worst` from worst = 0 leaves
-    them: the first strict maximum above zero, never a NaN. offender(i)
-    names sample i; the ratio keeps the type of q's entries."""
-    a = np.asarray(q, dtype=float)
-    if a.size:
-        i = int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
-        if a[i] > 0.0:
-            return q[i], {**offender(i), "ratio": q[i]}
-    return 0.0, {}
+def _at(f, t, flow, z):
+    """f[t, flow](z) at one phase point, as a one-row batch."""
+    return f.eval_batch(t, flow, z.x[None], z.v[None])[0]
 
 
 def validate_sublinearity(f, flow, sample_z, sample_t):
@@ -361,17 +334,18 @@ def validate_sublinearity(f, flow, sample_z, sample_t):
     position exponent beta/3 (kinetic scaling: x ~ t^3, v ~ t)."""
     K, beta, p = f.K, f.beta, f.p
     mbar = sup_moment(flow, p, flow.T) ** (1.0 / p)
-    sample_z, sample_t = list(sample_z), list(sample_t)
-    X, V = _stack(sample_z, flow.d)
-    denom = 1.0 + _pow(_row_norms(X), beta / 3.0) \
-        + _pow(_row_norms(V), beta) + mbar
-    # t outer, z inner
-    q = np.array([_row_norms(f.eval_batch(t, flow, X, V)) / denom
-                  for t in sample_t if len(X)]).ravel()
-    worst, worst_info = _worst(q, lambda i: {"t": sample_t[i // len(X)],
-                                             "z": sample_z[i % len(X)]})
+    worst, worst_info = 0.0, {}
+    n = 0
+    for t in sample_t:
+        for z in sample_z:
+            denom = 1.0 + np.linalg.norm(z.x) ** (beta / 3.0) \
+                + np.linalg.norm(z.v) ** beta + mbar
+            ratio = float(np.linalg.norm(_at(f, t, flow, z))) / denom
+            n += 1
+            if ratio > worst:
+                worst, worst_info = ratio, {"t": t, "z": z, "ratio": ratio}
     return ValidationReport(passed=bool(worst <= K * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=K, n_checked=q.size,
+                            worst_ratio=worst, bound=K, n_checked=n,
                             worst=worst_info,
                             note=f"sublinearity with beta={beta}, p={p}")
 
@@ -382,31 +356,24 @@ def validate_hoelder(f, flow, pairs, L, alpha, R=None):
     sampled pairs. Coincident pairs are skipped (quotient undefined).
     When R is given, pairs outside |z| <= R are skipped too, mirroring the
     local form of the assumption."""
-    pairs = list(pairs)
-    X1, V1 = _stack([z1 for z1, _ in pairs], flow.d)
-    X2, V2 = _stack([z2 for _, z2 in pairs], flow.d)
-    denom = _pow(_row_norms(X1 - X2), alpha / 3.0) \
-        + _pow(_row_norms(V1 - V2), alpha)
-    keep = denom != 0.0
-    if R is not None:
-        keep &= ~((_row_norms(np.hstack([X1, V1])) > R)
-                  | (_row_norms(np.hstack([X2, V2])) > R))
-    kept = np.flatnonzero(keep)
-    n, times = kept.size, flow.times
-    Xs = np.concatenate([X1[kept], X2[kept]])
-    Vs = np.concatenate([V1[kept], V2[kept]])
-    F = [f.eval_batch(t, flow, Xs, Vs) for t in times if n]
-    # pairs outer, times inner
-    q = np.array([_row_norms(Ft[:n] - Ft[n:]) / denom[kept]
-                  for Ft in F]).T.ravel()
-
-    def offender(i):
-        z1, z2 = pairs[kept[i // len(times)]]
-        return {"t": float(times[i % len(times)]), "z1": z1, "z2": z2}
-
-    worst, worst_info = _worst(q, offender)
+    worst, worst_info = 0.0, {}
+    n = 0
+    times = flow.times
+    for z1, z2 in pairs:
+        if R is not None and (np.linalg.norm(z1.z) > R or np.linalg.norm(z2.z) > R):
+            continue
+        dx = np.linalg.norm(z1.x - z2.x)
+        dv = np.linalg.norm(z1.v - z2.v)
+        denom = dx ** (alpha / 3.0) + dv**alpha
+        if denom == 0.0:
+            continue
+        for t in times:
+            q = float(np.linalg.norm(_at(f, t, flow, z1) - _at(f, t, flow, z2))) / denom
+            n += 1
+            if q > worst:
+                worst, worst_info = q, {"t": float(t), "z1": z1, "z2": z2, "ratio": q}
     return ValidationReport(passed=bool(worst <= L * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=L, n_checked=q.size,
+                            worst_ratio=worst, bound=L, n_checked=n,
                             worst=worst_info, note=f"hoelder with alpha={alpha}")
 
 
@@ -427,26 +394,20 @@ def validate_dissipativity_v3pp(f, flows, samples):
     per_node = [wasserstein_gap(a, b, f.p)
                 for a, b in zip(flow1.snapshots, flow2.snapshots)]
     run_sup = np.maximum.accumulate(per_node)
-    samples = list(samples)
-    X1, V1 = _stack([z1 for _, z1, _ in samples], flow1.d)
-    X2, V2 = _stack([z2 for _, _, z2 in samples], flow1.d)
-    k = np.array([flow1.index_at(t) for t, _, _ in samples], dtype=int)
-    denom = run_sup[k] + _row_norms(np.hstack([X1 - X2, V1 - V2]))
-    kept = np.flatnonzero(denom != 0.0)
-    # one batch per flow and distinct sample time
-    rows_at = {}
-    for i in kept:
-        rows_at.setdefault(samples[i][0], []).append(i)
-    diff = np.empty_like(X1)
-    for t, rows in rows_at.items():
-        diff[rows] = f.eval_batch(t, flow1, X1[rows], V1[rows]) \
-            - f.eval_batch(t, flow2, X2[rows], V2[rows])
-    q = (_row_norms(diff[kept]) / denom[kept]).tolist()
-    worst, worst_info = _worst(q, lambda i: dict(zip(("t", "z1", "z2"),
-                                                     samples[kept[i]])))
+    worst, worst_info, n = 0.0, {}, 0
+    for t, z1, z2 in samples:
+        k = flow1.index_at(t)
+        denom = float(run_sup[k]) + float(np.linalg.norm(z1.z - z2.z))
+        if denom == 0.0:
+            continue
+        num = float(np.linalg.norm(_at(f, t, flow1, z1) - _at(f, t, flow2, z2)))
+        q = num / denom
+        n += 1
+        if q > worst:
+            worst, worst_info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
     metric = "exact" if gap_is_exact(flow1.N) else "paired-bound"
     return ValidationReport(passed=bool(worst <= f.D * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=f.D, n_checked=len(q),
+                            worst_ratio=worst, bound=f.D, n_checked=n,
                             worst=worst_info,
                             note=f"dissipativity sufficient condition, {metric} W_p")
 

@@ -33,10 +33,8 @@ from kineticmf.phase_space import (
     MeasureFlow,
     ParticleEnsemble,
     PhasePoint,
-    sup_moment,
     time_grid,
 )
-from kineticmf.wasserstein import wasserstein_gap
 
 
 def _flow_from_seeds(N, d, seeds, times=None):
@@ -292,130 +290,42 @@ class TestDissipativityValidator:
             validate_dissipativity_v3pp(f, (mk(), mk()), [])
 
 
-def _row_at(f, t, flow, z):
-    """f at one point, as a one-row batch."""
-    return f.eval_batch(t, flow, z.x[None], z.v[None])[0]
+class TestValidatorTieAndSkipRules:
+    """Tied ratios keep the first sample in scan order (strict >), and
+    samples whose quotient is undefined are skipped, not counted."""
 
+    def test_sublinearity_tie_keeps_first_time_then_first_point(self):
+        f = constant_field([0.6, 0.8, 0.0])
+        flow = _origin_flow(d=3)
+        a = PhasePoint([1.0, 0.0, 2.0], [0.5, 0.5, 0.0])
+        b = PhasePoint(a.x, a.v)
+        rep = validate_sublinearity(f, flow, [a, b], [0.0, 0.5])
+        assert rep.n_checked == 4
+        assert rep.worst["t"] == 0.0
+        assert rep.worst["z"] is a
 
-def _loop_sublinearity(f, flow, pts, ts):
-    mbar = sup_moment(flow, f.p, flow.T) ** (1.0 / f.p)
-    worst, info, n = 0.0, {}, 0
-    for t in ts:
-        for z in pts:
-            denom = 1.0 + np.linalg.norm(z.x) ** (f.beta / 3.0) \
-                + np.linalg.norm(z.v) ** f.beta + mbar
-            ratio = float(np.linalg.norm(_row_at(f, t, flow, z))) / denom
-            n += 1
-            if ratio > worst:
-                worst, info = ratio, {"t": t, "z": z, "ratio": ratio}
-    return worst, n, info
+    def test_hoelder_tie_keeps_first_pair_then_first_time(self):
+        f = DriftField(batch=lambda t, flow, X, V: np.tanh(X) + V)
+        flow = _origin_flow(d=2)
+        z1, z2 = PhasePoint([0.0, 1.0], [1.0, 0.0]), PhasePoint([1.0, 1.0], [0.0, 0.0])
+        pairs = [(z1, z2), (PhasePoint(z1.x, z1.v), PhasePoint(z2.x, z2.v))]
+        rep = validate_hoelder(f, flow, pairs, L=1.0, alpha=1.0)
+        assert rep.n_checked == 2 * len(flow.times)
+        assert rep.worst["z1"] is z1
+        assert rep.worst["t"] == float(flow.times[0])
 
-
-def _loop_hoelder(f, flow, pairs, alpha, R):
-    worst, info, n = 0.0, {}, 0
-    for z1, z2 in pairs:
-        if R is not None and (np.linalg.norm(z1.z) > R
-                              or np.linalg.norm(z2.z) > R):
-            continue
-        denom = np.linalg.norm(z1.x - z2.x) ** (alpha / 3.0) \
-            + np.linalg.norm(z1.v - z2.v) ** alpha
-        if denom == 0.0:
-            continue
-        for t in flow.times:
-            q = float(np.linalg.norm(_row_at(f, t, flow, z1)
-                                     - _row_at(f, t, flow, z2))) / denom
-            n += 1
-            if q > worst:
-                worst, info = q, {"t": float(t), "z1": z1, "z2": z2, "ratio": q}
-    return worst, n, info
-
-
-def _loop_dissipativity(f, flow1, flow2, samples):
-    run_sup = np.maximum.accumulate(
-        [wasserstein_gap(a, b, f.p)
-         for a, b in zip(flow1.snapshots, flow2.snapshots)])
-    worst, info, n = 0.0, {}, 0
-    for t, z1, z2 in samples:
-        denom = float(run_sup[flow1.index_at(t)]) \
-            + float(np.linalg.norm(z1.z - z2.z))
-        if denom == 0.0:
-            continue
-        q = float(np.linalg.norm(_row_at(f, t, flow1, z1)
-                                 - _row_at(f, t, flow2, z2))) / denom
-        n += 1
-        if q > worst:
-            worst, info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
-    return worst, n, info
-
-
-def _same_report(rep, ref):
-    worst, n, info = ref
-    assert float(rep.worst_ratio).hex() == float(worst).hex()
-    assert rep.n_checked == n
-    assert rep.worst.keys() == info.keys()
-    for key, val in info.items():
-        if isinstance(val, PhasePoint):
-            assert rep.worst[key] is val
-        else:
-            assert float(rep.worst[key]).hex() == float(val).hex()
-
-
-def _tanh_field(beta, alpha):
-    return DriftField(batch=lambda t, flow, X, V: np.tanh(X) + (1.0 + t) * V,
-                      beta=beta, alpha=alpha, name="tanh")
-
-
-class TestValidatorsAgainstPointLoop:
-    """The vectorized validators reproduce a per-point loop bit for bit:
-    worst ratio, number of checks and the first worst offender."""
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.integers(min_value=1, max_value=3),
-           st.integers(min_value=1, max_value=12),
-           st.sampled_from(["bounded_alignment", "bounded_attraction",
-                            "alignment", "constant", "zero", "damping",
-                            "tanh"]),
-           st.sampled_from([(0.0, 1.0), (0.3, 0.9), (0.6, 0.75)]),
-           st.sampled_from([None, 0.5, 2.5, 100.0]),
-           st.integers(min_value=0, max_value=4))
-    @settings(max_examples=60, deadline=None)
-    def test_reports_match_the_loop(self, seed, d, n, name, exponents, R,
-                                    n_dup):
-        rng = np.random.default_rng(seed)
-        beta, alpha = exponents
-        if name == "damping":
-            f = linear_damping_field()
-        elif name == "tanh":
-            f = _tanh_field(beta, alpha)
-        else:
-            f = drift_from_kernel(kernel(name, d=d, params={"value": 0.7}))
-        flow1, flow2 = TestDissipativityValidator._paired_flows(
-            N=int(rng.integers(1, 9)), d=d, seed=seed)
-        # Rounded coordinates and repeated points give coincident pairs and
-        # tied ratios; the repeats are new objects, so the offender's
-        # identity tells which of two tied samples was kept.
-        pts = [PhasePoint(*np.round(rng.uniform(-2, 2, (2, d)), 1))
-               for _ in range(n)]
-        pts += [PhasePoint(z.x, z.v) for z in
-                rng.choice(np.array(pts, dtype=object), n_dup)]
-        rng.shuffle(pts)
-        ts = list(rng.choice(flow1.times, int(rng.integers(1, 4))))
-        pairs = [(pts[i], pts[j]) for i, j in
-                 rng.integers(0, len(pts), (len(pts), 2))]
-        samples = [(float(rng.choice(flow1.times)), z1, z2)
-                   for z1, z2 in pairs]
-        samples.append((0.0, pts[0], pts[0]))
-        # The whole sample set decides the offender and the tie order; one
-        # sample at a time checks every quotient, not only the largest.
-        for sub in [slice(None)] + [slice(i, i + 1) for i in range(len(pts))]:
-            _same_report(validate_sublinearity(f, flow1, pts[sub], ts),
-                         _loop_sublinearity(f, flow1, pts[sub], ts))
-            _same_report(validate_hoelder(f, flow1, pairs[sub], L=1.0,
-                                          alpha=alpha, R=R),
-                         _loop_hoelder(f, flow1, pairs[sub], alpha, R))
-            _same_report(
-                validate_dissipativity_v3pp(f, (flow1, flow2), samples[sub]),
-                _loop_dissipativity(f, flow1, flow2, samples[sub]))
+    def test_dissipativity_zero_denominator_skipped(self):
+        flow1, flow2 = TestDissipativityValidator._paired_flows(N=4, d=2)
+        f = drift_from_kernel(kernel("bounded_alignment", d=2))
+        z = PhasePoint([0.3, -0.2], [1.0, 0.5])
+        w = PhasePoint([0.0, 0.0], [0.0, 0.0])
+        # Shared mu_0 and z1 = z2 at t = 0: the quotient is undefined.
+        rep = validate_dissipativity_v3pp(f, (flow1, flow2), [(0.0, z, z)])
+        assert (rep.n_checked, rep.worst_ratio, rep.worst) == (0, 0.0, {})
+        rep = validate_dissipativity_v3pp(f, (flow1, flow2),
+                                          [(0.0, z, z), (0.0, z, w)])
+        assert rep.n_checked == 1
+        assert rep.worst["z2"] is w
 
     def test_empty_samples_check_nothing(self):
         f = zero_field()
