@@ -16,10 +16,11 @@ from .drift import (KERNEL_NAMES, DriftField, InteractionKernel,
                     LeaderCouplingField, LeaderField, ValidationReport,
                     clamp_drift, constant_field, coupling_from_kernel,
                     cutoff_eta, drift_from_kernel, kernel,
-                    kernel_convolution_drift, latin_hypercube_points,
-                    leader_coupling_drift, leader_field_from_kernels,
-                    linear_damping_field, validate_dissipativity_v3pp,
-                    validate_hoelder, validate_sublinearity, zero_field)
+                    kernel_convolution_drift, kernel_fields,
+                    latin_hypercube_points, leader_coupling_drift,
+                    leader_field_from_kernels, linear_damping_field,
+                    validate_dissipativity_v3pp, validate_hoelder,
+                    validate_sublinearity, zero_field)
 from .sde import (STREAM_BROWNIAN, STREAM_INITIAL, STREAM_OPTIMIZER,
                   STREAM_SUBSAMPLE, BrownianPaths, DoobCheck, SimConfig,
                   doob_bound, doob_check, generate_brownian, path_rng,

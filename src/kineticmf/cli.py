@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .control_opt import (evaluate_cost_meanfield, make_cost, optimize,
                           sv_control, sv_zero, validate_control, zero_control)
-from .drift import (KERNEL_NAMES, drift_from_kernel, kernel,
-                    latin_hypercube_points, validate_dissipativity_v3pp,
-                    validate_hoelder, validate_sublinearity, zero_field)
+from .drift import (KERNEL_NAMES, kernel, latin_hypercube_points,
+                    validate_dissipativity_v3pp, validate_hoelder,
+                    validate_sublinearity)
 from .experiments import (chaos_experiment, gamma_convergence_experiment,
                           table_to_csv, write_gnuplot)
 from .meanfield import picard_solve
@@ -567,8 +567,7 @@ def _scenario_simulate(rc, out, progress, threads):
 def _scenario_meanfield(rc, out, progress, threads):
     model = _build_model(rc)
     cfg = _sim_config(rc)
-    K11 = model.kernels.get("K11")
-    f = drift_from_kernel(K11) if K11 is not None else zero_field()
+    f = model.mean_field_fields()[0]
     progress.phase("picard", N=cfg.N, tol=rc.tol)
     rep = picard_solve(f, model.initial(cfg.N, cfg.seed), cfg, tol=rc.tol,
                        max_iter=rc.max_iter)
@@ -660,8 +659,7 @@ def _scenario_gamma(rc, out, progress, threads):
 def _scenario_validate(rc, out, progress, threads):
     model = _build_model(rc)
     cfg = _sim_config(rc)
-    K11 = model.kernels.get("K11")
-    f = drift_from_kernel(K11) if K11 is not None else zero_field()
+    f = model.mean_field_fields()[0]
     progress.phase("flows", N=cfg.N)
     init = model.initial(cfg.N, cfg.seed)
     flow1 = simulate_interacting(model.kernels, None, init, model.Y0, cfg,

@@ -31,6 +31,7 @@ __all__ = [
     "kernel_convolution_drift",
     "leader_coupling_drift",
     "pair_mean",
+    "kernel_fields",
     "drift_from_kernel",
     "linear_damping_field",
     "constant_field",
@@ -205,6 +206,14 @@ class LeaderField:
     def eval(self, t, flow, Y):
         return np.asarray(self.fn(t, flow, Y), dtype=float)
 
+    def rhs(self, t, flow, Y, u=None):
+        """F[t, flow](Y) + u(t, flow) (u may be None) as a fresh (m, d) array:
+        the leader right-hand side of the finite-N and mean-field levels."""
+        out = self.eval(t, flow, Y).reshape(Y.shape).copy()
+        if u is not None:
+            out += np.asarray(u(t, flow), dtype=float).reshape(Y.shape)
+        return out
+
 
 @dataclass(frozen=True)
 class LeaderCouplingField:
@@ -229,11 +238,14 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     a_i, b_i are the rows of A_to, B_to and the sum runs over the n rows of
     A_from, B_from. Position kernels read A only; a phase kernel given no B
     raises the kernel's own "needs both dx and dv". This is the one pairwise
-    engine: the finite-N simulator and every kernel-built field call it.
-    With no sources the result is zero rows of shape (len(A_to), d). Rows
-    are processed in tiles of _PAIR_BLOCK targets, which bounds the
-    temporaries to _PAIR_BLOCK x n x d values; each row's reduction is
-    unchanged, so it comes out bit for bit as in the untiled sum.
+    engine: every kernel-built field calls it, and the finite-N simulator
+    steps those fields on its empirical flow. With no sources the result is
+    zero rows of shape (len(A_to), d). Rows are processed in tiles of
+    _PAIR_BLOCK targets, which bounds the temporaries to _PAIR_BLOCK x n x d
+    values; each row's reduction is unchanged (numpy sums the sources
+    pairwise at d = 1 and left to right from +0 at d >= 2, as
+    tests/test_numpy_assumptions.py checks), so it comes out bit for bit as
+    in the untiled sum, and never as -0.0.
     """
     out = np.zeros(np.shape(A_to))
     if len(A_from) == 0:
@@ -443,20 +455,27 @@ def leader_field_from_kernels(K21, K22, m):
     (K21 * mu_t)(Y_j) + (1/m) sum_i K22(Y_i - Y_j) at the current leader
     positions Y.
 
-    Declared constants: K_F = M_21 + M_22 and L_F = L_21 + 2 L_22 where
-    finite.
+    A None slot contributes nothing: its pair sum is skipped, and its
+    declared constants and name are those of zero_position. Declared
+    constants: K_F = M_21 + M_22 and L_F = L_21 + 2 L_22 where finite.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
 
-    def fn(t, flow, Y, K21=K21, K22=K22):
-        return pair_mean(K21, Y, flow.at_time(t).X) + pair_mean(K22, Y, Y)
+    def fn(t, flow, Y):
+        out = np.zeros(np.shape(Y))
+        if K21 is not None:
+            out += pair_mean(K21, Y, flow.at_time(t).X)
+        if K22 is not None:
+            out += pair_mean(K22, Y, Y)
+        return out
 
-    K_F = (K21.M_ker if not K21.unbounded else 1.0) \
-        + (K22.M_ker if not K22.unbounded else 1.0)
-    L_F = K21.L_ker + 2.0 * K22.L_ker
+    A, B = (K if K is not None else kernel("zero_position") for K in (K21, K22))
+    K_F = (A.M_ker if not A.unbounded else 1.0) \
+        + (B.M_ker if not B.unbounded else 1.0)
+    L_F = A.L_ker + 2.0 * B.L_ker
     return LeaderField(fn=fn, K_F=K_F, L_F=L_F,
-                       name=f"leader[{K21.name},{K22.name}]")
+                       name=f"leader[{A.name},{B.name}]")
 
 
 def coupling_from_kernel(K12):
@@ -471,3 +490,14 @@ def coupling_from_kernel(K12):
     return LeaderCouplingField(batch=batch,
                                K_w=K12.M_ker if not K12.unbounded else 1.0,
                                L_w=K12.L_ker, name=f"coupling[{K12.name}]")
+
+
+def kernel_fields(kernels, m, p=2.0):
+    """(v, w, F) of the kernels in slots K11, K12, K21, K22, for m leaders:
+    follower field (zero_field without K11), coupling (None without K12)
+    and leader drive; an absent or None slot contributes nothing. Both the
+    mean-field solver and the finite-N simulator step these fields."""
+    K11, K12, K21, K22 = (kernels.get(s) for s in ("K11", "K12", "K21", "K22"))
+    v = drift_from_kernel(K11, p=p) if K11 is not None else zero_field(p=p)
+    w = coupling_from_kernel(K12) if K12 is not None else None
+    return v, w, leader_field_from_kernels(K21, K22, m)

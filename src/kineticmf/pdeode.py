@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drift import (DriftField, coupling_from_kernel, drift_from_kernel,
-                    leader_field_from_kernels, kernel, zero_field)
+from .drift import DriftField, kernel_fields
 from .meanfield import PicardReport, flow_gap, picard_solve
 from .phase_space import LeaderPath, LeaderState, MeasureFlow
 
@@ -72,27 +71,20 @@ class LeaderFollowerModel:
 
     def mean_field_fields(self):
         """(v, w, F): follower self-interaction field, leader coupling field
-        (None when the model has no K12), and the leader drive."""
-        K11 = self.kernels.get("K11")
-        K12 = self.kernels.get("K12")
-        K21 = self.kernels.get("K21") or kernel("zero_position")
-        K22 = self.kernels.get("K22") or kernel("zero_position")
-        v = drift_from_kernel(K11, p=self.p) if K11 is not None \
-            else zero_field(p=self.p)
-        w = coupling_from_kernel(K12) if K12 is not None else None
-        F = leader_field_from_kernels(K21, K22, self.m)
-        return v, w, F
+        (None when the model has no K12), and the leader drive; absent
+        kernel slots contribute nothing (drift.kernel_fields)."""
+        return kernel_fields(self.kernels, self.m, p=self.p)
 
 
 def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
     """Integrate the first-order leader equation dY/dt = F[t, mu](Y) + u(t, mu)
     along a given follower flow.
 
-    Explicit Euler by default; method="heun" adds one corrector stage. The
-    returned path stores W as the right-hand side evaluated at every node
-    (including both endpoints), matching the finite-N convention. F reads
-    the current (m, d) positions Y; a non-finite Y or right-hand side
-    raises FloatingPointError naming the time.
+    Explicit Euler by default, with steps times[k + 1] - times[k];
+    method="heun" adds one corrector stage. W stores the right-hand side
+    F.rhs, shared with the finite-N simulator, at every node, both ends
+    included. F reads the current (m, d) positions Y; a non-finite Y or
+    right-hand side raises FloatingPointError naming the time.
 
     Both schemes are causal, so solving on the full grid subsumes every
     prefix solve.
@@ -106,9 +98,7 @@ def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
     def rhs(t, Y):
         if not np.all(np.isfinite(Y)):
             raise FloatingPointError(f"non-finite leader state at t={t}")
-        out = F.eval(t, flow, Y).reshape(m, d).copy()
-        if u is not None:
-            out += np.asarray(u(t, flow), dtype=float).reshape(m, d)
+        out = F.rhs(t, flow, Y, u)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError(f"non-finite leader right-hand side at t={t}")
         return out

@@ -35,6 +35,15 @@ __all__ = [
 _TIME_TOL = 1e-9
 
 
+def _index_at(times, t):
+    """Largest k with times[k] <= t, up to the grid tolerance. A t outside
+    the grid, NaN included, raises ValueError."""
+    tol = _TIME_TOL * max(1.0, abs(float(times[-1])))
+    if not times[0] - tol <= t <= times[-1] + tol:
+        raise ValueError(f"time {t} outside grid range [{times[0]}, {times[-1]}]")
+    return int(np.searchsorted(times, t + tol, side="right")) - 1
+
+
 def _as_locked(a, dtype=float):
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
@@ -194,15 +203,9 @@ class MeasureFlow:
     def __len__(self):
         return len(self.snapshots)
 
-    def _tol(self):
-        return _TIME_TOL * max(1.0, abs(self.T))
-
     def index_at(self, t):
         """Largest node index k with t_k <= t (up to grid tolerance)."""
-        tol = self._tol()
-        if t < self.times[0] - tol or t > self.times[-1] + tol:
-            raise ValueError(f"time {t} outside grid range [{self.times[0]}, {self.T}]")
-        return int(np.searchsorted(self.times, t + tol, side="right")) - 1
+        return _index_at(self.times, t)
 
     def at_time(self, t):
         """Snapshot at the largest node <= t. Fields evaluate measures here,
@@ -286,10 +289,7 @@ class LeaderPath:
         return LeaderState(self.Y[k], self.W[k])
 
     def index_at(self, t):
-        tol = _TIME_TOL * max(1.0, abs(float(self.times[-1])))
-        if t < self.times[0] - tol or t > self.times[-1] + tol:
-            raise ValueError(f"time {t} outside leader grid")
-        return int(np.searchsorted(self.times, t + tol, side="right")) - 1
+        return _index_at(self.times, t)
 
     def at_time(self, t):
         return self.state(self.index_at(t))

@@ -7,6 +7,10 @@ updated velocity), which reproduces ballistic trajectories exactly when
 sigma = 0 and the drift vanishes, and which the hand recurrences in the
 tests assume.
 
+Both simulators run one stepping loop. A finite-N step is the mean-field
+fields (drift.kernel_fields) evaluated on the running empirical flow, so
+the particle system and the mean-field solver share one engine.
+
 Randomness is counter-based per path: path i draws from a Philox stream
 keyed by (seed, stream tag, i). Results are therefore independent of the
 thread count and prefix-stable in N: adding particles never changes the
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import pair_mean
+from .drift import kernel_fields
 from .phase_space import LeaderPath, MeasureFlow, ParticleEnsemble, time_grid
 
 __all__ = [
@@ -126,14 +130,34 @@ def generate_brownian(cfg):
     return BrownianPaths(increments=inc, seed=cfg.seed)
 
 
-def _check_paths(cfg, paths):
+def _euler_maruyama(init, cfg, paths, drift, Y=None):
+    """The one kinetic Euler-Maruyama loop: v' = v + f dt + sqrt(2 sigma) dB,
+    x' = x + v' dt, with the (N, d) array f = drift(k, snapshots, X, V)
+    and snapshots the ensembles on the nodes <= k. Y, when given, is the
+    (n_steps + 1, m, d) leader history that drift fills one node ahead;
+    Y[k + 1] joins the state check of step k."""
+    if init.N != cfg.N or init.d != cfg.d:
+        raise ValueError("initial ensemble does not match the configuration")
     if paths.n_steps != cfg.n_steps or paths.n_paths < cfg.N or paths.d != cfg.d:
         raise ValueError("Brownian paths are not shaped for this configuration")
-
-
-def _first_bad(arr):
-    bad = np.argwhere(~np.isfinite(arr))
-    return int(bad[0][0]) if bad.size else -1
+    dt = cfg.dt
+    noise = math.sqrt(2.0 * cfg.sigma)
+    times = cfg.grid()
+    X, V = init.X.copy(), init.V.copy()
+    snapshots = [init]
+    for k in range(cfg.n_steps):
+        f = drift(k, snapshots, X, V)
+        if not np.all(np.isfinite(f)):
+            i = int(np.argwhere(~np.isfinite(f))[0][0])
+            raise FloatingPointError(
+                f"non-finite drift at step {k} (t={times[k]}), particle {i}")
+        V = V + f * dt + noise * paths.increments[k, : cfg.N]
+        X = X + V * dt
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))
+                and (Y is None or np.all(np.isfinite(Y[k + 1])))):
+            raise FloatingPointError(f"non-finite state at step {k + 1}")
+        snapshots.append(ParticleEnsemble(X, V))
+    return MeasureFlow(times, snapshots)
 
 
 def simulate_frozen(F, init, cfg, paths):
@@ -144,103 +168,55 @@ def simulate_frozen(F, init, cfg, paths):
     x' = x + v' dt. Velocity marginals are scheme-exact Gaussians when F
     has no state dependence.
     """
-    if init.N != cfg.N or init.d != cfg.d:
-        raise ValueError("initial ensemble does not match the configuration")
-    _check_paths(cfg, paths)
-    dt = cfg.dt
-    noise = math.sqrt(2.0 * cfg.sigma)
     times = cfg.grid()
-    X = init.X.copy()
-    V = init.V.copy()
-    snapshots = [init]
-    for k in range(cfg.n_steps):
-        drift = np.broadcast_to(np.asarray(F(times[k], X, V), dtype=float),
-                                X.shape)
-        if not np.all(np.isfinite(drift)):
-            i = _first_bad(drift)
-            raise FloatingPointError(
-                f"non-finite drift at step {k} (t={times[k]}), particle {i}")
-        V = V + drift * dt + noise * paths.increments[k, : cfg.N]
-        X = X + V * dt
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-            raise FloatingPointError(f"non-finite state at step {k + 1}")
-        snapshots.append(ParticleEnsemble(X, V))
-    return MeasureFlow(times, snapshots)
+
+    def drift(k, snapshots, X, V):
+        return np.broadcast_to(np.asarray(F(times[k], X, V), dtype=float),
+                               X.shape)
+
+    return _euler_maruyama(init, cfg, paths, drift)
 
 
 def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
-    """Finite-N leader-follower system.
+    """Finite-N leader-follower system: a step is the mean-field fields
+    (v, w, F) = drift.kernel_fields(kernels, m) on the running empirical
+    flow mu^N (the follower snapshots so far) and leader path H^N.
 
-    Followers feel the empirical mean-field sum of K11 over all followers
-    (self term included; every library kernel vanishes at 0) plus the K12
-    average over leaders. Leaders follow the first-order ODE whose
-    right-hand side is the K21 average over followers, the K22 average
-    over leaders, and the control u(t, mu^N) evaluated on the running
-    empirical flow. All four kernel averages run through drift.pair_mean,
-    the same engine the mean-field drift and leader fields use. W stores
-    that evaluated right-hand side at every node, including t = 0 and
-    t = T.
+    Leaders: Y' = Y + (F[t_k, mu^N](Y) + u(t_k, mu^N)) dt, the right-hand
+    side LeaderField.rhs that solve_leader_ode uses too; W stores it at
+    every node, including t = 0 and t = T. Followers feel
+    v[t_k, mu^N] + w[t_k, H^N]: the K11 average over all followers (self
+    term included; every library kernel vanishes at 0) plus the K12
+    average over the leaders at this node. The leader step is cfg.dt,
+    while solve_leader_ode steps by times[k + 1] - times[k]; the two
+    differ in the last bit (on 23 of 25 steps at T = 2 with 25 steps), so
+    each level keeps its own step and its outputs.
 
-    kernels is a mapping with keys K11, K12, K21, K22 (None entries mean
-    zero); u is a callable (t, flow prefix) -> (m, d) or None.
-    Returns (follower MeasureFlow, LeaderPath).
+    kernels maps K11, K12, K21, K22 to kernels (an absent or None slot
+    contributes nothing); u is a callable (t, flow prefix) -> (m, d) or
+    None. Returns (follower MeasureFlow, LeaderPath).
     """
-    if init_followers.N != cfg.N or init_followers.d != cfg.d:
-        raise ValueError("initial followers do not match the configuration")
-    _check_paths(cfg, paths)
-    K11 = kernels.get("K11")
-    K12 = kernels.get("K12")
-    K21 = kernels.get("K21")
-    K22 = kernels.get("K22")
     m = init_leaders.m
-    d = cfg.d
-    dt = cfg.dt
-    noise = math.sqrt(2.0 * cfg.sigma)
+    v, w, F = kernel_fields(kernels, m)
+    u = u if m > 0 else None
     times = cfg.grid()
+    Y = np.empty((cfg.n_steps + 1, m, cfg.d))
+    W = np.empty_like(Y)
+    Y[0] = init_leaders.Y
 
-    X = init_followers.X.copy()
-    V = init_followers.V.copy()
-    Y = init_leaders.Y.copy()
-    snapshots = [init_followers]
-    Y_hist = np.empty((cfg.n_steps + 1, m, d))
-    W_hist = np.empty((cfg.n_steps + 1, m, d))
-    Y_hist[0] = Y
+    def drift(k, snapshots, X, V):
+        prefix = MeasureFlow(times[: k + 1], snapshots)
+        W[k] = F.rhs(times[k], prefix, Y[k], u)
+        Y[k + 1] = Y[k] + W[k] * cfg.dt
+        f = v.eval_batch(times[k], prefix, X, V)
+        if w is None:
+            return f
+        path = LeaderPath(times[: k + 1], Y[: k + 1], W[: k + 1])
+        return f + w.eval_batch(times[k], path, X, V)
 
-    def leader_rhs(k, X, Y):
-        rhs = np.zeros((m, d))
-        if K21 is not None:
-            rhs += pair_mean(K21, Y, X)
-        if K22 is not None:
-            rhs += pair_mean(K22, Y, Y)
-        if u is not None and m > 0:
-            prefix = MeasureFlow(times[: k + 1], snapshots[: k + 1])
-            rhs += np.asarray(u(times[k], prefix), dtype=float).reshape(m, d)
-        return rhs
-
-    for k in range(cfg.n_steps):
-        # Leader velocities are defined as the evaluated RHS, so compute
-        # them first: the K12 coupling below reads them at this node.
-        rhs = leader_rhs(k, X, Y)
-        W_hist[k] = rhs
-        drift = np.zeros((cfg.N, d))
-        if K11 is not None:
-            drift += pair_mean(K11, X, X, V, V)
-        if K12 is not None:
-            drift += pair_mean(K12, X, Y, V, rhs)
-        if not np.all(np.isfinite(drift)):
-            raise FloatingPointError(
-                f"non-finite follower drift at step {k}, particle {_first_bad(drift)}")
-        V = V + drift * dt + noise * paths.increments[k, : cfg.N]
-        X = X + V * dt
-        Y = Y + rhs * dt
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))
-                and np.all(np.isfinite(Y))):
-            raise FloatingPointError(f"non-finite state at step {k + 1}")
-        snapshots.append(ParticleEnsemble(X, V))
-        Y_hist[k + 1] = Y
-    W_hist[cfg.n_steps] = leader_rhs(cfg.n_steps, X, Y)
-    flow = MeasureFlow(times, snapshots)
-    return flow, LeaderPath(times, Y_hist, W_hist)
+    flow = _euler_maruyama(init_followers, cfg, paths, drift, Y)
+    W[-1] = F.rhs(times[-1], flow, Y[-1], u)
+    return flow, LeaderPath(times, Y, W)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from kineticmf.drift import (
     drift_from_kernel,
     kernel,
     leader_field_from_kernels,
+    pair_mean,
     zero_field,
 )
 from kineticmf.meanfield import picard_solve
@@ -96,6 +97,43 @@ class TestModelBundle:
         assert v.name == "conv[bounded_alignment]"
         assert w is not None
         assert w.name == "coupling[bounded_attraction_position]"
+
+    @pytest.mark.parametrize("absent", [("K21",), ("K22",), ("K21", "K22")])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_absent_leader_slots_match_zero_kernel_substitution(self, absent, m):
+        # An absent K21/K22 slot is skipped, not summed as zero_position;
+        # the drive, the leader solves and the declared constants must be
+        # those of the substituted field, byte for byte.
+        kernels = {"K21": kernel("bounded_attraction_position"),
+                   "K22": kernel("attraction_position")}
+        for slot in absent:
+            del kernels[slot]
+        rng = np.random.default_rng(m)
+        Y0 = LeaderState(rng.standard_normal((m, 2)), np.zeros((m, 2)))
+        model = LeaderFollowerModel(kernels=kernels, Y0=Y0,
+                                    sampler=_gauss_sampler(2), sigma=0.1, d=2)
+        _, _, F = model.mean_field_fields()
+        A, B = (kernels.get(s, kernel("zero_position")) for s in ("K21", "K22"))
+        ref = LeaderField(
+            fn=lambda t, flow, Y: pair_mean(A, Y, flow.at_time(t).X)
+            + pair_mean(B, Y, Y),
+            K_F=(A.M_ker if not A.unbounded else 1.0)
+            + (B.M_ker if not B.unbounded else 1.0),
+            L_F=A.L_ker + 2.0 * B.L_ker, name=f"leader[{A.name},{B.name}]")
+        assert (F.K_F, F.L_F, F.name) == (ref.K_F, ref.L_F, ref.name)
+        cfg = SimConfig(T=1.0, n_steps=6, N=5, sigma=0.1, seed=2, d=2)
+        flow = simulate_frozen(lambda t, X, V: -X, model.initial(5, 3), cfg,
+                               generate_brownian(cfg))
+        for t in flow.times:
+            assert F.eval(t, flow, Y0.Y).tobytes() \
+                == ref.eval(t, flow, Y0.Y).tobytes()
+        c = rng.standard_normal((m, 2))
+        u = lambda t, mu: c * (1.0 + t)
+        for method in ("euler", "heun"):
+            got = solve_leader_ode(F, u, flow, Y0, method=method)
+            want = solve_leader_ode(ref, u, flow, Y0, method=method)
+            assert got.Y.tobytes() == want.Y.tobytes()
+            assert got.W.tobytes() == want.W.tobytes()
 
 
 class TestLeaderOde:

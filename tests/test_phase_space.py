@@ -152,6 +152,15 @@ class TestMeasureFlow:
         with pytest.raises(ValueError):
             flow.at_time(-0.2)
 
+    @pytest.mark.parametrize("lookup", ["index_at", "at_time"])
+    def test_nan_time_rejected(self, lookup):
+        # NaN fails every range comparison; it must not land on the last
+        # node, which would hand a field the final snapshot.
+        flow = MeasureFlow.constant(_gaussian_ensemble(2, 1, seed=0),
+                                    time_grid(1.0, 4))
+        with pytest.raises(ValueError, match="outside grid"):
+            getattr(flow, lookup)(float("nan"))
+
     def test_prefix_keeps_early_nodes(self):
         snaps = [_gaussian_ensemble(2, 1, seed=s) for s in range(4)]
         flow = MeasureFlow([0.0, 1.0, 2.0, 3.0], snaps)
@@ -184,6 +193,13 @@ class TestLeaders:
         lp = LeaderPath(times, Y, W)
         np.testing.assert_array_equal(lp.at_time(0.5).Y, [[2.0, 3.0]])
         np.testing.assert_array_equal(lp.prefix(0.5).Y, Y[:2])
+
+    @pytest.mark.parametrize("lookup", ["index_at", "at_time"])
+    def test_path_nan_time_rejected(self, lookup):
+        Y = np.arange(6, dtype=float).reshape(3, 1, 2)
+        lp = LeaderPath(time_grid(1.0, 2), Y, np.zeros_like(Y))
+        with pytest.raises(ValueError, match="outside grid"):
+            getattr(lp, lookup)(float("nan"))
 
     def test_sup_norm_of_empty_path_is_zero(self):
         lp = LeaderPath(np.array([0.0, 1.0]), np.zeros((2, 0, 1)), np.zeros((2, 0, 1)))
