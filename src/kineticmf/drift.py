@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .phase_space import PhasePoint, sup_moment
 from .wasserstein import gap_is_exact, wasserstein_gap
@@ -125,7 +124,10 @@ def kernel(name, d=None, params=None):
         mag = float(np.linalg.norm(c))
 
         def fn(dx, dv=None, c=c):
-            return np.broadcast_to(c, np.shape(dx)).copy()
+            # full_like keeps dx's memory layout, and with it the order in
+            # which pair_mean sums the values (a C-order copy would fold
+            # the sources left to right at d = 1).
+            return np.full_like(dx, c)
 
         return InteractionKernel("constant", fn, 0.0, mag, even=True)
     if name == "alignment":
@@ -232,6 +234,16 @@ class LeaderCouplingField:
 _PAIR_BLOCK = 256
 
 
+def _differences(F, T):
+    """F[j] - T[i] for every source j and target i, as an (n, tile, d) view
+    of a component-major (n, d, tile) buffer at 2 <= d <= 7 and of a
+    target-major (tile, n, d) one otherwise; pair_mean says why."""
+    if 2 <= F.shape[1] <= 7:
+        buf = F[:, :, None] - np.ascontiguousarray(T.T)[None]
+        return buf.transpose(0, 2, 1)
+    return (F[None] - T[:, None]).transpose(1, 0, 2)
+
+
 def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     """(1/n) sum_j K(a_j - a_i, b_j - b_i) for every target row i.
 
@@ -240,24 +252,40 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     raises the kernel's own "needs both dx and dv". This is the one pairwise
     engine: every kernel-built field calls it, and the finite-N simulator
     steps those fields on its empirical flow. With no sources the result is
-    zero rows of shape (len(A_to), d). Rows are processed in tiles of
-    _PAIR_BLOCK targets, which bounds the temporaries to _PAIR_BLOCK x n x d
-    values; each row's reduction is unchanged (numpy sums the sources
-    pairwise at d = 1 and left to right from +0 at d >= 2, as
-    tests/test_numpy_assumptions.py checks), so it comes out bit for bit as
-    in the untiled sum, and never as -0.0.
+    zero rows of shape (len(A_to), d).
+
+    Rows are processed in tiles of _PAIR_BLOCK targets, which bounds the
+    temporaries to _PAIR_BLOCK x n x d values. The kernel always receives
+    (n, tile, d) arrays and its values are averaged with mean(axis=0); only
+    the memory layout behind that shape depends on d:
+
+    - 2 <= d <= 7: component-major (n, d, tile). Every elementwise pass of
+      the kernel and of the mean runs inner loops tile or tile x d long, not
+      d long. The mean over sources is a left fold over j = 0..n-1 from +0,
+      as the untiled (N, n, d) mean is at d >= 2.
+    - d = 1: target-major (tile, n, 1). The sources are contiguous, so numpy
+      sums them pairwise, as the untiled mean does; a component-major
+      buffer would fold them left to right instead.
+    - d >= 8: target-major (tile, n, d). A kernel that sums over components
+      (bounded_attraction's |dx|^2) gets numpy's pairwise sum with eight
+      accumulators over a contiguous component axis from 8 components on,
+      and a left fold over a strided one; below 8 both are a plain left
+      fold, so the component-major layout stops at d = 7.
+
+    So every row comes out bit for bit as in the untiled sum, and never as
+    -0.0 (tests/test_numpy_assumptions.py checks these summation orders).
     """
     out = np.zeros(np.shape(A_to))
     if len(A_from) == 0:
         return out
     for lo in range(0, len(A_to), _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
-        dA = A_from[None, :, :] - A_to[rows, None, :]
+        dA = _differences(A_from, A_to[rows])
         if K.arity == "position" or B_to is None:
             vals = K(dA)
         else:
-            vals = K(dA, B_from[None, :, :] - B_to[rows, None, :])
-        out[rows] = np.asarray(vals, dtype=float).mean(axis=1)
+            vals = K(dA, _differences(B_from, B_to[rows]))
+        out[rows] = np.asarray(vals, dtype=float).mean(axis=0)
     return out
 
 
@@ -328,7 +356,13 @@ class ValidationReport:
 
 
 def latin_hypercube_points(n, d, low, high, seed):
-    """n Latin-hypercube phase points with coordinates in [low, high]^{2d}."""
+    """n Latin-hypercube phase points with coordinates in [low, high]^{2d}.
+
+    scipy.stats is imported here, not at module load: only the validate
+    scenario samples these points, and the import costs about half a
+    second of every CLI start."""
+    from scipy.stats import qmc
+
     sampler = qmc.LatinHypercube(d=2 * d, seed=seed)
     u = qmc.scale(sampler.random(n), low, high)
     return [PhasePoint(row[:d], row[d:]) for row in u]

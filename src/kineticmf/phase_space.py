@@ -394,27 +394,30 @@ def holder_ratio(flow, p, wp):
     return worst
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _write_csv(path, names, times, X, V):
+    """CSV with header t,<index>,<x>0..<x>{d-1},<v>0..<v>{d-1} for names =
+    (index, x, v) and one row t_k,i,X[k][i],V[k][i] per node k and row i,
+    byte for byte as csv.writer writes it (comma separated, \r\n line
+    ends) with every float as format(x, ".17g"), full round-trip
+    precision."""
+    index, x, v = names
+    d = X[0].shape[1]
+    header = (["t", index] + [f"{x}{i}" for i in range(d)]
+              + [f"{v}{i}" for i in range(d)])
+    row = "%.17g,%d" + ",%.17g" * (2 * d) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, Xk, Vk in zip(times.tolist(), X, V):
+            rows = np.concatenate([Xk, Vk], axis=1).tolist()
+            fh.write("".join([row % (t, i, *z) for i, z in enumerate(rows)]))
 
 
 def write_flow_csv(flow, path):
     """Flow CSV: header t,particle,x0..x{d-1},v0..v{d-1}, one row per
     (time node, particle), full round-trip precision."""
-    d = flow.d
-    header = (["t", "particle"]
-              + [f"x{i}" for i in range(d)]
-              + [f"v{i}" for i in range(d)])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k, t in enumerate(flow.times):
-            snap = flow.snapshots[k]
-            for i in range(snap.N):
-                row = [_fmt(t), str(i)]
-                row += [_fmt(x) for x in snap.X[i]]
-                row += [_fmt(v) for v in snap.V[i]]
-                w.writerow(row)
+    snaps = flow.snapshots
+    _write_csv(path, ("particle", "x", "v"), flow.times,
+               [s.X for s in snaps], [s.V for s in snaps])
 
 
 def read_flow_csv(path):
@@ -442,19 +445,7 @@ def read_flow_csv(path):
 
 def write_leader_csv(lp, path):
     """Leader CSV: header t,leader,y0..y{d-1},w0..w{d-1}."""
-    d = lp.d
-    header = (["t", "leader"]
-              + [f"y{i}" for i in range(d)]
-              + [f"w{i}" for i in range(d)])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k, t in enumerate(lp.times):
-            for i in range(lp.m):
-                row = [_fmt(t), str(i)]
-                row += [_fmt(y) for y in lp.Y[k, i]]
-                row += [_fmt(x) for x in lp.W[k, i]]
-                w.writerow(row)
+    _write_csv(path, ("leader", "y", "w"), lp.times, lp.Y, lp.W)
 
 
 def read_leader_csv(path):

@@ -382,33 +382,36 @@ class TestTruncation:
 
 
 def _untiled_pair_mean(K, A_to, A_from, B_to, B_from):
-    """Reference: the whole N x n x d difference array in one kernel call."""
-    dA = A_from[None, :, :] - A_to[:, None, :]
-    if K.arity == "position":
-        vals = K(dA)
-    else:
-        vals = K(dA, B_from[None, :, :] - B_to[:, None, :])
-    return np.asarray(vals, dtype=float).mean(axis=1)
+    """Reference: the whole N x n x d difference arrays in one kernel call
+    (a position kernel ignores the second), averaged over the sources."""
+    return np.asarray(K(A_from[None] - A_to[:, None],
+                        B_from[None] - B_to[:, None]), dtype=float).mean(axis=1)
 
 
 class TestPairMean:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.sampled_from([1, 255, 256, 257, 3 * 256 + 1]),
-           st.sampled_from([1, 3, 300]),
-           st.integers(min_value=1, max_value=3),
-           st.sampled_from(["bounded_alignment", "bounded_attraction",
-                            "alignment", "constant",
-                            "bounded_attraction_position",
-                            "attraction_position"]))
-    @settings(max_examples=30, deadline=None)
-    def test_tiles_reproduce_the_untiled_sum_bitwise(self, seed, N, n, d, name):
+           st.sampled_from([1, 2, 255, 256, 257, 3 * 256 + 1]),
+           st.sampled_from([1, 7, 8, 9, 129, 300]),
+           st.integers(min_value=1, max_value=10))
+    @settings(max_examples=80, deadline=None)
+    def test_tiles_reproduce_the_untiled_sum_bitwise(self, seed, N, n, d):
+        # pair_mean lays its tiles out component-major at 2 <= d <= 7 and
+        # target-major at d = 1 and d >= 8; either way every library kernel
+        # must give the untiled sum's bytes. Magnitudes spread over six
+        # decades so that a changed summation order shows in the last bit.
         rng = np.random.default_rng(seed)
-        K = kernel(name, d=d, params={"value": 0.5})
-        A_to, B_to = rng.standard_normal((2, N, d))
-        A_from, B_from = rng.standard_normal((2, n, d))
-        np.testing.assert_array_equal(
-            pair_mean(K, A_to, A_from, B_to, B_from),
-            _untiled_pair_mean(K, A_to, A_from, B_to, B_from))
+
+        def draw(rows):
+            return (rng.standard_normal((2, rows, d))
+                    * 10.0 ** rng.integers(-3, 4, size=(2, rows, d)))
+
+        (A_to, B_to), (A_from, B_from) = draw(N), draw(n)
+        for name in KERNEL_NAMES:
+            K = kernel(name, d=d, params={"value": float(rng.standard_normal())})
+            got = pair_mean(K, A_to, A_from, B_to, B_from)
+            want = _untiled_pair_mean(K, A_to, A_from, B_to, B_from)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("name", ["bounded_alignment",
                                       "bounded_attraction_position"])

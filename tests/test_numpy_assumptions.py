@@ -1,13 +1,18 @@
-"""The numpy summation orders that the bitwise claims rest on.
+"""The numpy summation orders and powers that the bitwise claims rest on.
 
-pair_mean averages a (targets, sources, d) array of kernel values with
-mean(axis=1). Two promises depend on the order numpy sums in: tiling the
-targets leaves every row bit for bit as in the untiled sum, and the
-finite-N simulator (the mean-field fields on the empirical flow)
-reproduces its hand-written pair sums. Each order is checked here
-directly, so a numpy that changes one fails a named test rather than only
-the benchmark's output digests.
+The untiled pair sum averages a (targets, sources, d) array of kernel
+values with mean(axis=1); pair_mean hands the kernel (sources, tile, d)
+views and averages with mean(axis=0), over a target-major buffer at d = 1
+and d >= 8 and a component-major (sources, d, tile) one in between. Two
+promises depend on the order numpy sums in: pair_mean leaves every row
+bit for bit as in the untiled sum, and the finite-N simulator (the
+mean-field fields on the empirical flow) reproduces its hand-written pair
+sums. The W_p values depend on a scalar power. Each assumption is checked
+here directly, so a numpy that changes one fails a named test rather than
+only the benchmark's output digests.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -97,3 +102,73 @@ def test_sums_start_from_positive_zero(shape):
     # hand-written drift sum does) changes no byte.
     A = -np.zeros(shape)
     assert A.mean(axis=1).tobytes() == np.zeros((shape[0], shape[2])).tobytes()
+
+
+def _component_major(n, tile, d, seed):
+    """An (n, tile, d) view of a C-contiguous (n, d, tile) buffer, the
+    layout pair_mean uses at 2 <= d <= 7."""
+    return _values((n, d, tile), seed).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 256])
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize("n", [1, 8, 9, 300])
+def test_mean_over_sources_of_a_component_major_view_is_a_left_fold(n, d, tile):
+    A = _component_major(n, tile, d, seed=n * d + tile)
+    want = _left_fold(A.transpose(1, 0, 2)) / n
+    assert A.mean(axis=0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tile", [1, 5])
+def test_component_major_mean_starts_from_positive_zero(tile):
+    A = -np.zeros((3, 2, tile)).transpose(0, 2, 1)
+    assert A.mean(axis=0).tobytes() == np.zeros((tile, 2)).tobytes()
+
+
+def test_component_major_left_fold_loses_what_pairwise_keeps():
+    A = np.ones((16, 2, 4))
+    A[0] = 1e16
+    np.testing.assert_array_equal(A.transpose(0, 2, 1).mean(axis=0),
+                                  np.full((4, 2), 1e16 / 16))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_contiguous_sum_below_8_values_is_a_left_fold(d):
+    # bounded_attraction sums |dx|^2 over the component axis: contiguous in
+    # the target-major buffer, strided in the component-major one. Below 8
+    # components both orders are the same plain left fold.
+    A = _values((64, d), seed=d)
+    fold = np.zeros(64)
+    for k in range(d):
+        fold = fold + A[:, k]
+    assert A.sum(axis=-1).tobytes() == fold.tobytes()
+    strided = np.ascontiguousarray(A.T).T
+    assert strided.sum(axis=-1).tobytes() == fold.tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 9, 10, 16])
+def test_contiguous_sum_from_8_values_is_pairwise_not_a_left_fold(d):
+    # From 8 components the contiguous sum switches to eight interleaved
+    # accumulators, so the component-major layout stops at d = 7.
+    a = np.ones(d)
+    a[0] = 1e16
+    assert a.sum() == _pairwise(a.tolist()) != 1e16
+    strided = np.ascontiguousarray(np.tile(a, (4, 1)).T).T
+    np.testing.assert_array_equal(strided.sum(axis=-1), np.full(4, 1e16))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0])
+def test_scalar_power_is_the_c_library_pow(p):
+    # W_p distances end in a scalar ** (1/p), on a Python float or a numpy
+    # float64. Both must be C pow, so either type gives the same bits. An
+    # array ** may take a SIMD path that differs in the last bit (on an
+    # AVX-512 machine it did for about 6% of these values at p = 1.5), so a
+    # stacked W_p must keep a per-node scalar power.
+    rng = np.random.default_rng(int(10 * p))
+    x = np.abs(rng.standard_normal(2000)) * 10.0 ** rng.integers(-6, 7, 2000)
+    e = 1.0 / p
+    for v in x.tolist():
+        want = math.pow(v, e)
+        assert v ** e == want
+        assert np.float64(v) ** e == want
+        assert np.float64(v) ** np.float64(e) == want

@@ -1,5 +1,6 @@
 """Unit tests for state containers, moments, and CSV round trips."""
 
+import csv
 import math
 
 import numpy as np
@@ -26,6 +27,26 @@ from kineticmf.phase_space import (
     write_leader_csv,
     young_moment,
 )
+
+
+def _reference_csv(path, header, times, Y, W):
+    """What the writers must produce byte for byte: csv.writer rows with
+    every float as format(x, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k, t in enumerate(times):
+            for i in range(Y.shape[1]):
+                w.writerow([format(float(t), ".17g"), str(i)]
+                           + [format(float(x), ".17g") for x in Y[k, i]]
+                           + [format(float(x), ".17g") for x in W[k, i]])
+
+
+# Signed zero, the smallest subnormal, integer-valued floats (which %g
+# prints without a point), values near the round-trip limit and huge ones.
+_AWKWARD = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, -3.0, 2.0**53,
+                     1e16, 0.1, 1.0 / 3.0, -1.7976931348623157e308, 1e300,
+                     123456789.0, 2.5e-10, -7.0e22, 1e-5])
 
 
 def _gaussian_ensemble(N, d, seed, scale=1.0):
@@ -337,6 +358,31 @@ class TestCsvRoundTrips:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,particle,x0,x1,v0,v1"
         assert len(lines) == 1 + 5 * 3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flow_csv_matches_the_csv_writer_reference(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        M, N = 3, 11
+        X = rng.permutation(np.resize(_AWKWARD, M * N * d)).reshape(M, N, d)
+        V = rng.standard_normal((M, N, d)) * 10.0 ** rng.integers(-300, 300, (M, N, d))
+        times = np.array([0.0, 0.1, 1e-300 + 1.0])
+        flow = MeasureFlow(times, [ParticleEnsemble(X[k], V[k]) for k in range(M)])
+        header = (["t", "particle"] + [f"x{i}" for i in range(d)]
+                  + [f"v{i}" for i in range(d)])
+        write_flow_csv(flow, tmp_path / "flow.csv")
+        _reference_csv(tmp_path / "ref.csv", header, times, X, V)
+        assert (tmp_path / "flow.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_leader_csv_matches_the_csv_writer_reference(self, tmp_path, m):
+        d = 2
+        Y = np.resize(_AWKWARD, 4 * m * d).reshape(4, m, d)
+        W = -np.resize(_AWKWARD[::-1], 4 * m * d).reshape(4, m, d)
+        lp = LeaderPath(time_grid(2.0, 3), Y, W)
+        header = ["t", "leader", "y0", "y1", "w0", "w1"]
+        write_leader_csv(lp, tmp_path / "leaders.csv")
+        _reference_csv(tmp_path / "ref.csv", header, lp.times, Y, W)
+        assert (tmp_path / "leaders.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_leader_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)
