@@ -48,6 +48,10 @@ __all__ = [
 _ADMISSIBLE_TOL = 1e-9
 _SIMPLEX_DIAMETER_STOP = 1e-8
 _CONVEXITY_SEED = 0xC09F
+# Flows whose stacked features an SVControl keeps, by identity: a handful
+# covers one cost evaluation (a Picard iterate's leader solve, the final
+# leader solve and the cost on the final flow).
+_FEATURE_CACHE_SIZE = 4
 
 
 def _squash(x):
@@ -58,18 +62,28 @@ def _squash(x):
 @dataclass(frozen=True)
 class FeatureMap:
     """Measure features g(mu) in R^ell with certified constants: every
-    component bounded by 1 and 1-Lipschitz in W_1 (hence in W_p)."""
+    component bounded by 1 and 1-Lipschitz in W_1 (hence in W_p).
+
+    fn(X, V) maps (..., N, d) position and velocity arrays, with any
+    leading node axes, to (..., ell) features: one call covers every node
+    of a flow (stacked), and an ensemble is the one-node case (call).
+    """
 
     ell: int
     fn: Callable
     name: str = "features"
 
-    def __call__(self, ens):
-        g = np.asarray(self.fn(ens), dtype=float)
-        if g.shape != (self.ell,):
+    def stacked(self, X, V):
+        """Features of every node of (..., N, d) arrays, shape (..., ell)."""
+        g = np.asarray(self.fn(X, V), dtype=float)
+        want = np.shape(X)[:-2] + (self.ell,)
+        if g.shape != want:
             raise ValueError(f"feature map returned shape {g.shape}, "
-                             f"expected ({self.ell},)")
+                             f"expected {want}")
         return g
+
+    def __call__(self, ens):
+        return self.stacked(ens.X, ens.V)
 
 
 def default_features(d, R_c=5.0):
@@ -80,17 +94,21 @@ def default_features(d, R_c=5.0):
     are 1-Lipschitz in W_1; squashing preserves that. Second moment: the
     clamp min(|z|^2, R_c^2) / (2 R_c) has gradient norm at most 1, same
     argument. All features vanish on the Dirac mass at the origin.
+
+    The reductions run over the particle axis (-2) and the component axis
+    (-1) of (..., N, d) arrays, so a stack of nodes gives every node's
+    features bit for bit as one node alone does.
     """
     if R_c <= 0:
         raise ValueError("clamping radius R_c must be positive")
     R_c = float(R_c)
 
-    def fn(ens):
-        mx = _squash(ens.X.mean(axis=0))
-        mv = _squash(ens.V.mean(axis=0))
-        r2 = np.sum(ens.X**2, axis=1) + np.sum(ens.V**2, axis=1)
-        second = _squash(np.mean(np.minimum(r2, R_c**2)) / (2.0 * R_c))
-        return np.concatenate([mx, mv, [second]])
+    def fn(X, V):
+        mx = _squash(X.mean(axis=-2))
+        mv = _squash(V.mean(axis=-2))
+        r2 = np.sum(X**2, axis=-1) + np.sum(V**2, axis=-1)
+        second = _squash(np.mean(np.minimum(r2, R_c**2), axis=-1) / (2.0 * R_c))
+        return np.concatenate([mx, mv, second[..., None]], axis=-1)
 
     return FeatureMap(ell=2 * d + 1, fn=fn, name=f"moments[R_c={R_c:g}]")
 
@@ -141,6 +159,13 @@ class SVControl:
     M_u = M_h sqrt(ell), L_g = sqrt(ell), and the total measure-Lipschitz
     budget L_u = m d M_h sqrt(ell), i.e. M_h sqrt(ell) per scalar
     component (rows of h have norm at most the Frobenius norm).
+
+    The features of a flow come from one stacked pass over all its nodes,
+    kept for the last _FEATURE_CACHE_SIZE flows by identity: the leader
+    ODE and the cost trapezoid read one flow at every node. A flow first
+    read at its last node, as the finite-N simulator's running prefix is,
+    gets that node's features alone, which keeps a simulation linear in
+    its step count. Either way g is the same, bit for bit.
     """
 
     h: np.ndarray
@@ -163,6 +188,7 @@ class SVControl:
             raise ValueError("horizon T must be positive")
         if self.M_h <= 0:
             raise ValueError("Frobenius budget M_h must be positive")
+        object.__setattr__(self, "_flow_features", [])
 
     @property
     def K(self):
@@ -190,8 +216,20 @@ class SVControl:
             raise ValueError(f"time {t} outside [0, {self.T}]")
         return min(int(max(t, 0.0) * self.K / self.T), self.K - 1)
 
+    def _features_at(self, flow, k):
+        for seen, G in self._flow_features:
+            if seen is flow:
+                return G[k]
+        if k == len(flow) - 1:
+            return self.features.stacked(flow.X[k], flow.V[k])
+        G = self.features.stacked(flow.X, flow.V)
+        self._flow_features.append((flow, G))
+        if len(self._flow_features) > _FEATURE_CACHE_SIZE:
+            self._flow_features.pop(0)
+        return G[k]
+
     def __call__(self, t, flow):
-        g = self.features(flow.at_time(t))
+        g = self._features_at(flow, flow.index_at(t))
         return (self.h[self.bin_index(t)] @ g).reshape(self.m, self.d)
 
 

@@ -21,8 +21,7 @@ from .phase_space import (MeasureFlow, gamma_p, holder_ratio, moment_p,
                           sup_moment, young_moment)
 from .sde import generate_brownian, simulate_frozen
 # EXACT_GAP_MAX_N is re-exported: callers read the size switch from here.
-from .wasserstein import (EXACT_GAP_MAX_N, wasserstein_gap,
-                          wasserstein_paired_bound)
+from .wasserstein import EXACT_GAP_MAX_N, paired_bounds, wasserstein_gap
 
 __all__ = [
     "PicardReport",
@@ -46,25 +45,39 @@ __all__ = [
 _PRUNE_RTOL = 1e-9
 
 
+def _pruned_max(bounds, solve):
+    """max(0, solve(k) over k) where bounds[k] dominates solve(k): the k
+    are solved in descending bound order, and the rest skipped once
+    bounds[k] * (1 + _PRUNE_RTOL) is at or below the running max. The
+    tolerance covers the rounding between a bound and its solve, so the
+    result is the full max bit for bit."""
+    best = 0.0
+    for k in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+        if bounds[k] * (1.0 + _PRUNE_RTOL) <= best:
+            break
+        best = max(best, solve(k))
+    return best
+
+
 def flow_gap(flow_a, flow_b, p):
     """sup over grid nodes of wasserstein_gap between snapshots: exact
     optimal transport up to EXACT_GAP_MAX_N points, the paired bound above.
 
-    The sup is pruned by the paired bound, which dominates exact W_p and is
-    far cheaper: nodes are solved in descending bound order, and the rest
-    are skipped once bound * (1 + _PRUNE_RTOL) is at or below the running
-    max. The tolerance covers the rounding between the two computations,
-    so the result is the same sup bit for bit. Above EXACT_GAP_MAX_N the
-    first node solved already attains the largest bound.
+    The paired bounds of all nodes come from one array pass over the two
+    flows' (nodes, N, d) arrays (paired_bounds, bitwise the per-node
+    wasserstein_paired_bound). The bound dominates exact W_p and is far
+    cheaper, so it prunes the sup: nodes are solved in descending bound
+    order and the rest skipped once no bound can raise the running max
+    (_pruned_max), which leaves the same sup bit for bit. Above
+    EXACT_GAP_MAX_N the first node solved already attains the largest
+    bound. The flows must share their node count, N and d.
     """
-    pairs = list(zip(flow_a.snapshots, flow_b.snapshots))
-    bounds = [wasserstein_paired_bound(a, b, p) for a, b in pairs]
-    gap = 0.0
-    for k in sorted(range(len(pairs)), key=bounds.__getitem__, reverse=True):
-        if bounds[k] * (1.0 + _PRUNE_RTOL) <= gap:
-            break
-        gap = max(gap, wasserstein_gap(*pairs[k], p))
-    return gap
+    if len(flow_a) != len(flow_b):
+        raise ValueError("flows must have the same number of nodes")
+    bounds = paired_bounds(flow_a.X, flow_a.V, flow_b.X, flow_b.V, p)
+    snaps_a, snaps_b = flow_a.snapshots, flow_b.snapshots
+    return _pruned_max(bounds,
+                       lambda k: wasserstein_gap(snaps_a[k], snaps_b[k], p))
 
 
 @dataclass(frozen=True)
@@ -252,13 +265,12 @@ def weakform_residual(flow, f, sigma, psi, t_index):
         return math.fsum(float(x) for x in values) / len(values)
 
     times = flow.times
-    end = flow.snapshots[t_index]
-    start = flow.snapshots[0]
-    total = avg(psi.value(end.X, end.V)) - avg(psi.value(start.X, start.V))
+    X_all, V_all = flow.X, flow.V
+    total = avg(psi.value(X_all[t_index], V_all[t_index])) \
+        - avg(psi.value(X_all[0], V_all[0]))
     for k in range(t_index):
         dt = float(times[k + 1] - times[k])
-        snap = flow.snapshots[k]
-        X, V = snap.X, snap.V
+        X, V = X_all[k], V_all[k]
         gen = np.einsum("ij,ij->i", V, psi.grad_x(X, V))
         drift = f.eval_batch(times[k], flow, X, V)
         gen = gen + np.einsum("ij,ij->i", drift, psi.grad_v(X, V))
@@ -303,17 +315,44 @@ class MomentCertificate:
     passed: bool
 
 
+def _gap_holder_ratio(flow, p):
+    """holder_ratio(flow, p, wp) for wp = wasserstein_gap, bit for bit,
+    pruned as flow_gap is: the paired bound over |t - s|^gamma_p dominates
+    each quotient, so the pairs are solved in descending order of it. The
+    bounds of all later nodes against node i come from one array pass."""
+    g = gamma_p(p)
+    X, V, snaps = flow.X, flow.V, flow.snapshots
+    pairs, bounds = [], []
+    for i in range(len(flow) - 1):
+        shape = X[i + 1:].shape
+        row = paired_bounds(np.broadcast_to(X[i], shape),
+                            np.broadcast_to(V[i], shape), X[i + 1:], V[i + 1:], p)
+        for j, b in enumerate(row, start=i + 1):
+            scale = float(flow.times[j] - flow.times[i]) ** g
+            pairs.append((i, j, scale))
+            bounds.append(b / scale)
+
+    def quotient(n):
+        i, j, scale = pairs[n]
+        return wasserstein_gap(snaps[i], snaps[j], p) / scale
+
+    return _pruned_max(bounds, quotient)
+
+
 def moment_certificate(flow, p, Phi, wp=None):
     """Evaluate sup-in-time p-moment, sup-in-time Young moment, and the
     worst Hoelder quotient at exponent gamma_p = 1/max(2, p). wp overrides
-    the distance callback used for the Hoelder ratio (defaults to the
-    exact/paired switch)."""
-    if wp is None:
-        def wp(a, b):
-            return wasserstein_gap(a, b, p)
+    the distance callback used for the Hoelder ratio; by default it is the
+    exact/paired switch wasserstein_gap, whose pair solves are pruned by
+    the paired bound (same value as the full loop, bit for bit)."""
     mbar = sup_moment(flow, p, flow.T)
     ybar = max(young_moment(s, Phi, p) for s in flow.snapshots)
-    holder = holder_ratio(flow, p, wp) if len(flow) >= 2 else 0.0
+    if len(flow) < 2:
+        holder = 0.0
+    elif wp is None:
+        holder = _gap_holder_ratio(flow, p)
+    else:
+        holder = holder_ratio(flow, p, wp)
     ok = all(math.isfinite(x) for x in (mbar, ybar, holder))
     return MomentCertificate(sup_moment=mbar, young_sup_moment=ybar,
                              holder=holder, p=p, gamma=gamma_p(p), passed=ok)

@@ -5,6 +5,10 @@ mu = (1/N) sum_i delta_{z_i} over phase points z = (x, v) in R^d x R^d,
 and on discrete measure flows: a time grid plus one ensemble per node,
 where point i at node k samples the same particle's trajectory. That
 persistent identity is what makes index-paired couplings meaningful.
+
+A flow stores its nodes as two locked (nodes, N, d) arrays, so a flow
+functional is one array expression over the node axis; its snapshots are
+locked ParticleEnsemble views of those arrays.
 """
 
 import csv
@@ -53,6 +57,26 @@ def _as_locked(a, dtype=float):
 def _require_finite(name, a):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must contain only finite values")
+
+
+def _grid(times):
+    """Locked copy of a time grid: one axis, at least one node, finite and
+    strictly increasing, else ValueError. Flows and leader paths share it."""
+    times = _as_locked(np.atleast_1d(times))
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("grid needs at least one node on one axis")
+    _require_finite("grid", times)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return times
+
+
+def _locked(a):
+    """A read-only view of a: the view is locked even where a, or the
+    buffer under it, stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class PhasePoint:
@@ -104,6 +128,14 @@ class ParticleEnsemble:
             raise ValueError("empty measure")
         _require_finite("positions", self.X)
         _require_finite("velocities", self.V)
+
+    @classmethod
+    def _view(cls, X, V):
+        """Ensemble over locked, checked (N, d) arrays, taken as they are:
+        no copy and no re-check."""
+        ens = object.__new__(cls)
+        ens.X, ens.V = X, V
+        return ens
 
     @classmethod
     def from_points(cls, points):
@@ -162,46 +194,62 @@ class MeasureFlow:
     """A discrete curve of empirical measures on a strictly increasing grid.
 
     Snapshot k holds the same N particles as snapshot 0; the flow doubles
-    as one admissible path-space coupling through that identity.
+    as one admissible path-space coupling through that identity. The nodes
+    live in two locked (nodes, N, d) arrays X and V, so flow functionals
+    run one array pass over the node axis. snapshots, at_time and prefix
+    hand out locked views of those arrays, never copies.
     """
 
-    __slots__ = ("times", "snapshots")
+    __slots__ = ("times", "X", "V")
 
     def __init__(self, times, snapshots):
-        self.times = _as_locked(np.atleast_1d(times))
-        self.snapshots = tuple(snapshots)
-        if self.times.ndim != 1 or self.times.size != len(self.snapshots):
+        """Stack the ensembles on the grid into the flow's arrays, checking
+        the grid and the shapes once."""
+        snapshots = tuple(snapshots)
+        self.times = _grid(times)
+        if self.times.size != len(snapshots):
             raise ValueError("one snapshot per grid node required")
-        if self.times.size < 1:
-            raise ValueError("flow needs at least one node")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        _require_finite("grid", self.times)
-        N, d = self.snapshots[0].N, self.snapshots[0].d
-        for s in self.snapshots:
-            if s.N != N or s.d != d:
-                raise ValueError("snapshots must share N and d")
+        if len({s.X.shape for s in snapshots}) != 1:
+            raise ValueError("snapshots must share N and d")
+        self.X = _as_locked(np.stack([s.X for s in snapshots]))
+        self.V = _as_locked(np.stack([s.V for s in snapshots]))
+
+    @classmethod
+    def _of(cls, times, X, V):
+        """Flow on a checked grid and (nodes, N, d) arrays of finite
+        values, with no copy and no re-check: it keeps locked views."""
+        flow = object.__new__(cls)
+        flow.times, flow.X, flow.V = _locked(times), _locked(X), _locked(V)
+        return flow
 
     @classmethod
     def constant(cls, ens, times):
-        """Constant-in-time extension of one ensemble over a grid."""
-        times = np.atleast_1d(times)
-        return cls(times, [ens] * times.size)
+        """Constant-in-time extension of one ensemble over a grid: a
+        broadcast view of the ensemble's arrays, no copy."""
+        times = _grid(times)
+        shape = (times.size,) + ens.X.shape
+        return cls._of(times, np.broadcast_to(ens.X, shape),
+                       np.broadcast_to(ens.V, shape))
 
     @property
     def N(self):
-        return self.snapshots[0].N
+        return self.X.shape[1]
 
     @property
     def d(self):
-        return self.snapshots[0].d
+        return self.X.shape[2]
 
     @property
     def T(self):
         return float(self.times[-1])
 
+    @property
+    def snapshots(self):
+        """One locked ParticleEnsemble view per node."""
+        return tuple(ParticleEnsemble._view(X, V) for X, V in zip(self.X, self.V))
+
     def __len__(self):
-        return len(self.snapshots)
+        return self.times.size
 
     def index_at(self, t):
         """Largest node index k with t_k <= t (up to grid tolerance)."""
@@ -210,12 +258,13 @@ class MeasureFlow:
     def at_time(self, t):
         """Snapshot at the largest node <= t. Fields evaluate measures here,
         which keeps every shipped drift non-anticipative by construction."""
-        return self.snapshots[self.index_at(t)]
+        k = self.index_at(t)
+        return ParticleEnsemble._view(self.X[k], self.V[k])
 
     def prefix(self, t):
-        """Sub-flow on the nodes <= t."""
-        k = self.index_at(t)
-        return MeasureFlow(self.times[: k + 1], self.snapshots[: k + 1])
+        """Sub-flow on the nodes <= t, a view of this flow's arrays."""
+        k = self.index_at(t) + 1
+        return MeasureFlow._of(self.times[:k], self.X[:k], self.V[:k])
 
     def __repr__(self):
         return f"MeasureFlow(nodes={len(self)}, N={self.N}, d={self.d}, T={self.T})"
@@ -269,13 +318,24 @@ class LeaderPath:
     __slots__ = ("times", "Y", "W")
 
     def __init__(self, times, Y, W):
-        self.times = _as_locked(np.atleast_1d(times))
+        """Copy and check: the grid as a flow's grid, Y and W finite."""
+        self.times = _grid(times)
         self.Y = _as_locked(Y)
         self.W = _as_locked(W)
         if self.Y.shape != self.W.shape or self.Y.ndim != 3:
             raise ValueError("Y and W must share shape (nodes, m, d)")
         if self.Y.shape[0] != self.times.size:
             raise ValueError("one leader state per grid node required")
+        _require_finite("Y", self.Y)
+        _require_finite("W", self.W)
+
+    @classmethod
+    def _of(cls, times, Y, W):
+        """Path on a checked grid and (nodes, m, d) arrays of finite
+        values, with no copy and no re-check: it keeps locked views."""
+        path = object.__new__(cls)
+        path.times, path.Y, path.W = _locked(times), _locked(Y), _locked(W)
+        return path
 
     @property
     def m(self):
@@ -295,8 +355,9 @@ class LeaderPath:
         return self.state(self.index_at(t))
 
     def prefix(self, t):
-        k = self.index_at(t)
-        return LeaderPath(self.times[: k + 1], self.Y[: k + 1], self.W[: k + 1])
+        """Sub-path on the nodes <= t, a view of this path's arrays."""
+        k = self.index_at(t) + 1
+        return LeaderPath._of(self.times[:k], self.Y[:k], self.W[:k])
 
     def sup_norm(self):
         """sup over nodes of |(Y, W)| as a flattened vector per node."""
@@ -355,8 +416,7 @@ def moment_p(ens, p):
 
 def sup_moment(flow, p, t):
     """Running sup moment M_bar_p(t) = max over nodes s <= t of M_p(mu_s)."""
-    k = flow.index_at(t)
-    return max(moment_p(flow.snapshots[j], p) for j in range(k + 1))
+    return max(moment_p(s, p) for s in flow.prefix(t).snapshots)
 
 
 def young_moment(ens, Phi, p):
@@ -384,11 +444,12 @@ def holder_ratio(flow, p, wp):
     if len(flow) < 2:
         raise ValueError("holder_ratio needs a flow with at least 2 snapshots")
     g = gamma_p(p)
+    snaps = flow.snapshots
     worst = 0.0
     for i in range(len(flow)):
         for j in range(i + 1, len(flow)):
             dt = float(flow.times[j] - flow.times[i])
-            q = wp(flow.snapshots[i], flow.snapshots[j]) / dt**g
+            q = wp(snaps[i], snaps[j]) / dt**g
             if q > worst:
                 worst = q
     return worst
@@ -415,9 +476,7 @@ def _write_csv(path, names, times, X, V):
 def write_flow_csv(flow, path):
     """Flow CSV: header t,particle,x0..x{d-1},v0..v{d-1}, one row per
     (time node, particle), full round-trip precision."""
-    snaps = flow.snapshots
-    _write_csv(path, ("particle", "x", "v"), flow.times,
-               [s.X for s in snaps], [s.V for s in snaps])
+    _write_csv(path, ("particle", "x", "v"), flow.times, flow.X, flow.V)
 
 
 def read_flow_csv(path):

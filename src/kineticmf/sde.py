@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import kernel_fields
-from .phase_space import LeaderPath, MeasureFlow, ParticleEnsemble, time_grid
+from .phase_space import LeaderPath, MeasureFlow, time_grid
 
 __all__ = [
     "SimConfig",
@@ -132,8 +132,10 @@ def generate_brownian(cfg):
 
 def _euler_maruyama(init, cfg, paths, drift, Y=None):
     """The one kinetic Euler-Maruyama loop: v' = v + f dt + sqrt(2 sigma) dB,
-    x' = x + v' dt, with the (N, d) array f = drift(k, snapshots, X, V)
-    and snapshots the ensembles on the nodes <= k. Y, when given, is the
+    x' = x + v' dt, written node by node into the (n_steps + 1, N, d)
+    arrays of the returned flow. f = drift(k, prefix) is an (N, d) array;
+    prefix is the flow on the nodes <= k, locked views of those arrays,
+    whose last node is the current state. Y, when given, is the
     (n_steps + 1, m, d) leader history that drift fills one node ahead;
     Y[k + 1] joins the state check of step k."""
     if init.N != cfg.N or init.d != cfg.d:
@@ -143,21 +145,22 @@ def _euler_maruyama(init, cfg, paths, drift, Y=None):
     dt = cfg.dt
     noise = math.sqrt(2.0 * cfg.sigma)
     times = cfg.grid()
-    X, V = init.X.copy(), init.V.copy()
-    snapshots = [init]
+    X = np.empty((cfg.n_steps + 1, cfg.N, cfg.d))
+    V = np.empty_like(X)
+    X[0], V[0] = init.X, init.V
     for k in range(cfg.n_steps):
-        f = drift(k, snapshots, X, V)
+        f = drift(k, MeasureFlow._of(times[: k + 1], X[: k + 1], V[: k + 1]))
         if not np.all(np.isfinite(f)):
             i = int(np.argwhere(~np.isfinite(f))[0][0])
             raise FloatingPointError(
                 f"non-finite drift at step {k} (t={times[k]}), particle {i}")
-        V = V + f * dt + noise * paths.increments[k, : cfg.N]
-        X = X + V * dt
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))
+        # (v + f dt) + sqrt(2 sigma) dB, in that order: the bits depend on it.
+        np.add(V[k] + f * dt, noise * paths.increments[k, : cfg.N], out=V[k + 1])
+        np.add(X[k], V[k + 1] * dt, out=X[k + 1])
+        if not (np.all(np.isfinite(X[k + 1])) and np.all(np.isfinite(V[k + 1]))
                 and (Y is None or np.all(np.isfinite(Y[k + 1])))):
             raise FloatingPointError(f"non-finite state at step {k + 1}")
-        snapshots.append(ParticleEnsemble(X, V))
-    return MeasureFlow(times, snapshots)
+    return MeasureFlow._of(times, X, V)
 
 
 def simulate_frozen(F, init, cfg, paths):
@@ -170,7 +173,8 @@ def simulate_frozen(F, init, cfg, paths):
     """
     times = cfg.grid()
 
-    def drift(k, snapshots, X, V):
+    def drift(k, prefix):
+        X, V = prefix.X[k], prefix.V[k]
         return np.broadcast_to(np.asarray(F(times[k], X, V), dtype=float),
                                X.shape)
 
@@ -192,6 +196,11 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     differ in the last bit (on 23 of 25 steps at T = 2 with 25 steps), so
     each level keeps its own step and its outputs.
 
+    The running flow and leader path a step reads are locked views of the
+    arrays the simulation fills, so a step copies and re-checks no earlier
+    node. A non-finite state or final leader right-hand side raises
+    FloatingPointError.
+
     kernels maps K11, K12, K21, K22 to kernels (an absent or None slot
     contributes nothing); u is a callable (t, flow prefix) -> (m, d) or
     None. Returns (follower MeasureFlow, LeaderPath).
@@ -204,19 +213,22 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     W = np.empty_like(Y)
     Y[0] = init_leaders.Y
 
-    def drift(k, snapshots, X, V):
-        prefix = MeasureFlow(times[: k + 1], snapshots)
+    def drift(k, prefix):
         W[k] = F.rhs(times[k], prefix, Y[k], u)
         Y[k + 1] = Y[k] + W[k] * cfg.dt
+        X, V = prefix.X[k], prefix.V[k]
         f = v.eval_batch(times[k], prefix, X, V)
         if w is None:
             return f
-        path = LeaderPath(times[: k + 1], Y[: k + 1], W[: k + 1])
+        path = LeaderPath._of(times[: k + 1], Y[: k + 1], W[: k + 1])
         return f + w.eval_batch(times[k], path, X, V)
 
     flow = _euler_maruyama(init_followers, cfg, paths, drift, Y)
     W[-1] = F.rhs(times[-1], flow, Y[-1], u)
-    return flow, LeaderPath(times, Y, W)
+    if not np.all(np.isfinite(W[-1])):
+        raise FloatingPointError(
+            f"non-finite leader right-hand side at t={times[-1]}")
+    return flow, LeaderPath._of(times, Y, W)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kineticmf.control_opt import (
     ControlSpec,
@@ -50,7 +52,31 @@ def _const_flow(x=0.0, v=0.0, N=2, n_steps=4, T=1.0):
 
 
 def _unit_feature():
-    return FeatureMap(ell=1, fn=lambda ens: np.array([1.0]), name="one")
+    return FeatureMap(ell=1, fn=lambda X, V: np.ones(X.shape[:-2] + (1,)),
+                      name="one")
+
+
+def _per_ensemble_features(ens, R_c):
+    """default_features as it was written per ensemble, before the flow
+    level form: the reference the stacked pass must reproduce."""
+    def squash(x):
+        return x / (1.0 + np.abs(x))
+
+    mx = squash(ens.X.mean(axis=0))
+    mv = squash(ens.V.mean(axis=0))
+    r2 = np.sum(ens.X**2, axis=1) + np.sum(ens.V**2, axis=1)
+    second = squash(np.mean(np.minimum(r2, R_c**2)) / (2.0 * R_c))
+    return np.concatenate([mx, mv, [second]])
+
+
+def _spread_flow(rng, nodes, N, d):
+    """A flow whose nodes draw their own scale over six decades."""
+    snaps = [ParticleEnsemble(*(10.0 ** rng.uniform(-3, 3)
+                                * rng.standard_normal((N, d))
+                                * 10.0 ** rng.uniform(-0.5, 0.5, (N, d))
+                                for _ in range(2)))
+             for _ in range(nodes)]
+    return MeasureFlow(np.arange(nodes, dtype=float), snaps)
 
 
 def _point_sampler(d, x=0.0, v=0.0):
@@ -95,13 +121,59 @@ class TestFeatures:
             assert np.all(np.abs(g(ens)) <= 1.0)
 
     def test_shape_mismatch_caught(self):
-        g = FeatureMap(ell=2, fn=lambda ens: np.array([1.0]))
+        g = FeatureMap(ell=2, fn=lambda X, V: np.array([1.0]))
         with pytest.raises(ValueError, match="shape"):
             g(ParticleEnsemble([[0.0]], [[0.0]]))
 
     def test_clamp_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             default_features(1, R_c=0.0)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 2, 7, 8, 9, 64, 127, 128, 129, 300]),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=6),
+           st.sampled_from([0.5, 5.0, 1e3]))
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_features_match_the_per_ensemble_form_bitwise(
+            self, seed, N, d, nodes, R_c):
+        # N crosses 8 and 128, numpy's two pairwise-sum branches at d = 1.
+        # A constant flow is a broadcast view, a prefix a slice: both must
+        # reduce as the per-ensemble arrays do.
+        rng = np.random.default_rng(seed)
+        g = default_features(d, R_c=R_c)
+        flow = _spread_flow(rng, nodes, N, d)
+        const = MeasureFlow.constant(flow.snapshots[0], flow.times)
+        for fl in (flow, const, flow.prefix(float(nodes // 2))):
+            G = g.stacked(fl.X, fl.V)
+            assert G.shape == (len(fl), 2 * d + 1)
+            for k, ens in enumerate(fl.snapshots):
+                want = _per_ensemble_features(ens, R_c).tobytes()
+                assert G[k].tobytes() == want
+                assert g(ens).tobytes() == want
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 8, 9, 64, 129]),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=6),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sv_control_matches_per_node_features_bitwise(self, seed, N, d,
+                                                           nodes, last_first):
+        # The control reads the features of the whole flow at once (first
+        # read at node 0) or of the last node alone (first read there); both
+        # must give h[bin] @ g(mu_t) with g the per-ensemble features.
+        rng = np.random.default_rng(seed)
+        flow = _spread_flow(rng, nodes, N, d)
+        m = 2
+        u = sv_control(rng.standard_normal((3, m * d, 2 * d + 1)),
+                       T=flow.T or 1.0, M_h=10.0, m=m, d=d)
+        order = list(range(nodes))[::-1] if last_first else range(nodes)
+        for k in order:
+            t = float(flow.times[k])
+            g = _per_ensemble_features(flow.snapshots[k], 5.0)
+            want = (u.h[u.bin_index(t)] @ g).reshape(m, d)
+            assert u(t, flow).tobytes() == want.tobytes()
 
 
 class TestControlSpecs:
@@ -225,7 +297,8 @@ class TestProjection:
         rng = np.random.default_rng(8)
         h = 4.0 * rng.standard_normal((3, 2, 5))
         u = sv_control(h, T=1.0, M_h=1.0, m=2, d=1,
-                       features=FeatureMap(ell=5, fn=lambda e: np.zeros(5)))
+                       features=FeatureMap(
+                           ell=5, fn=lambda X, V: np.zeros(X.shape[:-2] + (5,))))
         once = project_admissible(u)
         twice = project_admissible(once)
         np.testing.assert_array_equal(once.h, twice.h)

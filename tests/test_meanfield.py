@@ -33,10 +33,12 @@ from kineticmf.phase_space import (
     IDENTITY_YOUNG,
     MeasureFlow,
     ParticleEnsemble,
+    holder_ratio,
     time_grid,
 )
 from kineticmf.sde import SimConfig, generate_brownian, simulate_frozen
-from kineticmf.wasserstein import wasserstein_exact, wasserstein_paired_bound
+from kineticmf.wasserstein import (wasserstein_exact, wasserstein_gap,
+                                   wasserstein_paired_bound)
 
 
 def _cfg(**kw):
@@ -408,6 +410,55 @@ class TestMomentCertificate:
         assert cert.passed
         assert cert.sup_moment > 0.0
         assert cert.holder > 0.0
+
+    @given(st.sampled_from([1, 2, 7, 32, 33, 64, 257]),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.tuples(st.sampled_from(["step", "repeat", "shuffled",
+                                               "translated"]),
+                              st.floats(min_value=-12.0, max_value=0.0)),
+                    min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_holder_equals_full_holder(self, N, d, p, seed, nodes):
+        # Each node moves from the one before by a random step of size
+        # 1e-12..1, repeats it (gap 0), is a shuffled copy plus a step
+        # (exact far below paired) or a translate (exact = paired). Uneven
+        # time steps mix the Hoelder scales into the bound order.
+        rng = np.random.default_rng(seed)
+        snaps = [_spread_init(N, d, seed=int(rng.integers(2**32)))]
+        for kind, log_eps in nodes:
+            eps = 10.0 ** log_eps
+            prev = snaps[-1]
+            if kind == "repeat":
+                nxt = prev
+            elif kind == "translated":
+                shift = eps * rng.standard_normal(2 * d)
+                nxt = ParticleEnsemble(prev.X + shift[:d], prev.V + shift[d:])
+            else:
+                nxt = ParticleEnsemble(prev.X + eps * rng.standard_normal((N, d)),
+                                       prev.V + eps * rng.standard_normal((N, d)))
+                if kind == "shuffled":
+                    nxt = nxt.permuted(rng.permutation(N))
+            snaps.append(nxt)
+        times = np.cumsum(rng.uniform(0.01, 1.0, len(snaps)))
+        flow = MeasureFlow(times, snaps)
+        full = holder_ratio(flow, p, lambda a, b: wasserstein_gap(a, b, p))
+        assert moment_certificate(flow, p, IDENTITY_YOUNG).holder == full
+
+    def test_holder_pruning_skips_dominated_pairs(self):
+        # Perturbations shrinking tenfold per node: the identity coupling
+        # stays optimal, so few of the 15 pairs need a solve.
+        rng = np.random.default_rng(4)
+        base = _spread_init(16, 2, seed=9)
+        snaps = [ParticleEnsemble(base.X + 10.0**-k * rng.standard_normal((16, 2)),
+                                  base.V) for k in range(6)]
+        flow = MeasureFlow(np.arange(6, dtype=float), snaps)
+        full = holder_ratio(flow, 2.0, lambda a, b: wasserstein_gap(a, b, 2.0))
+        with mock.patch.object(meanfield, "wasserstein_gap",
+                               wraps=meanfield.wasserstein_gap) as spy:
+            assert moment_certificate(flow, 2.0, IDENTITY_YOUNG).holder == full
+        assert spy.call_count < 15
 
     def test_custom_distance_callback_respected(self):
         ens = ParticleEnsemble([[1.0]], [[0.0]])

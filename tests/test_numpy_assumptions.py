@@ -172,3 +172,41 @@ def test_scalar_power_is_the_c_library_pow(p):
         assert v ** e == want
         assert np.float64(v) ** e == want
         assert np.float64(v) ** np.float64(e) == want
+
+
+# Flow functionals run over a leading node axis. paired_bounds and the
+# stacked feature map give each node's value bit for bit as the per-node
+# expressions do only because these stacked reductions sum each node in
+# the per-node order.
+
+
+@pytest.mark.parametrize("D", [2, 4, 6])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 512])
+def test_stacked_row_einsum_equals_the_per_row_einsum(n, D):
+    A = _values((5, n, D), seed=n + D)
+    B = _values((5, n, D), seed=n + D + 1)
+    got = np.einsum("kij,kij->ki", A, B)
+    for k in range(5):
+        assert got[k].tobytes() == np.einsum("ij,ij->i", A[k], B[k]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 64, 127, 128, 129, 300, 2048])
+def test_stacked_row_mean_equals_the_per_row_mean(n):
+    # A (nodes, n) mean(axis=1) is each row's contiguous pairwise sum.
+    A = _values((6, n), seed=n)
+    got = A.mean(axis=1)
+    for k in range(6):
+        assert got[k].tobytes() == np.mean(A[k]).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 300])
+def test_stacked_mean_over_particles_equals_the_per_node_mean(n, d):
+    # mean(axis=-2) of a (nodes, n, d) stack, a broadcast one (a constant
+    # flow) and a slice (a prefix) against mean(axis=0) of each (n, d)
+    # node: pairwise over the particles at d = 1, a left fold at d >= 2.
+    A = _values((6, n, d), seed=10 * n + d)
+    for stack in (A, np.broadcast_to(A[2], A.shape), A[:3]):
+        got = stack.mean(axis=-2)
+        for k in range(len(stack)):
+            assert got[k].tobytes() == stack[k].mean(axis=0).tobytes()

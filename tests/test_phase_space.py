@@ -135,6 +135,11 @@ class TestTimeGrid:
             time_grid(1.0, 0)
 
 
+def _same(a, b):
+    """Two ensembles hold the same bytes."""
+    return a.X.tobytes() == b.X.tobytes() and a.V.tobytes() == b.V.tobytes()
+
+
 class TestMeasureFlow:
     def test_requires_strictly_increasing_grid(self):
         ens = _gaussian_ensemble(2, 1, seed=0)
@@ -155,10 +160,8 @@ class TestMeasureFlow:
     def test_at_time_picks_left_node(self):
         snaps = [_gaussian_ensemble(2, 1, seed=s) for s in range(3)]
         flow = MeasureFlow([0.0, 0.5, 1.0], snaps)
-        assert flow.at_time(0.0) is snaps[0]
-        assert flow.at_time(0.49) is snaps[0]
-        assert flow.at_time(0.5) is snaps[1]
-        assert flow.at_time(1.0) is snaps[2]
+        for t, k in [(0.0, 0), (0.49, 0), (0.5, 1), (1.0, 2)]:
+            assert _same(flow.at_time(t), snaps[k])
 
     def test_at_time_tolerates_rounding(self):
         # 0.1 * 3 != 0.3 in binary; lookup must still land on the node.
@@ -188,12 +191,79 @@ class TestMeasureFlow:
         pre = flow.prefix(2.0)
         assert len(pre) == 3
         assert pre.T == 2.0
-        assert pre.snapshots[-1] is snaps[2]
+        assert _same(pre.snapshots[-1], snaps[2])
+        # A view of the flow's arrays, not a copy.
+        assert np.shares_memory(pre.X, flow.X)
 
     def test_constant_flow_reuses_ensemble(self):
         ens = _gaussian_ensemble(3, 2, seed=1)
         flow = MeasureFlow.constant(ens, time_grid(1.0, 5))
-        assert all(s is ens for s in flow.snapshots)
+        assert all(_same(s, ens) for s in flow.snapshots)
+        assert np.shares_memory(flow.X, ens.X)
+        assert np.shares_memory(flow.V, ens.V)
+
+
+def _assert_locked(a):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[(0,) * a.ndim] = 1.0
+
+
+class TestLocking:
+    """Every array a flow or leader path hands out is read-only: the
+    arrays themselves, their snapshot views, at_time and prefix."""
+
+    @staticmethod
+    def _assert_flow_locked(flow):
+        _assert_locked(flow.X)
+        _assert_locked(flow.V)
+        for s in flow.snapshots + (flow.at_time(flow.T),):
+            _assert_locked(s.X)
+            _assert_locked(s.V)
+        pre = flow.prefix(float(flow.times[0]))
+        _assert_locked(pre.X)
+        _assert_locked(pre.V)
+
+    def test_constructed_flow_is_locked(self):
+        snaps = [_gaussian_ensemble(3, 2, seed=s) for s in range(3)]
+        self._assert_flow_locked(MeasureFlow(time_grid(1.0, 2), snaps))
+        self._assert_flow_locked(MeasureFlow.constant(snaps[0], time_grid(1.0, 2)))
+
+    def test_constructed_flow_does_not_alias_its_inputs(self):
+        X = np.zeros((2, 1))
+        ens = ParticleEnsemble(X, X)
+        flow = MeasureFlow([0.0, 1.0], [ens, ens])
+        X[0, 0] = 5.0
+        assert flow.X[0, 0, 0] == 0.0
+
+    def test_simulated_flows_and_running_prefixes_are_locked(self):
+        from kineticmf.drift import kernel
+        from kineticmf.sde import (SimConfig, generate_brownian,
+                                   simulate_frozen, simulate_interacting)
+
+        cfg = SimConfig(T=1.0, n_steps=3, N=4, sigma=0.1, seed=1, d=2)
+        paths = generate_brownian(cfg)
+        init = _gaussian_ensemble(4, 2, seed=3)
+        self._assert_flow_locked(
+            simulate_frozen(lambda t, X, V: -V, init, cfg, paths))
+        seen = []
+
+        def u(t, prefix):
+            # The running flow the simulator hands a control mid-run.
+            self._assert_flow_locked(prefix)
+            seen.append(len(prefix))
+            return np.zeros((1, 2))
+
+        kernels = {"K11": kernel("bounded_alignment", d=2),
+                   "K12": kernel("bounded_attraction")}
+        flow, leaders = simulate_interacting(
+            kernels, u, init, LeaderState(np.ones((1, 2)), np.zeros((1, 2))),
+            cfg, paths)
+        assert seen == [1, 2, 3, 4]
+        self._assert_flow_locked(flow)
+        _assert_locked(leaders.Y)
+        _assert_locked(leaders.W)
+        _assert_locked(leaders.prefix(0.5).Y)
 
 
 class TestLeaders:
@@ -221,6 +291,32 @@ class TestLeaders:
         lp = LeaderPath(time_grid(1.0, 2), Y, np.zeros_like(Y))
         with pytest.raises(ValueError, match="outside grid"):
             getattr(lp, lookup)(float("nan"))
+
+    def test_path_grid_must_increase(self):
+        # A decreasing node once made index_at(0.25) answer 0.
+        Y = np.zeros((3, 1, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LeaderPath([0.0, 1.0, 0.5], Y, Y)
+
+    def test_path_grid_must_be_finite(self):
+        Y = np.zeros((3, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            LeaderPath([0.0, float("nan"), 1.0], Y, Y)
+
+    @pytest.mark.parametrize("which", ["Y", "W"])
+    def test_path_states_must_be_finite(self, which):
+        good = np.zeros((2, 1, 1))
+        bad = good.copy()
+        bad[1, 0, 0] = np.inf
+        arrays = {"Y": good, "W": good, which: bad}
+        with pytest.raises(ValueError, match=f"{which} must contain only finite"):
+            LeaderPath([0.0, 1.0], arrays["Y"], arrays["W"])
+
+    def test_leader_csv_with_a_bad_grid_rejected(self, tmp_path):
+        path = tmp_path / "leaders.csv"
+        path.write_text("t,leader,y0,w0\r\n0,0,0,0\r\n1,0,0,0\r\n0.5,0,0,0\r\n")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            read_leader_csv(path)
 
     def test_sup_norm_of_empty_path_is_zero(self):
         lp = LeaderPath(np.array([0.0, 1.0]), np.zeros((2, 0, 1)), np.zeros((2, 0, 1)))

@@ -385,6 +385,19 @@ class TestInteracting:
                     assert got[1].Y.tobytes() == want[1].Y.tobytes(), label
                     assert got[1].W.tobytes() == want[1].W.tobytes(), label
 
+    def test_nonfinite_final_leader_rhs_detected(self):
+        # The last right-hand side, W at t = T, moves no state; it is checked
+        # on its own, as solve_leader_ode checks it.
+        cfg = _cfg(N=2, n_steps=3)
+
+        def bad(t, pre):
+            return np.array([[np.inf if t == cfg.T else 0.0]])
+
+        with pytest.raises(FloatingPointError, match="right-hand side"):
+            simulate_interacting({}, bad, _point_init(2, 1),
+                                 LeaderState([[0.0]], [[0.0]]), cfg,
+                                 generate_brownian(cfg))
+
     def test_nonfinite_leader_state_detected(self):
         cfg = _cfg(N=2, n_steps=3)
         bad = lambda t, pre: np.array([[np.inf]])

@@ -16,6 +16,7 @@ from kineticmf.phase_space import ParticleEnsemble
 from kineticmf.wasserstein import (
     EXACT_SIZE_CAP,
     TransportPlan,
+    paired_bounds,
     sliced_w1,
     sliced_w1_points,
     wasserstein_distance,
@@ -142,6 +143,40 @@ class TestValueOnly:
         assert dist == 0.0
         assert wasserstein_distance(a, b, p) == 0.0
         np.testing.assert_array_equal(plan.assignment, [1, 0])
+
+
+class TestPairedBounds:
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 2, 7, 8, 9, 64, 127, 128, 129, 300, 512]),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=6),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_bounds_match_the_per_pair_bound_bitwise(self, seed, N, d,
+                                                             nodes, p):
+        # Every node draws its own scale over six decades, and every entry
+        # a further decade of spread, so rounding differences would show.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
+        Xa, Va, Xb, Vb = (scale * rng.standard_normal((nodes, N, d))
+                          * 10.0 ** rng.uniform(-0.5, 0.5, (nodes, N, d))
+                          for _ in range(4))
+        got = paired_bounds(Xa, Va, Xb, Vb, p)
+        want = [wasserstein_paired_bound(ParticleEnsemble(Xa[k], Va[k]),
+                                         ParticleEnsemble(Xb[k], Vb[k]), p)
+                for k in range(nodes)]
+        assert len(got) == nodes
+        assert all(type(g) is float for g in got)
+        assert got == want
+
+    def test_shapes_and_order_checked(self):
+        A = np.zeros((2, 3, 1))
+        with pytest.raises(ValueError, match="one shape"):
+            paired_bounds(A, A, np.zeros((2, 4, 1)), np.zeros((2, 4, 1)), 2.0)
+        with pytest.raises(ValueError, match="one shape"):
+            paired_bounds(A[0], A[0], A[0], A[0], 2.0)
+        with pytest.raises(ValueError, match="order"):
+            paired_bounds(A, A, A, A, 0.5)
 
 
 class TestTieBreaking:
