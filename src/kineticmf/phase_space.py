@@ -41,11 +41,14 @@ _TIME_TOL = 1e-9
 
 def _index_at(times, t):
     """Largest k with times[k] <= t, up to the grid tolerance. A t outside
-    the grid, NaN included, raises ValueError."""
-    tol = _TIME_TOL * max(1.0, abs(float(times[-1])))
-    if not times[0] - tol <= t <= times[-1] + tol:
+    the grid, NaN included, raises ValueError. The range check runs on
+    Python floats and the lookup calls the ndarray method: every field,
+    control and Lagrangian read comes through here."""
+    lo, hi = times.item(0), times.item(-1)
+    tol = _TIME_TOL * max(1.0, abs(hi))
+    if not lo - tol <= t <= hi + tol:
         raise ValueError(f"time {t} outside grid range [{times[0]}, {times[-1]}]")
-    return int(np.searchsorted(times, t + tol, side="right")) - 1
+    return int(times.searchsorted(t + tol, side="right")) - 1
 
 
 def _as_locked(a, dtype=float):

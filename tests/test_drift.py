@@ -1,6 +1,8 @@
 """Kernel library, drift construction, truncation, and validator tests."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +422,126 @@ class TestPairMean:
         out = pair_mean(K, np.ones((5, 3)), np.empty((0, 3)),
                         np.ones((5, 3)), np.empty((0, 3)))
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
+
+
+def _laid_out(a, component_major):
+    """A copy of the (n, m, d) array a behind a component-major (n, d, m)
+    or a target-major (m, n, d) buffer, as pair_mean lays out its tiles."""
+    if component_major:
+        return np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _strides(a):
+    """a's memory layout: the strides of its axes longer than one."""
+    return [s for s, k in zip(a.strides, a.shape) if k > 1]
+
+
+def _in_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, whose pair_mean workspace starts empty."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return result[0]
+
+
+def _spread(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+class TestPairWorkspace:
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("component_major", [True, False])
+    def test_out_path_equals_the_allocating_call(self, d, component_major):
+        rng = np.random.default_rng(d)
+        dx = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        dv = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        before = dx.tobytes(), dv.tobytes()
+        for name in KERNEL_NAMES:
+            K = kernel(name, d=d, params={"value": -0.25})
+            fresh = K(dx, dv)
+            assert _strides(fresh) == _strides(dx), name
+            out = _laid_out(np.full(dx.shape, np.nan), component_major)
+            assert K(dx, dv, out=out) is out
+            assert out.tobytes() == fresh.tobytes(), name
+            assert (dx.tobytes(), dv.tobytes()) == before, name
+
+    def test_returned_values_survive_a_later_pair_mean(self):
+        rng = np.random.default_rng(3)
+        dx, dv = rng.standard_normal((2, 40, 300, 2))
+        K = kernel("bounded_alignment", d=2)
+        vals = K(dx, dv)
+        kept = vals.tobytes()
+        A, B = rng.standard_normal((2, 300, 2))
+        pair_mean(K, A, A, B, B)
+        assert vals.tobytes() == kept
+
+    def test_growing_then_shrinking_calls_match_fresh_calls(self):
+        # Sizes grow past one tile and shrink again with d and the kernel
+        # changing between calls, so a stale prefix of a larger or
+        # differently laid out tile would show in the bytes.
+        rng = np.random.default_rng(11)
+        calls = []
+        for (N, n), d, name in zip(
+                [(3, 4), (300, 40), (600, 257), (257, 600), (40, 300), (2, 3),
+                 (513, 9), (1, 1)],
+                [1, 3, 8, 2, 10, 7, 1, 4],
+                ["bounded_attraction", "bounded_alignment", "bounded_attraction",
+                 "constant", "attraction_position", "alignment", "zero",
+                 "bounded_attraction_position"]):
+            K = kernel(name, d=d, params={"value": 1.5})
+            A_to, B_to = _spread(rng, (2, N, d))
+            A_from, B_from = _spread(rng, (2, n, d))
+            calls.append((K, A_to, A_from, B_to, B_from))
+
+        def run_all(calls):
+            return [pair_mean(*c).tobytes() for c in calls]
+
+        fresh = [_in_fresh_thread(pair_mean, *c).tobytes() for c in calls]
+        assert _in_fresh_thread(run_all, calls) == fresh
+        assert _in_fresh_thread(run_all, calls[::-1]) == fresh[::-1]
+
+    def test_concurrent_threads_give_the_serial_bytes(self):
+        rng = np.random.default_rng(5)
+        jobs = []
+        for d, name in [(2, "bounded_alignment"), (1, "bounded_attraction")]:
+            K = kernel(name, d=d)
+            A, B = _spread(rng, (2, 600, d))
+            jobs.append([(K, A[:N], A, B[:N], B) for N in (600, 300, 513)] * 4)
+        serial = [[pair_mean(*c).tobytes() for c in job] for job in jobs]
+        start = threading.Barrier(len(jobs))
+        got = [None] * len(jobs)
+
+        def worker(i):
+            start.wait()
+            got[i] = [pair_mean(*c).tobytes() for c in jobs[i]]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == serial
+
+    def test_repeated_calls_reuse_the_workspace(self):
+        # One 256 x 512 x 2 tile of differences is 2 MiB; a call that
+        # reuses the workspace allocates only its result and row means.
+        rng = np.random.default_rng(8)
+        X, V = rng.standard_normal((2, 512, 2))
+        K = kernel("bounded_alignment", d=2)
+
+        def second_call_peak():
+            pair_mean(K, X, X, V, V)
+            tracemalloc.start()
+            try:
+                pair_mean(K, X, X, V, V)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _in_fresh_thread(second_call_peak) < 256 * 1024
 
 
 class TestLeaderFields:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kineticmf.control_opt import (
     CostSpec,
@@ -20,6 +22,7 @@ from kineticmf.experiments import (
     table_to_csv,
     write_gnuplot,
 )
+from kineticmf.drift import kernel
 from kineticmf.phase_space import LeaderState, ParticleEnsemble
 from kineticmf.sde import SimConfig
 from kineticmf.pdeode import LeaderFollowerModel
@@ -134,6 +137,26 @@ class TestChaosExperiment:
         pooled = chaos_experiment(model, [2, 4], 16, cfg, seeds=[1, 2],
                                   threads=2)
         assert serial.rows == pooled.rows
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**31 - 1),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                    max_size=3),
+           st.sampled_from(["bounded_alignment", "bounded_attraction"]),
+           st.integers(min_value=1, max_value=2))
+    @settings(max_examples=12, deadline=None)
+    def test_threads_never_change_the_table(self, seeds, N_list, name, d):
+        # An interacting model, so every cell runs pair_mean on its own
+        # thread's workspace while the other thread runs its own.
+        cfg = _cfg(sigma=0.2, seed=3, d=d)
+        model = LeaderFollowerModel(kernels={"K11": kernel(name, d=d)},
+                                    Y0=LeaderState.empty(d),
+                                    sampler=_gauss_sampler(d), sigma=0.2, d=d)
+        N_ref = 4 * max(N_list)
+        serial = chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=1)
+        pooled = chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=2)
+        assert serial.rows == pooled.rows
+        assert serial.metadata == pooled.metadata
 
     def test_stderr_shrinks_with_more_seeds(self):
         cfg = _cfg(T=0.25, n_steps=2, sigma=0.5, seed=1)

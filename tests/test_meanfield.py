@@ -148,6 +148,14 @@ class TestFlowGap:
             assert flow_gap(fa, fb, 2.0) == full
         assert spy.call_count < 6
 
+    def test_pruning_margin_admits_a_solve_one_ulp_above_its_bound(self):
+        # The second bound equals the running max after the first solve,
+        # but its solve rounds one ulp above it: only the relative margin
+        # keeps that node from being pruned.
+        above = np.nextafter(0.5, 1.0)
+        solves = {0: 0.5, 1: above}
+        assert meanfield._pruned_max([1.0, 0.5], solves.__getitem__) == above
+
     def test_report_rejects_negative_gaps(self):
         flow = MeasureFlow.constant(ParticleEnsemble([[0.0]], [[0.0]]), [0.0])
         with pytest.raises(ValueError):
