@@ -7,8 +7,9 @@ writes CSV outputs plus a JSON manifest that records the fully resolved
 configuration; `kineticmf validate config.ini` only checks the file.
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
-4 I/O failure. Identical configs produce byte-identical CSVs at any
-`--threads` value; manifests differ only in their single timestamp line.
+4 I/O failure. `--threads` is accepted and has no effect: a run starts
+no threads of its own. Identical configs produce byte-identical CSVs;
+manifests differ only in their single timestamp line.
 """
 
 import argparse
@@ -16,7 +17,6 @@ import configparser
 import csv
 import difflib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -31,8 +31,9 @@ from .control_opt import (evaluate_cost_meanfield, make_cost, optimize,
 from .drift import (KERNEL_NAMES, kernel, latin_hypercube_points,
                     validate_dissipativity_v3pp, validate_hoelder,
                     validate_sublinearity)
-from .experiments import (chaos_experiment, gamma_convergence_experiment,
-                          table_to_csv, write_gnuplot)
+from .experiments import (chaos_experiment, check_reference_size,
+                          gamma_convergence_experiment, table_to_csv,
+                          write_gnuplot)
 from .meanfield import picard_solve
 from .pdeode import LeaderFollowerModel, solve_coupled
 from .phase_space import (LeaderState, MeasureFlow, ParticleEnsemble,
@@ -247,6 +248,11 @@ def _suggest(name, candidates):
     return f" (did you mean '{match[0]}'?)" if match else ""
 
 
+def _reference_size(n_ref, n_list):
+    """The chaos reference size: n_ref, or 8x the largest N when it is 0."""
+    return n_ref if n_ref else 8 * max(n_list)
+
+
 def _check_ranges(values, errors):
     def bad(msg):
         errors.append(msg)
@@ -316,6 +322,22 @@ def _check_ranges(values, errors):
         bad("[experiment] budget must be >= 1")
     if values[("experiment", "step0")] <= 0:
         bad("[experiment] step0 must be > 0")
+
+    # What a scenario would refuse at run time is refused here.
+    scenario = values[("run", "scenario")]
+    no_leaders = values[("model", "n_leaders")] == 0
+    n_list = values[("experiment", "n_list")]
+    n_ref = values[("experiment", "n_ref")]
+    if scenario == "chaos" and min(n_list, default=0) >= 1 and n_ref >= 0:
+        try:
+            check_reference_size(_reference_size(n_ref, n_list), max(n_list))
+        except ValueError as e:
+            bad(f"[experiment] {e}")
+    if no_leaders and scenario == "optimize":
+        bad("[model] optimize scenario needs n_leaders >= 1")
+    if no_leaders and values[("control", "class")] == "sv" \
+            and scenario in ("simulate", "coupled", "gamma", "validate"):
+        bad("[control] control class sv needs n_leaders >= 1")
 
 
 def parse_config(path):
@@ -485,8 +507,6 @@ def _build_control(rc):
     m, d = rc.n_leaders, rc.d
     if rc.control_class == "zero":
         return zero_control(m, d)
-    if m < 1:
-        raise ValueError("control class sv needs n_leaders >= 1")
     base = sv_zero(m, d, rc.T, K=rc.bins, M_h=rc.M_h)
     if rc.h_file:
         h = _load_h(rc.h_file, rc.bins, m * d, base.features.ell)
@@ -501,11 +521,9 @@ def _build_cost(rc):
     return make_cost(rc.lagrangian, rc.psi, dim, params)
 
 
-def _sim_config(rc, N=None, seed=None):
-    return SimConfig(T=rc.T, n_steps=rc.n_steps,
-                     N=rc.n_particles if N is None else N,
-                     sigma=rc.sigma,
-                     seed=rc.seed if seed is None else seed, d=rc.d)
+def _sim_config(rc):
+    return SimConfig(T=rc.T, n_steps=rc.n_steps, N=rc.n_particles,
+                     sigma=rc.sigma, seed=rc.seed, d=rc.d)
 
 
 def _picard_report_text(rep):
@@ -545,9 +563,7 @@ def _write_manifest(out_dir, rc, outputs, wall_seconds):
     return path.name
 
 
-def _scenario_simulate(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
+def _scenario_simulate(rc, model, cfg, out, progress):
     u = None if rc.control_class == "zero" else _build_control(rc)
     progress.phase("simulate", N=cfg.N, steps=cfg.n_steps)
     init = model.initial(cfg.N, cfg.seed)
@@ -564,9 +580,7 @@ def _scenario_simulate(rc, out, progress, threads):
     return 0, outputs
 
 
-def _scenario_meanfield(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
+def _scenario_meanfield(rc, model, cfg, out, progress):
     f = model.mean_field_fields()[0]
     progress.phase("picard", N=cfg.N, tol=rc.tol)
     rep = picard_solve(f, model.initial(cfg.N, cfg.seed), cfg, tol=rc.tol,
@@ -579,9 +593,7 @@ def _scenario_meanfield(rc, out, progress, threads):
     return (0 if rep.converged else 3), outputs
 
 
-def _scenario_coupled(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
+def _scenario_coupled(rc, model, cfg, out, progress):
     u = _build_control(rc)
     v, w, F = model.mean_field_fields()
     progress.phase("coupled", N=cfg.N, m=model.m)
@@ -596,12 +608,8 @@ def _scenario_coupled(rc, out, progress, threads):
     return (0 if sol.picard.converged else 3), outputs
 
 
-def _scenario_optimize(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
+def _scenario_optimize(rc, model, cfg, out, progress):
     cost = _build_cost(rc)
-    if rc.n_leaders < 1:
-        raise ValueError("optimize scenario needs n_leaders >= 1")
     u0 = sv_zero(model.m, model.d, rc.T, K=rc.bins, M_h=rc.M_h)
     progress.phase("optimize", budget=rc.budget)
 
@@ -622,13 +630,10 @@ def _scenario_optimize(rc, out, progress, threads):
     return 0, outputs
 
 
-def _scenario_chaos(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
-    n_ref = rc.N_ref if rc.N_ref else 8 * max(rc.N_list)
+def _scenario_chaos(rc, model, cfg, out, progress):
+    n_ref = _reference_size(rc.N_ref, rc.N_list)
     progress.phase("reference", N_ref=n_ref)
-    table = chaos_experiment(model, rc.N_list, n_ref, cfg, rc.seeds,
-                             threads=threads)
+    table = chaos_experiment(model, rc.N_list, n_ref, cfg, rc.seeds)
     progress.phase("table", rows=len(table.rows))
     table_to_csv(table, out / "table.csv")
     write_gnuplot(table, out / "table.dat", out / "table.gp", title="chaos")
@@ -638,15 +643,13 @@ def _scenario_chaos(rc, out, progress, threads):
     return 0, outputs
 
 
-def _scenario_gamma(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
+def _scenario_gamma(rc, model, cfg, out, progress):
     u = _build_control(rc)
     cost = _build_cost(rc)
     progress.phase("reference", N=cfg.N)
     table = gamma_convergence_experiment(u, model, cost, rc.N_list, cfg,
                                          rc.seeds, tol=rc.tol,
-                                         max_iter=rc.max_iter, threads=threads)
+                                         max_iter=rc.max_iter)
     progress.phase("table", rows=len(table.rows))
     table_to_csv(table, out / "table.csv")
     write_gnuplot(table, out / "table.dat", out / "table.gp", title="gamma")
@@ -656,9 +659,7 @@ def _scenario_gamma(rc, out, progress, threads):
     return 0, outputs
 
 
-def _scenario_validate(rc, out, progress, threads):
-    model = _build_model(rc)
-    cfg = _sim_config(rc)
+def _scenario_validate(rc, model, cfg, out, progress):
     f = model.mean_field_fields()[0]
     progress.phase("flows", N=cfg.N)
     init = model.initial(cfg.N, cfg.seed)
@@ -708,9 +709,9 @@ _SCENARIO_FNS = {
 
 
 def run(rc, threads=None, progress=False, output_dir=None):
-    """Execute a parsed config; returns the process exit code."""
+    """Execute a parsed config; returns the process exit code. threads is
+    accepted and has no effect: a run starts no threads of its own."""
     out = Path(output_dir or rc.output_dir)
-    threads = threads if threads is not None else (os.cpu_count() or 1)
     prog = _Progress(progress, rc.scenario)
     start = time.perf_counter()
     try:
@@ -719,7 +720,8 @@ def run(rc, threads=None, progress=False, output_dir=None):
         print(f"error: cannot create output directory: {e}")
         return 4
     try:
-        code, outputs = _SCENARIO_FNS[rc.scenario](rc, out, prog, threads)
+        code, outputs = _SCENARIO_FNS[rc.scenario](
+            rc, _build_model(rc), _sim_config(rc), out, prog)
     except ValueError as e:
         print(f"error: {e}")
         return 2
@@ -749,7 +751,7 @@ def main(argv=None):
     runp = sub.add_parser("run", help="execute a configured scenario")
     runp.add_argument("config", help="path to the INI config file")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker pool size (default: hardware parallelism)")
+                      help="accepted, no effect (a run starts no threads)")
     runp.add_argument("--progress", action="store_true",
                       help="machine-readable progress on standard error")
     runp.add_argument("--output-dir", default=None,

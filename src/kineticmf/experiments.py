@@ -11,7 +11,6 @@ asserted anywhere.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,16 +73,36 @@ def _mean_stderr(vals):
 
 
 def _map_cells(fn, cells, threads):
-    """Evaluate fn over cells, optionally on a thread pool; results are
-    returned in the order of cells, so the pool size never changes them."""
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
+    """[fn(c) for c in cells], in order. threads is ignored and callers
+    pass None: the parameter stays only because the benchmark tracer
+    (bench/tracer.py) rebinds this name with a (fn, cells, threads)
+    wrapper; it goes when that tracer target is re-pointed (ROADMAP
+    item 6)."""
     return [fn(c) for c in cells]
 
 
-def chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=None,
-                     min_ref_factor=4):
+def _sweep(cell_value, N_list, seeds):
+    """cell_value over the (N, seed) cells in order: the per-N raw values
+    and the table rows (N, mean, stderr, n_seeds)."""
+    cells = [(N, s) for N in N_list for s in seeds]
+    values = _map_cells(cell_value, cells, None)
+    raw = {N: [v for (n, _), v in zip(cells, values) if n == N]
+           for N in N_list}
+    return raw, tuple((N, *_mean_stderr(raw[N]), len(seeds)) for N in N_list)
+
+
+def check_reference_size(N_ref, N_max, min_ref_factor=4):
+    """ValueError unless N_ref >= min_ref_factor N_max and N_ref is within
+    the exact-transport cap; the CLI's config check calls it too."""
+    if N_ref < min_ref_factor * N_max:
+        raise ValueError(f"reference size must be at least "
+                         f"{min_ref_factor}x the largest N")
+    if N_ref > EXACT_SIZE_CAP:
+        raise ValueError(f"reference size {N_ref} exceeds the exact-transport "
+                         f"cap {EXACT_SIZE_CAP}")
+
+
+def chaos_experiment(model, N_list, N_ref, cfg, seeds, min_ref_factor=4):
     """sup-in-time W_1 between the N-particle empirical flow and a frozen
     N_ref-particle reference, per N, mean and stderr over seeds.
 
@@ -96,12 +115,7 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=None,
     N_list = sorted(int(N) for N in N_list)
     if not N_list or N_list[0] < 1:
         raise ValueError("N_list must contain positive sizes")
-    if N_ref < min_ref_factor * N_list[-1]:
-        raise ValueError(f"reference size must be at least "
-                         f"{min_ref_factor}x the largest N")
-    if N_ref > EXACT_SIZE_CAP:
-        raise ValueError(f"reference size {N_ref} exceeds the exact-transport "
-                         f"cap {EXACT_SIZE_CAP}")
+    check_reference_size(N_ref, N_list[-1], min_ref_factor)
     ref_seed = reference_seed(cfg.seed)
     cfg_ref = replace(cfg, N=N_ref, seed=ref_seed)
     ref_flow, _ = simulate_interacting(model.kernels, None,
@@ -123,11 +137,7 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=None,
             worst = max(worst, wasserstein_distance(snap, sub, 1.0))
         return worst
 
-    cells = [(N, s) for N in N_list for s in seeds]
-    values = _map_cells(cell_metric, cells, threads)
-    raw = {N: [values[i] for i, c in enumerate(cells) if c[0] == N]
-           for N in N_list}
-    rows = tuple((N, *_mean_stderr(raw[N]), len(seeds)) for N in N_list)
+    raw, rows = _sweep(cell_metric, N_list, seeds)
     return ConvergenceTable(rows=rows, metadata={
         "experiment": "chaos",
         "model": model.name,
@@ -141,7 +151,7 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, threads=None,
 
 
 def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds,
-                                 tol=1e-6, max_iter=25, threads=None):
+                                 tol=1e-6, max_iter=25):
     """|F^N[u] - F[u]| per N, mean and stderr over seeds, against the
     mean-field cost computed once at cfg.N (the Picard reference size)."""
     N_list = sorted(int(N) for N in N_list)
@@ -153,11 +163,7 @@ def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds,
         val, _ = evaluate_cost_N(u, model, cost, N, cfg, [int(s)])
         return abs(val - F_ref)
 
-    cells = [(N, s) for N in N_list for s in seeds]
-    values = _map_cells(cell_gap, cells, threads)
-    raw = {N: [values[i] for i, c in enumerate(cells) if c[0] == N]
-           for N in N_list}
-    rows = tuple((N, *_mean_stderr(raw[N]), len(seeds)) for N in N_list)
+    raw, rows = _sweep(cell_gap, N_list, seeds)
     return ConvergenceTable(rows=rows, metadata={
         "experiment": "gamma",
         "model": model.name,

@@ -126,13 +126,13 @@ def discrete_leader_growth(Y0, F_sup, M_u, T):
     return base + float(T) * (float(F_sup) + float(M_u))
 
 
-def combined_drift(v, w, F, u, Y0, T=1.0, method="euler"):
+def combined_drift(v, w, F, u, Y0, T=1.0):
     """Follower drift of the coupled system: G[t, mu](z) = v[t, mu](z) +
     w[t, S[mu, u]](z), where S[mu, u] is the leader path solved along mu.
 
-    The leader solve is cached per (flow, control) object identity, so one
-    Picard iterate triggers exactly one ODE solve. Declared constants:
-    the sublinearity constant follows the composition rule
+    The leader solve (explicit Euler) is cached per (flow, control) object
+    identity, so one Picard iterate triggers exactly one ODE solve.
+    Declared constants: the sublinearity constant follows the composition rule
     K_G = K_v + K_w (1 + K_F)(1 + C1 + K_F + K_u) with the discrete
     a-priori leader bound C1 = (|Y0| + 1 + T (K_F + K_u)) e^{(K_F + 1) T};
     the dissipativity constant adds the leader-map Lipschitz factor
@@ -148,7 +148,7 @@ def combined_drift(v, w, F, u, Y0, T=1.0, method="euler"):
         for entry in cache:
             if entry[0] is flow:
                 return entry[1]
-        path = solve_leader_ode(F, u, flow, Y0, method=method)
+        path = solve_leader_ode(F, u, flow, Y0)
         cache.append((flow, path))
         if len(cache) > _LEADER_CACHE_SIZE:
             cache.pop(0)
@@ -183,15 +183,13 @@ class CoupledSolution:
             raise ValueError("flow and leader path must share the grid")
 
 
-def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25,
-                  clamp_cap=None):
+def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25):
     """Outer Picard loop on the combined drift; the leader path is re-solved
     inside every iterate (via the drift's cache) and once more along the
     final flow for the returned trajectory. Non-convergence is reported in
     the Picard field, not raised."""
     G = combined_drift(v, w, F, u, Y0, T=cfg.T)
-    rep = picard_solve(G, init_followers, cfg, tol=tol, max_iter=max_iter,
-                       clamp_cap=clamp_cap)
+    rep = picard_solve(G, init_followers, cfg, tol=tol, max_iter=max_iter)
     leaders = solve_leader_ode(F, u, rep.final_flow, Y0)
     return CoupledSolution(flow=rep.final_flow, leaders=leaders, picard=rep)
 

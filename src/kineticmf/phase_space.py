@@ -476,6 +476,25 @@ def _write_csv(path, names, times, X, V):
             fh.write("".join([row % (t, i, *z) for i, z in enumerate(rows)]))
 
 
+def _read_csv(path):
+    """Inverse of _write_csv: (times, X, V) with X and V of shape (nodes,
+    rows, d), a node being a run of rows with one t. An empty file, no
+    data rows, or ragged rows or nodes raise ValueError."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"CSV file '{path}' has no data rows")
+    width = len(rows[0])
+    d = (width - 2) // 2
+    data = np.array([[float(c) for c in r] for r in rows[1:]])
+    t = data[:, 0]
+    sizes = np.diff(np.r_[0, np.flatnonzero(t[1:] != t[:-1]) + 1, t.size])
+    if np.any(sizes != sizes[0]):
+        raise ValueError(f"CSV file '{path}' has ragged time nodes")
+    data = data.reshape(sizes.size, sizes[0], width)
+    return data[:, 0, 0], data[:, :, 2 : 2 + d], data[:, :, 2 + d :]
+
+
 def write_flow_csv(flow, path):
     """Flow CSV: header t,particle,x0..x{d-1},v0..v{d-1}, one row per
     (time node, particle), full round-trip precision."""
@@ -483,26 +502,9 @@ def write_flow_csv(flow, path):
 
 
 def read_flow_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    d = sum(1 for name in header if name.startswith("x"))
-    times, blocks = [], []
-    cur_t, X, V = None, [], []
-    for row in rows[1:]:
-        t = float(row[0])
-        x = [float(c) for c in row[2 : 2 + d]]
-        v = [float(c) for c in row[2 + d : 2 + 2 * d]]
-        if cur_t is None or t != cur_t:
-            if cur_t is not None:
-                times.append(cur_t)
-                blocks.append(ParticleEnsemble(np.array(X), np.array(V)))
-            cur_t, X, V = t, [], []
-        X.append(x)
-        V.append(v)
-    times.append(cur_t)
-    blocks.append(ParticleEnsemble(np.array(X), np.array(V)))
-    return MeasureFlow(np.array(times), blocks)
+    """The flow write_flow_csv wrote; malformed files raise ValueError."""
+    times, X, V = _read_csv(path)
+    return MeasureFlow(times, [ParticleEnsemble(x, v) for x, v in zip(X, V)])
 
 
 def write_leader_csv(lp, path):
@@ -511,22 +513,6 @@ def write_leader_csv(lp, path):
 
 
 def read_leader_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    d = sum(1 for name in header if name.startswith("y"))
-    data = {}
-    order = []
-    for row in rows[1:]:
-        t = float(row[0])
-        if t not in data:
-            data[t] = []
-            order.append(t)
-        y = [float(c) for c in row[2 : 2 + d]]
-        w = [float(c) for c in row[2 + d : 2 + 2 * d]]
-        data[t].append((y, w))
-    times = np.array(order)
-    m = len(data[order[0]]) if order else 0
-    Y = np.array([[pair[0] for pair in data[t]] for t in order]).reshape(len(order), m, d)
-    W = np.array([[pair[1] for pair in data[t]] for t in order]).reshape(len(order), m, d)
-    return LeaderPath(times, Y, W)
+    """The leader path write_leader_csv wrote; malformed files raise
+    ValueError."""
+    return LeaderPath(*_read_csv(path))

@@ -89,7 +89,6 @@ class BrownianPaths:
 
     increments: np.ndarray
     seed: int
-    generator: str = "philox-counter-per-path"
 
     def __post_init__(self):
         inc = np.asarray(self.increments)

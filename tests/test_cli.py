@@ -440,6 +440,31 @@ class TestCommandLine:
         assert "config error: [model] sigma must be >= 0" \
             in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[run]\nscenario = chaos\n[experiment]\nn_list = 8,16\n"
+                     "n_ref = 32\n",
+                     "reference size must be at least 4x the largest N",
+                     id="chaos-reference-too-small"),
+        pytest.param("[run]\nscenario = chaos\n[experiment]\nn_list = 8,600\n",
+                     "reference size 4800 exceeds the exact-transport cap "
+                     "4096", id="chaos-default-reference-over-cap"),
+        pytest.param("[run]\nscenario = optimize\n",
+                     "optimize scenario needs n_leaders >= 1",
+                     id="optimize-without-leaders"),
+    ] + [
+        pytest.param(f"[run]\nscenario = {scenario}\n[control]\nclass = sv\n",
+                     "control class sv needs n_leaders >= 1",
+                     id=f"{scenario}-sv-control-without-leaders")
+        for scenario in ("simulate", "coupled", "gamma", "validate")
+    ])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text,
+                                               message):
+        cfg = _write(tmp_path, text)
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().out
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().out
+
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):
             main([])

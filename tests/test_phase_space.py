@@ -480,6 +480,13 @@ class TestCsvRoundTrips:
         _reference_csv(tmp_path / "ref.csv", header, lp.times, Y, W)
         assert (tmp_path / "leaders.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("reader", [read_flow_csv, read_leader_csv])
+    def test_empty_file_rejected(self, tmp_path, reader):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="no data rows"):
+            reader(path)
+
     def test_leader_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         times = time_grid(2.0, 3)
