@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control_opt import (evaluate_cost_meanfield, make_cost, optimize,
-                          sv_control, sv_zero, validate_control, zero_control)
+from .control_opt import (default_features, evaluate_cost_meanfield,
+                          make_cost, optimize, sv_control, sv_zero,
+                          validate_control, zero_control)
 from .drift import (KERNEL_NAMES, kernel, latin_hypercube_points,
                     validate_dissipativity_v3pp, validate_hoelder,
                     validate_sublinearity)
@@ -335,9 +336,20 @@ def _check_ranges(values, errors):
             bad(f"[experiment] {e}")
     if no_leaders and scenario == "optimize":
         bad("[model] optimize scenario needs n_leaders >= 1")
-    if no_leaders and values[("control", "class")] == "sv" \
-            and scenario in ("simulate", "coupled", "gamma", "validate"):
+    builds_sv = values[("control", "class")] == "sv" \
+        and scenario in ("simulate", "coupled", "gamma", "validate")
+    if no_leaders and builds_sv:
         bad("[control] control class sv needs n_leaders >= 1")
+    m, d, bins = (values[("model", "n_leaders")], values[("model", "d")],
+                  values[("control", "bins")])
+    if builds_sv and values[("control", "h_file")] and min(m, d, bins) >= 1:
+        try:
+            _load_h(values[("control", "h_file")], bins, m * d,
+                    default_features(d).ell)
+        except ValueError as e:
+            bad(f"[control] {e}")
+        except OSError:
+            pass  # an unreadable file stays an I/O failure of the run
 
 
 def parse_config(path):
@@ -600,11 +612,14 @@ def _scenario_coupled(rc, model, cfg, out, progress):
     sol = solve_coupled(v, w, F, u, model.initial(cfg.N, cfg.seed), model.Y0,
                         cfg, tol=rc.tol, max_iter=rc.max_iter)
     write_flow_csv(sol.flow, out / "flow.csv")
-    write_leader_csv(sol.leaders, out / "leaders.csv")
+    outputs = ["flow.csv"]
+    if model.m > 0:
+        write_leader_csv(sol.leaders, out / "leaders.csv")
+        outputs.append("leaders.csv")
     (out / "picard_report.txt").write_text(_picard_report_text(sol.picard))
-    outputs = ["flow.csv", "leaders.csv", "picard_report.txt"]
+    outputs.append("picard_report.txt")
     print(f"[coupled] iterations={sol.picard.iterations} "
-          f"converged={sol.picard.converged} -> flow.csv, leaders.csv")
+          f"converged={sol.picard.converged} -> {', '.join(outputs[:-1])}")
     return (0 if sol.picard.converged else 3), outputs
 
 

@@ -427,11 +427,17 @@ def _pathwise_cost(cost, u, flow, leaders):
 
 def evaluate_cost_meanfield(u, model, cost, cfg, tol=1e-6, max_iter=25):
     """F[u]: solve the coupled mean-field system for this control, then
-    integrate the running and control costs with the trapezoid rule."""
+    integrate the running and control costs with the trapezoid rule.
+
+    Only the cost is read, so the Picard loop decides each gap < tol from
+    bounds (record_gaps=False) instead of computing every gap: the same
+    iterates and cost, with exact transport solved only where the bounds
+    cannot decide. A solve that does not converge raises RuntimeError
+    naming the exact last gap."""
     v, w, F = model.mean_field_fields()
     init = model.initial(cfg.N, cfg.seed)
     sol = solve_coupled(v, w, F, u, init, model.Y0, cfg, tol=tol,
-                        max_iter=max_iter)
+                        max_iter=max_iter, record_gaps=False)
     if not sol.picard.converged:
         last = f"{sol.picard.gaps[-1]:.3e}" if sol.picard.gaps else "n/a"
         raise RuntimeError("mean-field cost: coupled solve did not converge "

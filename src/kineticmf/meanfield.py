@@ -21,7 +21,8 @@ from .phase_space import (MeasureFlow, gamma_p, holder_ratio, moment_p,
                           sup_moment, young_moment)
 from .sde import generate_brownian, simulate_frozen
 # EXACT_GAP_MAX_N is re-exported: callers read the size switch from here.
-from .wasserstein import EXACT_GAP_MAX_N, paired_bounds, wasserstein_gap
+from .wasserstein import (EXACT_GAP_MAX_N, gap_is_exact, paired_bounds,
+                          wasserstein_gap)
 
 __all__ = [
     "PicardReport",
@@ -41,8 +42,15 @@ __all__ = [
 # different orders, so a computed exact value can sit above its computed
 # bound by rounding of order N * eps. A node is skipped only when its bound
 # with this relative margin cannot reach the running max, which keeps the
-# pruned sup bitwise equal to the full one.
+# pruned sup bitwise equal to the full one. The same margin, taken of the
+# paired bound, covers the rounding of the mean-displacement lower bound in
+# _gap_below (its summation error scales with the displacements, which the
+# paired bound dominates, not with their mean).
 _PRUNE_RTOL = 1e-9
+
+
+def _descending(bounds):
+    return sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)
 
 
 def _pruned_max(bounds, solve):
@@ -52,11 +60,50 @@ def _pruned_max(bounds, solve):
     tolerance covers the rounding between a bound and its solve, so the
     result is the full max bit for bit."""
     best = 0.0
-    for k in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+    for k in _descending(bounds):
         if bounds[k] * (1.0 + _PRUNE_RTOL) <= best:
             break
         best = max(best, solve(k))
     return best
+
+
+def _mean_gaps(flow_a, flow_b):
+    """|mean(z_a) - mean(z_b)| at every node, z = (x, v): a lower bound on
+    W_1, hence on every W_p, by Jensen under any coupling. One array pass;
+    the mean is taken of the paired differences, so near-equal flows lose
+    no digits to cancellation between two large means."""
+    diff = np.concatenate([(flow_a.X - flow_b.X).mean(axis=1),
+                           (flow_a.V - flow_b.V).mean(axis=1)], axis=1)
+    return np.sqrt(np.einsum("kj,kj->k", diff, diff))
+
+
+def _gap_below(flow_a, flow_b, p, tol):
+    """flow_gap(flow_a, flow_b, p) < tol for tol > 0, with exact transport
+    solved only where the bounds cannot decide.
+
+    Each node's gap lies between its mean-displacement bound (_mean_gaps)
+    and its paired bound. The answer is yes when every paired bound times
+    (1 + _PRUNE_RTOL) is below tol, and no when some mean bound, less
+    _PRUNE_RTOL times its paired bound, is at or above tol. Otherwise the
+    nodes whose paired bound can reach tol are solved in descending bound
+    order, stopping at the first solve at or above tol. Above
+    EXACT_GAP_MAX_N the gap is the largest paired bound itself. The margins
+    cover the rounding of the computed bounds against the computed exact
+    values, so the answer is the comparison of the computed gap, bit for
+    bit."""
+    upper = paired_bounds(flow_a.X, flow_a.V, flow_b.X, flow_b.V, p)
+    if not gap_is_exact(flow_a.N):
+        return max(upper) < tol
+    lower = _mean_gaps(flow_a, flow_b)
+    if any(lo - _PRUNE_RTOL * up >= tol for lo, up in zip(lower, upper)):
+        return False
+    snaps_a, snaps_b = flow_a.snapshots, flow_b.snapshots
+    for k in _descending(upper):
+        if upper[k] * (1.0 + _PRUNE_RTOL) < tol:
+            break
+        if wasserstein_gap(snaps_a[k], snaps_b[k], p) >= tol:
+            return False
+    return True
 
 
 def flow_gap(flow_a, flow_b, p):
@@ -82,6 +129,11 @@ def flow_gap(flow_a, flow_b, p):
 
 @dataclass(frozen=True)
 class PicardReport:
+    """Outcome of picard_solve. gaps holds flow_gap values only, never a
+    bound standing in for one: by default the gap after every iterate;
+    with record_gaps=False it is empty on convergence, and on
+    non-convergence it holds the one flow_gap of the last two iterates."""
+
     iterations: int
     gaps: tuple
     converged: bool
@@ -92,7 +144,8 @@ class PicardReport:
             raise ValueError("gaps must be nonnegative")
 
 
-def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None):
+def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None, *,
+                 record_gaps=True):
     """Fixed-point iteration for the McKean-Vlasov dynamics driven by f.
 
     Starts from the constant-in-time extension of init, then repeatedly
@@ -102,6 +155,13 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None):
     (exact OT below the size switch). A drift with no measure dependence
     reproduces its first iterate bitwise on the second pass, so the gap
     hits exactly zero at iteration 2.
+
+    record_gaps=False is for callers that read only the outcome: each
+    iterate then decides gap < tol from per-node bounds, solving exact
+    transport only where they cannot decide (_gap_below), with the same
+    iterations, flows and convergence as the default. Its report holds no
+    gaps on convergence; on non-convergence it holds the exact flow_gap of
+    the last two iterates, as the default's last gap.
 
     Non-convergence is reported, not raised. clamp_cap routes the drift
     through the moment-truncation cutoff first.
@@ -117,6 +177,7 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None):
     gaps = []
     converged = False
     iterations = 0
+    previous = None
     for _ in range(max_iter):
         frozen = current
 
@@ -125,12 +186,16 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None):
 
         nxt = simulate_frozen(F, init, cfg, paths)
         iterations += 1
-        gap = flow_gap(current, nxt, field.p)
-        gaps.append(gap)
-        current = nxt
-        if gap < tol:
-            converged = True
+        if record_gaps:
+            gaps.append(flow_gap(current, nxt, field.p))
+            converged = gaps[-1] < tol
+        else:
+            converged = _gap_below(current, nxt, field.p, tol)
+        previous, current = current, nxt
+        if converged:
             break
+    if not (record_gaps or converged) and previous is not None:
+        gaps.append(flow_gap(previous, current, field.p))
     return PicardReport(iterations=iterations, gaps=tuple(gaps),
                         converged=converged, final_flow=current)
 

@@ -183,13 +183,15 @@ class CoupledSolution:
             raise ValueError("flow and leader path must share the grid")
 
 
-def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25):
+def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25,
+                  *, record_gaps=True):
     """Outer Picard loop on the combined drift; the leader path is re-solved
     inside every iterate (via the drift's cache) and once more along the
     final flow for the returned trajectory. Non-convergence is reported in
-    the Picard field, not raised."""
+    the Picard field, not raised. record_gaps goes to picard_solve."""
     G = combined_drift(v, w, F, u, Y0, T=cfg.T)
-    rep = picard_solve(G, init_followers, cfg, tol=tol, max_iter=max_iter)
+    rep = picard_solve(G, init_followers, cfg, tol=tol, max_iter=max_iter,
+                       record_gaps=record_gaps)
     leaders = solve_leader_ode(F, u, rep.final_flow, Y0)
     return CoupledSolution(flow=rep.final_flow, leaders=leaders, picard=rep)
 

@@ -17,6 +17,7 @@ from kineticmf.cli import (
     main,
     parse_config,
 )
+from kineticmf.phase_space import read_leader_csv
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -280,6 +281,31 @@ class TestRunScenarios:
         assert "converged: false" in report
         assert "gap[1]" in report
 
+    COUPLED = ("[run]\nscenario = coupled\n"
+               "[model]\nk11 = bounded_alignment\nsigma = 0.1\n"
+               "n_particles = 8\n{leaders}"
+               "[grid]\nt = 0.5\nn_steps = 4\n"
+               "[experiment]\ntol = 1e-3\nmax_iter = 25\n")
+
+    def test_leaderless_coupled_run_writes_no_leaders_csv(self, tmp_path):
+        cfg = _write(tmp_path, self.COUPLED.format(leaders=""))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 0
+        assert not (out / "leaders.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["flow.csv", "picard_report.txt"]
+
+    def test_coupled_run_with_leaders_writes_a_readable_leaders_csv(
+            self, tmp_path):
+        cfg = _write(tmp_path, self.COUPLED.format(
+            leaders="n_leaders = 2\nk12 = bounded_attraction\n"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 0
+        leaders = read_leader_csv(out / "leaders.csv")
+        assert leaders.m == 2 and len(leaders.times) == 5
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "leaders.csv" in manifest["outputs"]
+
     def test_meanfield_state_overflow_exits_3(self, tmp_path, capsys):
         # A finite constant drift of 1e308 overflows the velocity in one
         # step of dt = 2: a solver failure, not a configuration error.
@@ -464,6 +490,31 @@ class TestCommandLine:
         assert message in capsys.readouterr().out
         assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().out
+
+    H_CONFIG = ("[run]\nscenario = simulate\n"
+                "[model]\nn_leaders = 1\n"
+                "[control]\nclass = sv\nh_file = {path}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n", "must start with header"),
+        ("bin,i,j,value\n0,0,x,1.0\n", "line 2"),
+        ("bin,i,j,value\n0,0,3,1.0\n", "index (0,0,3) outside (8,1,3)"),
+    ], ids=["header", "row", "index"])
+    def test_validate_rejects_a_bad_h_file(self, tmp_path, capsys, text,
+                                           message):
+        bad = tmp_path / "h.csv"
+        bad.write_text(text)
+        cfg = _write(tmp_path, self.H_CONFIG.format(path=bad))
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().out
+
+    def test_validate_accepts_a_good_h_file(self, tmp_path, capsys):
+        good = tmp_path / "h.csv"
+        good.write_text("bin,i,j,value\n0,0,2,0.5\n7,0,0,-1.0\n")
+        cfg = _write(tmp_path, self.H_CONFIG.format(path=good))
+        assert main(["validate", cfg]) == 0
+        assert "config ok: scenario=simulate" in capsys.readouterr().out
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kineticmf import meanfield
@@ -163,6 +163,135 @@ class TestFlowGap:
                          final_flow=flow)
 
 
+def _node_pair(kind, N, d, eps, rng):
+    """Snapshots (a, b) at one node: b is a copy of a, a perturbation of
+    size eps, a shuffled copy plus noise, a translate by eps, or a shuffled
+    translate (exact W_p equals the mean displacement, while the paired
+    displacements are of the order of the spread and cancel in the mean)."""
+    a = _spread_init(N, d, seed=int(rng.integers(2**32)))
+    shift = eps * rng.standard_normal(2 * d)
+    noise_x = eps * rng.standard_normal((N, d))
+    noise_v = eps * rng.standard_normal((N, d))
+    if kind == "same":
+        return a, a
+    if kind == "near":
+        return a, ParticleEnsemble(a.X + noise_x, a.V + noise_v)
+    if kind == "shuffled":
+        return a, ParticleEnsemble(a.X + noise_x, a.V + noise_v).permuted(
+            rng.permutation(N))
+    b = ParticleEnsemble(a.X + shift[:d], a.V + shift[d:])
+    if kind == "shuffled_translated":
+        b = b.permuted(rng.permutation(N))
+    return a, b
+
+
+def _constant_flows(a, b, times=(0.0,)):
+    return MeasureFlow.constant(a, times), MeasureFlow.constant(b, times)
+
+
+class TestGapDecision:
+    """meanfield._gap_below, the certified decision flow_gap < tol that
+    picard_solve(record_gaps=False) runs."""
+
+    @given(st.one_of(st.sampled_from([1, 2, EXACT_GAP_MAX_N,
+                                      EXACT_GAP_MAX_N + 1]),
+                     st.integers(min_value=1, max_value=300)),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1.0, 1.5, 2.0]),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=-13.0, max_value=1.0),
+           st.lists(st.tuples(st.sampled_from(["same", "near", "shuffled",
+                                               "translated",
+                                               "shuffled_translated"]),
+                              st.floats(min_value=-1.0, max_value=0.0)),
+                    min_size=1, max_size=4),
+           st.sampled_from(["gap", "upper", "lower", "gap_to_lower"]),
+           st.integers(min_value=0, max_value=3),
+           st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_decision_equals_computed_gap_below_tol(self, N, d, p, seed,
+                                                     log_eps, nodes, anchor,
+                                                     node, ulps):
+        # Flows range from equal (eps 1e-14) to far apart (eps 10); tol sits
+        # at the computed gap, a node's paired bound, a node's mean bound or
+        # halfway from the gap to it, or one ulp to either side of it.
+        rng = np.random.default_rng(seed)
+        pairs = [_node_pair(kind, N, d, 10.0 ** (log_eps + offset), rng)
+                 for kind, offset in nodes]
+        times = np.arange(len(nodes), dtype=float)
+        fa = MeasureFlow(times, [a for a, _ in pairs])
+        fb = MeasureFlow(times, [b for _, b in pairs])
+        gap = flow_gap(fa, fb, p)
+        k = node % len(nodes)
+        if anchor == "gap":
+            tol = gap
+        elif anchor == "upper":
+            tol = meanfield.paired_bounds(fa.X, fa.V, fb.X, fb.V, p)[k]
+        else:
+            tol = float(meanfield._mean_gaps(fa, fb)[k])
+            if anchor == "gap_to_lower":
+                tol = 0.5 * (gap + tol)
+        for _ in range(abs(ulps)):
+            tol = float(np.nextafter(tol, np.inf if ulps > 0 else 0.0))
+        assume(tol > 0.0)
+        assert meanfield._gap_below(fa, fb, p, tol) == (gap < tol)
+
+    def test_mean_bound_decides_without_a_solve(self):
+        # A translate far beyond tol: the mean displacement alone shows
+        # the gap is at least tol.
+        a = _spread_init(32, 2, seed=5)
+        b = ParticleEnsemble(a.X + 1.0, a.V)
+        fa, fb = _constant_flows(a, b, (0.0, 1.0))
+        with mock.patch.object(meanfield, "wasserstein_gap",
+                               wraps=meanfield.wasserstein_gap) as spy:
+            assert meanfield._gap_below(fa, fb, 2.0, 0.5) is False
+            assert meanfield._gap_below(fa, fb, 2.0, 1.5) is True
+        assert spy.call_count == 0
+
+    def test_lower_margin_admits_a_solve_below_the_mean_bound(self):
+        # A shuffled translate by 1e-12: exact W_1 equals the mean
+        # displacement, but the paired displacements are of order 1 and
+        # cancel, so their computed mean rounds above the computed exact
+        # W_1 by far more than 1e-9 of itself. At tol between the two the
+        # gap is below tol; only the margin, taken of the paired bound,
+        # keeps the mean bound from deciding no.
+        rng = np.random.default_rng(2)
+        X, V = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
+        perm = rng.permutation(4)
+        fa, fb = _constant_flows(ParticleEnsemble(X, V),
+                                 ParticleEnsemble(X[perm] + 1e-12, V[perm]))
+        lower = float(meanfield._mean_gaps(fa, fb)[0])
+        gap = flow_gap(fa, fb, 1.0)
+        assert gap < lower * (1.0 - 1e-6)
+        assert meanfield._gap_below(fa, fb, 1.0, 0.5 * (gap + lower)) is True
+
+    def test_upper_margin_admits_a_solve_one_ulp_above_its_bound(self):
+        # A solve that rounds one ulp above its paired bound, at tol: the
+        # gap is not below tol, and only the margin sends the node to its
+        # solve instead of accepting the bound.
+        a = _spread_init(8, 1, seed=6)
+        b = ParticleEnsemble(a.X + 0.25, a.V)
+        fa, fb = _constant_flows(a, b)
+        bound = meanfield.paired_bounds(fa.X, fa.V, fb.X, fb.V, 2.0)[0]
+        above = float(np.nextafter(bound, np.inf))
+        with mock.patch.object(meanfield, "wasserstein_gap",
+                               return_value=above):
+            assert flow_gap(fa, fb, 2.0) == above
+            assert meanfield._gap_below(fa, fb, 2.0, above) is False
+
+    def test_above_the_switch_the_gap_is_the_top_paired_bound(self):
+        N = EXACT_GAP_MAX_N + 1
+        a = _spread_init(N, 1, seed=7)
+        b = ParticleEnsemble(a.X + 0.1, a.V)
+        fa, fb = _constant_flows(a, b)
+        gap = flow_gap(fa, fb, 2.0)
+        above = float(np.nextafter(gap, np.inf))
+        with mock.patch.object(meanfield, "wasserstein_gap") as spy:
+            assert meanfield._gap_below(fa, fb, 2.0, gap) is False
+            assert meanfield._gap_below(fa, fb, 2.0, above) is True
+        assert spy.call_count == 0
+
+
 class TestPicard:
     def test_measure_independent_drift_stops_in_two_iterations(self):
         """With no measure coupling the second pass replays the first."""
@@ -227,6 +356,35 @@ class TestPicard:
         free = picard_solve(zero_field(), init, cfg)
         np.testing.assert_array_equal(clamped.final_flow.snapshots[-1].X,
                                       free.final_flow.snapshots[-1].X)
+
+    @pytest.mark.parametrize("N, tol", [(16, 1e-8), (16, 1e-3),
+                                        (EXACT_GAP_MAX_N + 1, 1e-6)])
+    def test_decision_mode_runs_the_same_iterates(self, N, tol):
+        cfg = _cfg(N=N, n_steps=12, sigma=0.1, seed=3)
+        f = drift_from_kernel(kernel("bounded_alignment", d=1))
+        full = picard_solve(f, _spread_init(N, 1, seed=3), cfg, tol=tol)
+        rep = picard_solve(f, _spread_init(N, 1, seed=3), cfg, tol=tol,
+                           record_gaps=False)
+        assert full.converged and rep.converged
+        assert rep.iterations == full.iterations
+        assert rep.gaps == ()
+        np.testing.assert_array_equal(rep.final_flow.X, full.final_flow.X)
+        np.testing.assert_array_equal(rep.final_flow.V, full.final_flow.V)
+
+    def test_decision_mode_reports_the_exact_last_gap_on_failure(self):
+        cfg = _cfg(N=8, sigma=0.1)
+        f = drift_from_kernel(kernel("bounded_alignment", d=1))
+        full = picard_solve(f, _spread_init(8, 1), cfg, tol=1e-15, max_iter=3)
+        rep = picard_solve(f, _spread_init(8, 1), cfg, tol=1e-15, max_iter=3,
+                           record_gaps=False)
+        assert not rep.converged and rep.iterations == 3
+        assert rep.gaps == full.gaps[-1:]
+
+    def test_decision_mode_with_no_iterations_reports_no_gap(self):
+        rep = picard_solve(zero_field(), _spread_init(4, 1), _cfg(N=4),
+                           max_iter=0, record_gaps=False)
+        assert not rep.converged
+        assert rep.iterations == 0 and rep.gaps == ()
 
     def test_argument_guards(self):
         cfg = _cfg(N=4)
