@@ -408,8 +408,8 @@ def latin_hypercube_points(n, d, low, high, seed):
     """n Latin-hypercube phase points with coordinates in [low, high]^{2d}.
 
     scipy.stats is imported here, not at module load: only the validate
-    scenario samples these points, and the import costs about half a
-    second of every CLI start."""
+    scenario samples these points. The import also loads scipy.optimize,
+    so a start that does not validate loads neither."""
     from scipy.stats import qmc
 
     sampler = qmc.LatinHypercube(d=2 * d, seed=seed)

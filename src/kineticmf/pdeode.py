@@ -96,10 +96,10 @@ def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
     M = times.size - 1
 
     def rhs(t, Y):
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             raise FloatingPointError(f"non-finite leader state at t={t}")
         out = F.rhs(t, flow, Y, u)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FloatingPointError(f"non-finite leader right-hand side at t={t}")
         return out
 

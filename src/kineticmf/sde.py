@@ -149,15 +149,15 @@ def _euler_maruyama(init, cfg, paths, drift, Y=None):
     X[0], V[0] = init.X, init.V
     for k in range(cfg.n_steps):
         f = drift(k, MeasureFlow._of(times[: k + 1], X[: k + 1], V[: k + 1]))
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             i = int(np.argwhere(~np.isfinite(f))[0][0])
             raise FloatingPointError(
                 f"non-finite drift at step {k} (t={times[k]}), particle {i}")
         # (v + f dt) + sqrt(2 sigma) dB, in that order: the bits depend on it.
         np.add(V[k] + f * dt, noise * paths.increments[k, : cfg.N], out=V[k + 1])
         np.add(X[k], V[k + 1] * dt, out=X[k + 1])
-        if not (np.all(np.isfinite(X[k + 1])) and np.all(np.isfinite(V[k + 1]))
-                and (Y is None or np.all(np.isfinite(Y[k + 1])))):
+        if not (np.isfinite(X[k + 1]).all() and np.isfinite(V[k + 1]).all()
+                and (Y is None or np.isfinite(Y[k + 1]).all())):
             raise FloatingPointError(f"non-finite state at step {k + 1}")
     return MeasureFlow._of(times, X, V)
 

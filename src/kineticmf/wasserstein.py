@@ -7,10 +7,13 @@ distances are the yardstick every convergence claim in the package is
 measured with.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "TransportPlan",
@@ -25,6 +28,42 @@ __all__ = [
     "EXACT_SIZE_CAP",
     "EXACT_GAP_MAX_N",
 ]
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _load_lsap():
+    """scipy's linear_sum_assignment, loaded from its compiled extension
+    alone.
+
+    `from scipy.optimize import ...` would load all of scipy.optimize
+    (scipy.linalg and linprog among it), most of a process's start-up, for
+    this one function. The extension is found in its file and registered
+    under its own name, so a later import of scipy.optimize reuses it and
+    hands out the same function. The file layout is private to scipy: on
+    any failure the public import is used instead."""
+    try:
+        module = sys.modules.get(_LSAP)
+        if module is None:
+            scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+            finder = importlib.machinery.FileFinder(
+                os.path.join(scipy_dirs[0], "optimize"),
+                (importlib.machinery.ExtensionFileLoader,
+                 importlib.machinery.EXTENSION_SUFFIXES))
+            spec = finder.find_spec(_LSAP)
+            if spec is None:
+                raise ImportError(f"no compiled {_LSAP} in {finder.path}")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_LSAP] = module
+            spec.loader.exec_module(module)
+        return module.linear_sum_assignment
+    except Exception:
+        sys.modules.pop(_LSAP, None)
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
 
 # Cost matrices are dense float64; 4096^2 entries = 128 MiB is the default
 # ceiling. Larger ensembles must opt into sliced_w1 or the paired bound.

@@ -6,12 +6,20 @@ over all permutations.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kineticmf
+from kineticmf import wasserstein
 from kineticmf.phase_space import ParticleEnsemble
 from kineticmf.wasserstein import (
     EXACT_SIZE_CAP,
@@ -336,3 +344,116 @@ class TestGuards:
             TransportPlan(assignment=np.array([0, 0]), cost=1.0)
         with pytest.raises(ValueError):
             TransportPlan(assignment=np.array([0, 1]), cost=-1.0)
+
+
+def _fresh_process(code):
+    """Run code in a new interpreter that imports this kineticmf; return its
+    last stdout line parsed as JSON."""
+    src = str(Path(kineticmf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestSolverLoader:
+    """linear_sum_assignment comes from scipy's compiled extension alone;
+    scipy.optimize is the fallback. Each check runs in a fresh interpreter,
+    since the test process may already hold scipy.optimize."""
+
+    def test_cli_import_loads_no_scipy_optimize(self):
+        loaded = _fresh_process("""
+            import json, sys
+            import kineticmf.cli
+            print(json.dumps(sorted(m for m in sys.modules
+                                    if m.startswith("scipy"))))
+        """)
+        for heavy in ("scipy.optimize", "scipy.linalg", "scipy.stats"):
+            assert heavy not in loaded
+        assert "scipy.optimize._lsap" in loaded
+
+    def test_later_scipy_optimize_import_reuses_the_solver(self):
+        assert _fresh_process("""
+            import json
+            from kineticmf import wasserstein
+            import scipy.optimize
+            print(json.dumps(wasserstein.linear_sum_assignment
+                             is scipy.optimize.linear_sum_assignment))
+        """)
+
+    @pytest.mark.parametrize("breakage", ["missing_file", "failed_load"])
+    def test_loader_failure_falls_back_to_public_import(self, breakage):
+        result = _fresh_process(f"""
+            import importlib, importlib.abc, importlib.machinery, json, sys
+            from kineticmf import wasserstein
+
+            # importlib.abc is loaded first: it registers the real loader
+            # class, which a patched one would break.
+            class Failing(importlib.machinery.ExtensionFileLoader):
+                def exec_module(self, module):
+                    raise ImportError("forced")
+
+            del sys.modules["scipy.optimize._lsap"]
+            if {breakage!r} == "missing_file":
+                importlib.machinery.EXTENSION_SUFFIXES = [".missing.so"]
+            else:  # found, then fails after registration
+                importlib.machinery.ExtensionFileLoader = Failing
+            importlib.reload(wasserstein)
+            assert "scipy.optimize" in sys.modules
+            import scipy.optimize
+            from kineticmf.phase_space import ParticleEnsemble
+            import numpy as np
+            a = ParticleEnsemble(np.array([[0.0], [10.0]]), np.zeros((2, 1)))
+            b = ParticleEnsemble(np.array([[9.0], [1.0]]), np.zeros((2, 1)))
+            d, plan = wasserstein.wasserstein_exact(a, b, 1.0)
+            print(json.dumps([
+                wasserstein.linear_sum_assignment
+                is scipy.optimize.linear_sum_assignment,
+                d, plan.assignment.tolist()]))
+        """)
+        assert result == [True, 1.0, [1, 0]]
+
+    def test_validate_after_the_loader_keeps_one_solver(self, tmp_path):
+        # validate imports scipy.stats, and with it scipy.optimize, after
+        # the extension is registered; the solver must stay the same object.
+        cfg = tmp_path / "validate.ini"
+        cfg.write_text("[run]\nscenario = validate\nseed = 4\n"
+                       "[model]\nk11 = bounded_alignment\nsigma = 0.1\n"
+                       "n_particles = 16\n"
+                       "[grid]\nt = 0.5\nn_steps = 8\n")
+        result = _fresh_process(f"""
+            import json, sys
+            from kineticmf import wasserstein
+            from kineticmf.cli import parse_config, run
+            assert "scipy.optimize" not in sys.modules
+            code = run(parse_config({str(cfg)!r}),
+                       output_dir={str(tmp_path / "out")!r})
+            import scipy.optimize
+            print(json.dumps([code, "scipy.stats" in sys.modules,
+                              wasserstein.linear_sum_assignment
+                              is scipy.optimize.linear_sum_assignment]))
+        """)
+        assert result == [0, True, True]
+
+    @given(st.integers(min_value=1, max_value=200),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_loaded_solver_matches_public_solver(self, n, seed, lattice):
+        # Ties are where two solver builds could pick different optimal
+        # assignments, so half the matrices take three values only.
+        from scipy.optimize import linear_sum_assignment as public
+
+        rng = np.random.default_rng(seed)
+        if lattice:
+            C = 0.5 * rng.integers(0, 3, size=(n, n))
+        else:
+            C = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
+        rows, cols = wasserstein.linear_sum_assignment(C)
+        want_rows, want_cols = public(C)
+        assert rows.dtype == want_rows.dtype and cols.dtype == want_cols.dtype
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
