@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control_opt import (default_features, evaluate_cost_meanfield,
-                          make_cost, optimize, sv_control, sv_zero,
-                          validate_control, zero_control)
+from .control_opt import (LAGRANGIAN_NAMES, PSI_NAMES, default_features,
+                          evaluate_cost_meanfield, make_cost, optimize,
+                          sv_control, sv_zero, validate_control,
+                          zero_control)
 from .drift import (KERNEL_NAMES, kernel, latin_hypercube_points,
                     validate_dissipativity_v3pp, validate_hoelder,
                     validate_sublinearity)
@@ -299,13 +300,12 @@ def _check_ranges(values, errors):
         bad("[control] m_h must be > 0")
     if values[("control", "r_c")] <= 0:
         bad("[control] r_c must be > 0")
-    if values[("cost", "lagrangian")] not in ("zero", "constant", "track_mean_x"):
+    if values[("cost", "lagrangian")] not in LAGRANGIAN_NAMES:
         bad(f"[cost] unknown lagrangian '{values[('cost', 'lagrangian')]}'"
-            + _suggest(values[("cost", "lagrangian")],
-                       ("zero", "constant", "track_mean_x")))
-    if values[("cost", "psi")] not in ("zero", "quadratic"):
+            + _suggest(values[("cost", "lagrangian")], LAGRANGIAN_NAMES))
+    if values[("cost", "psi")] not in PSI_NAMES:
         bad(f"[cost] unknown psi '{values[('cost', 'psi')]}'"
-            + _suggest(values[("cost", "psi")], ("zero", "quadratic")))
+            + _suggest(values[("cost", "psi")], PSI_NAMES))
     if values[("cost", "psi_weight")] < 0:
         bad("[cost] psi_weight must be >= 0")
     if not values[("experiment", "n_list")] \
@@ -315,6 +315,8 @@ def _check_ranges(values, errors):
         bad("[experiment] n_ref must be >= 0")
     if not values[("experiment", "seeds")]:
         bad("[experiment] seeds must not be empty")
+    elif min(values[("experiment", "seeds")]) < 0:
+        bad("[experiment] seeds must be >= 0")
     if values[("experiment", "tol")] <= 0:
         bad("[experiment] tol must be > 0")
     if values[("experiment", "max_iter")] < 1:
@@ -519,7 +521,8 @@ def _build_control(rc):
     m, d = rc.n_leaders, rc.d
     if rc.control_class == "zero":
         return zero_control(m, d)
-    base = sv_zero(m, d, rc.T, K=rc.bins, M_h=rc.M_h)
+    base = sv_zero(m, d, rc.T, K=rc.bins, M_h=rc.M_h,
+                   features=default_features(d, R_c=rc.R_c))
     if rc.h_file:
         h = _load_h(rc.h_file, rc.bins, m * d, base.features.ell)
         return sv_control(h, rc.T, rc.M_h, m, d, features=base.features)
@@ -625,7 +628,8 @@ def _scenario_coupled(rc, model, cfg, out, progress):
 
 def _scenario_optimize(rc, model, cfg, out, progress):
     cost = _build_cost(rc)
-    u0 = sv_zero(model.m, model.d, rc.T, K=rc.bins, M_h=rc.M_h)
+    u0 = sv_zero(model.m, model.d, rc.T, K=rc.bins, M_h=rc.M_h,
+                 features=default_features(model.d, R_c=rc.R_c))
     progress.phase("optimize", budget=rc.budget)
 
     def cost_fn(u):

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .drift import clamp_drift
-from .phase_space import (MeasureFlow, gamma_p, holder_ratio, moment_p,
-                          sup_moment, young_moment)
+from .phase_space import (MeasureFlow, gamma_p, moment_p, sup_moment,
+                          young_moment)
 from .sde import generate_brownian, simulate_frozen
 # EXACT_GAP_MAX_N is re-exported: callers read the size switch from here.
 from .wasserstein import (EXACT_GAP_MAX_N, gap_is_exact, paired_bounds,
@@ -404,20 +404,15 @@ def _gap_holder_ratio(flow, p):
     return _pruned_max(bounds, quotient)
 
 
-def moment_certificate(flow, p, Phi, wp=None):
+def moment_certificate(flow, p, Phi):
     """Evaluate sup-in-time p-moment, sup-in-time Young moment, and the
-    worst Hoelder quotient at exponent gamma_p = 1/max(2, p). wp overrides
-    the distance callback used for the Hoelder ratio; by default it is the
-    exact/paired switch wasserstein_gap, whose pair solves are pruned by
-    the paired bound (same value as the full loop, bit for bit)."""
+    worst Hoelder quotient at exponent gamma_p = 1/max(2, p). The Hoelder
+    distance is the exact/paired switch wasserstein_gap, whose pair solves
+    are pruned by the paired bound (the same value as holder_ratio's full
+    loop, bit for bit)."""
     mbar = sup_moment(flow, p, flow.T)
     ybar = max(young_moment(s, Phi, p) for s in flow.snapshots)
-    if len(flow) < 2:
-        holder = 0.0
-    elif wp is None:
-        holder = _gap_holder_ratio(flow, p)
-    else:
-        holder = holder_ratio(flow, p, wp)
+    holder = _gap_holder_ratio(flow, p) if len(flow) >= 2 else 0.0
     ok = all(math.isfinite(x) for x in (mbar, ybar, holder))
     return MomentCertificate(sup_moment=mbar, young_sup_moment=ybar,
                              holder=holder, p=p, gamma=gamma_p(p), passed=ok)

@@ -65,7 +65,7 @@ def _load_lsap():
 
 linear_sum_assignment = _load_lsap()
 
-# Cost matrices are dense float64; 4096^2 entries = 128 MiB is the default
+# Cost matrices are dense float64; 4096^2 entries = 128 MiB is the
 # ceiling. Larger ensembles must opt into sliced_w1 or the paired bound.
 EXACT_SIZE_CAP = 4096
 
@@ -73,22 +73,6 @@ EXACT_SIZE_CAP = 4096
 # index-paired coupling bound (an upper bound, so a convergent gap still
 # certifies convergence).
 EXACT_GAP_MAX_N = 256
-
-# Assignments whose costs agree to this relative tolerance count as ties.
-# A cost is a sum of N nonnegative entries, each computed to a few ulps, so
-# two assignments of equal exact cost differ in computed cost by a relative
-# amount of order N * eps. The tolerance is relative only: an absolute
-# floor would merge genuinely different costs below it (near-coincident
-# points) and let the refinement report a non-optimal plan.
-_TIE_RTOL = 1e-12
-
-# Lexicographic tie refinement re-solves reduced assignment problems (about
-# N^2 / 2 of them), so only wasserstein_exact runs it, for callers that read
-# the plan, and only at small N; above the cutoff the solver's
-# (deterministic) assignment is returned as-is. wasserstein_distance never
-# refines. Values are unaffected.
-_LEX_REFINE_MAX_N = 32
-
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -121,71 +105,35 @@ def _cost_matrix(a, b, p):
     return dist**p
 
 
-def _lex_smallest_assignment(C, base_value):
-    """Among assignments within the tie tolerance of base_value, return the
-    lexicographically smallest, by pinning rows in order to the smallest
-    column that still admits an optimal completion."""
-    n = C.shape[0]
-    tol = _TIE_RTOL * abs(base_value) * n
-    free_cols = list(range(n))
-    fixed_cost = 0.0
-    out = np.empty(n, dtype=int)
-    for i in range(n):
-        rest_rows = np.arange(i + 1, n)
-        for j in sorted(free_cols):
-            rest_cols = np.array([c for c in free_cols if c != j], dtype=int)
-            tail = 0.0
-            if rest_rows.size:
-                sub = C[np.ix_(rest_rows, rest_cols)]
-                r, c = linear_sum_assignment(sub)
-                tail = float(sub[r, c].sum())
-            total = fixed_cost + float(C[i, j]) + tail
-            if total <= base_value + tol:
-                out[i] = j
-                fixed_cost += float(C[i, j])
-                free_cols.remove(j)
-                break
-        else:  # pragma: no cover - defensive; base assignment always completes
-            raise RuntimeError("no optimal completion found during tie refinement")
-    return out
-
-
-def _solve(a, b, p, size_cap):
-    """Checks, cost matrix and one assignment solve: (C, cols, value), where
-    row i pairs with column cols[i] and value is the optimal total cost."""
+def _solve(a, b, p):
+    """Checks, cost matrix and one assignment solve: (cols, distance), where
+    row i pairs with column cols[i] in an optimal assignment."""
     _check_pair(a, b, p)
-    if a.N > size_cap:
+    if a.N > EXACT_SIZE_CAP:
         raise ValueError(
-            f"cost matrix {a.N}x{a.N} exceeds the exact-solver cap {size_cap}; "
-            "use sliced_w1 or wasserstein_paired_bound")
+            f"cost matrix {a.N}x{a.N} exceeds the exact-solver cap "
+            f"{EXACT_SIZE_CAP}; use sliced_w1 or wasserstein_paired_bound")
     C = _cost_matrix(a, b, p)
     rows, cols = linear_sum_assignment(C)
-    return C, cols, float(C[rows, cols].sum())
+    return cols, (float(C[rows, cols].sum()) / a.N) ** (1.0 / p)
 
 
 def wasserstein_distance(a, b, p):
-    """Exact W_p between equal-N uniform empirical measures, value only:
-    one assignment solve, no plan and no tie refinement."""
-    _, _, value = _solve(a, b, p, EXACT_SIZE_CAP)
-    return (value / a.N) ** (1.0 / p)
+    """Exact W_p between equal-N uniform empirical measures, value only."""
+    return _solve(a, b, p)[1]
 
 
-def wasserstein_exact(a, b, p, size_cap=EXACT_SIZE_CAP):
+def wasserstein_exact(a, b, p):
     """Exact W_p between equal-N uniform empirical measures.
 
     Returns (distance, TransportPlan). distance solves
-    min over permutations of ((1/N) sum_i |z_i - z'_{sigma(i)}|^p)^(1/p).
-    Among cost-tied optimal assignments the lexicographically smallest
-    sigma is reported (refined below a small-N cutoff; ties are
-    measure-zero for continuous data). The distance is the solver's
-    optimal value, the same bits as wasserstein_distance, which callers
-    that need only the value should use; a refined plan's own cost agrees
-    with it to the tie tolerance.
+    min over permutations of ((1/N) sum_i |z_i - z'_{sigma(i)}|^p)^(1/p),
+    the same bits as wasserstein_distance from the same one assignment
+    solve, and sigma is that solver's optimal assignment. Among cost-tied
+    optima (measure-zero for continuous data) which one is returned is the
+    solver's choice, the same on every call.
     """
-    C, sigma, value = _solve(a, b, p, size_cap)
-    if a.N <= _LEX_REFINE_MAX_N:
-        sigma = _lex_smallest_assignment(C, value)
-    dist = (value / a.N) ** (1.0 / p)
+    sigma, dist = _solve(a, b, p)
     return dist, TransportPlan(assignment=sigma, cost=dist)
 
 

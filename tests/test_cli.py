@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kineticmf import __version__
+from kineticmf import __version__, cli
 from kineticmf.cli import (
     ConfigError,
     InitialLaw,
@@ -397,6 +397,43 @@ class TestRunScenarios:
                      "--output-dir", str(out2)]) == 0
         assert (out2 / "leaders.csv").exists()
 
+    def test_feature_clamp_radius_reaches_the_sv_control(self, tmp_path):
+        # h weighs only the clamped second-moment feature, so the leader
+        # path depends on [control] r_c through the feature map alone.
+        h = tmp_path / "h.csv"
+        h.write_text("bin,i,j,value\n0,0,2,1.0\n")
+        leaders = {}
+        for r_c in ("0.5", "5.0"):
+            text = ("[run]\nscenario = simulate\nseed = 1\n"
+                    "[model]\nsigma = 0.0\nn_particles = 8\nn_leaders = 1\n"
+                    "initial = gaussian\n"
+                    "[grid]\nt = 0.5\nn_steps = 4\n"
+                    f"[control]\nclass = sv\nbins = 1\nr_c = {r_c}\n"
+                    f"h_file = {h}\n")
+            out = tmp_path / f"out{r_c}"
+            assert main(["run", _write(tmp_path, text), "--output-dir",
+                         str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["control"]["r_c"] == r_c
+            leaders[r_c] = (out / "leaders.csv").read_text()
+        assert leaders["0.5"] != leaders["5.0"]
+
+    def test_optimize_starts_from_the_configured_features(self, tmp_path,
+                                                          monkeypatch):
+        seen = []
+
+        def fake_optimize(u0, cost_fn, budget, step0, seed):
+            seen.append(u0.features.name)
+            return u0, [(1, 0.0, 0.0)]
+
+        monkeypatch.setattr(cli, "optimize", fake_optimize)
+        text = ("[run]\nscenario = optimize\n"
+                "[model]\nn_particles = 4\nn_leaders = 1\n"
+                "[control]\nbins = 1\nr_c = 2.0\n")
+        assert main(["run", _write(tmp_path, text), "--output-dir",
+                     str(tmp_path / "out")]) == 0
+        assert seen == ["moments[R_c=2]"]
+
     def test_bad_h_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "h.csv"
         bad.write_text("a,b\n1,2\n")
@@ -477,6 +514,9 @@ class TestCommandLine:
         pytest.param("[run]\nscenario = optimize\n",
                      "optimize scenario needs n_leaders >= 1",
                      id="optimize-without-leaders"),
+        pytest.param("[run]\nscenario = chaos\n[experiment]\nseeds = 1,-2\n",
+                     "[experiment] seeds must be >= 0",
+                     id="chaos-negative-seed"),
     ] + [
         pytest.param(f"[run]\nscenario = {scenario}\n[control]\nclass = sv\n",
                      "control class sv needs n_leaders >= 1",

@@ -625,10 +625,3 @@ class TestMomentCertificate:
                                wraps=meanfield.wasserstein_gap) as spy:
             assert moment_certificate(flow, 2.0, IDENTITY_YOUNG).holder == full
         assert spy.call_count < 15
-
-    def test_custom_distance_callback_respected(self):
-        ens = ParticleEnsemble([[1.0]], [[0.0]])
-        flow = MeasureFlow.constant(ens, [0.0, 1.0])
-        cert = moment_certificate(flow, 2.0, IDENTITY_YOUNG,
-                                  wp=lambda a, b: 7.0)
-        assert cert.holder == 7.0
