@@ -57,6 +57,7 @@ SCENARIOS = ("simulate", "meanfield", "coupled", "optimize", "chaos", "gamma",
              "validate")
 INITIAL_KINDS = ("point", "gaussian", "uniform", "mixture")
 _POSITION_KERNELS = tuple(n for n in KERNEL_NAMES if n.endswith("_position"))
+_KERNEL_CHOICES = KERNEL_NAMES + ("none",)
 
 
 class ConfigError(Exception):
@@ -86,7 +87,8 @@ class InitialLaw:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial law '{self.kind}'")
-        if np.any(self.std < 0) or np.any(self.box < 0):
+        if any(np.any(a < 0) for a in (self.std, self.box, self.std2)
+               if a is not None):
             raise ValueError("initial std and box widths must be >= 0")
         if not (0.0 <= self.mix_weight <= 1.0):
             raise ValueError("mixture weight must lie in [0, 1]")
@@ -184,63 +186,77 @@ def _parse_ints(raw):
     return out
 
 
-# Schema: section -> key -> (converter, default-as-string, description).
-# Defaults are strings so the resolved config in the manifest is uniform.
+# Schema: section -> key -> (converter, default-as-string, description,
+# rule). Defaults are strings so the resolved config in the manifest is
+# uniform. A rule is a bound from _BOUNDS, which the value (every element
+# of a list) must meet, or the tuple of allowed names; None checks nothing.
+_BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
+           ">= 1": lambda v: v >= 1}
 _SCHEMA = {
     "run": {
-        "scenario": (str, None, f"one of {', '.join(SCENARIOS)}"),
-        "seed": (int, "0", "base seed, >= 0"),
+        "scenario": (str, None, "scenario to run", SCENARIOS),
+        "seed": (int, "0", "base seed", ">= 0"),
     },
     "model": {
-        "d": (int, "1", "state dimension, >= 1"),
-        "sigma": (float, "0.1", "diffusion strength, >= 0"),
-        "n_particles": (int, "64", "follower count, >= 1"),
-        "n_leaders": (int, "0", "leader count, >= 0"),
-        "k11": (str, "none", "follower-follower kernel name or none"),
-        "k12": (str, "none", "leader-to-follower kernel name or none"),
-        "k21": (str, "none", "follower-to-leader position kernel or none"),
-        "k22": (str, "none", "leader-leader position kernel or none"),
-        "constant_value": (float, "1.0", "value for 'constant' kernels"),
-        "leader_x": (_parse_floats, "1.0", "initial leader position(s)"),
-        "initial": (str, "gaussian", f"one of {', '.join(INITIAL_KINDS)}"),
-        "initial_x": (_parse_floats, "0.0", "initial mean position"),
-        "initial_v": (_parse_floats, "0.0", "initial mean velocity"),
-        "initial_std": (_parse_floats, "1.0", "gaussian std, >= 0"),
-        "initial_box": (_parse_floats, "1.0", "uniform half-width, >= 0"),
-        "mix_weight": (float, "0.5", "first mixture weight, in [0, 1]"),
-        "initial_x2": (_parse_floats, "0.0", "second component mean position"),
-        "initial_v2": (_parse_floats, "0.0", "second component mean velocity"),
-        "initial_std2": (_parse_floats, "1.0", "second component std, >= 0"),
+        "d": (int, "1", "state dimension", ">= 1"),
+        "sigma": (float, "0.1", "diffusion strength", ">= 0"),
+        "n_particles": (int, "64", "follower count", ">= 1"),
+        "n_leaders": (int, "0", "leader count", ">= 0"),
+        "k11": (str, "none", "follower-follower kernel", _KERNEL_CHOICES),
+        "k12": (str, "none", "leader-to-follower kernel", _KERNEL_CHOICES),
+        "k21": (str, "none", "follower-to-leader kernel", _KERNEL_CHOICES),
+        "k22": (str, "none", "leader-leader kernel", _KERNEL_CHOICES),
+        "constant_value": (float, "1.0", "value for 'constant' kernels",
+                           None),
+        "leader_x": (_parse_floats, "1.0", "initial leader position(s)",
+                     None),
+        "initial": (str, "gaussian", "initial law", INITIAL_KINDS),
+        "initial_x": (_parse_floats, "0.0", "initial mean position", None),
+        "initial_v": (_parse_floats, "0.0", "initial mean velocity", None),
+        "initial_std": (_parse_floats, "1.0", "gaussian std", ">= 0"),
+        "initial_box": (_parse_floats, "1.0", "uniform half-width", ">= 0"),
+        "mix_weight": (float, "0.5", "first mixture weight, in [0, 1]",
+                       None),
+        "initial_x2": (_parse_floats, "0.0",
+                       "second component mean position", None),
+        "initial_v2": (_parse_floats, "0.0",
+                       "second component mean velocity", None),
+        "initial_std2": (_parse_floats, "1.0", "second component std",
+                         ">= 0"),
     },
     "grid": {
-        "t": (float, "1.0", "horizon, > 0"),
-        "n_steps": (int, "50", "time steps, >= 1"),
+        "t": (float, "1.0", "horizon", "> 0"),
+        "n_steps": (int, "50", "time steps", ">= 1"),
     },
     "control": {
-        "class": (str, "zero", "zero or sv"),
-        "bins": (int, "8", "piecewise-constant time bins, >= 1"),
-        "m_h": (float, "1.0", "Frobenius budget per bin, > 0"),
-        "r_c": (float, "5.0", "feature clamping radius, > 0"),
-        "h_file": (str, "", "optional CSV of h entries (bin,i,j,value)"),
+        "class": (str, "zero", "control class", ("zero", "sv")),
+        "bins": (int, "8", "piecewise-constant time bins", ">= 1"),
+        "m_h": (float, "1.0", "Frobenius budget per bin", "> 0"),
+        "r_c": (float, "5.0", "feature clamping radius", "> 0"),
+        "h_file": (str, "", "optional CSV of h entries (bin,i,j,value)",
+                   None),
     },
     "cost": {
-        "lagrangian": (str, "zero", "zero, constant, or track_mean_x"),
-        "lagrangian_value": (float, "1.0", "value for the constant lagrangian"),
-        "target": (_parse_floats, "0.0", "target for track_mean_x"),
-        "psi": (str, "zero", "zero or quadratic"),
-        "psi_weight": (float, "1.0", "quadratic control cost weight, >= 0"),
+        "lagrangian": (str, "zero", "running cost", LAGRANGIAN_NAMES),
+        "lagrangian_value": (float, "1.0",
+                             "value for the constant lagrangian", None),
+        "target": (_parse_floats, "0.0", "target for track_mean_x", None),
+        "psi": (str, "zero", "control cost", PSI_NAMES),
+        "psi_weight": (float, "1.0", "quadratic control cost weight",
+                       ">= 0"),
     },
     "experiment": {
-        "n_list": (_parse_ints, "8,16,32", "sweep sizes"),
-        "n_ref": (int, "0", "chaos reference size (0 = 8x the largest N)"),
-        "seeds": (_parse_ints, "1,2,3,4,5", "per-cell seeds"),
-        "tol": (float, "1e-6", "Picard tolerance, > 0"),
-        "max_iter": (int, "25", "Picard iteration cap, >= 1"),
-        "budget": (int, "120", "optimizer evaluation budget, >= 1"),
-        "step0": (float, "0.5", "optimizer initial step, > 0"),
+        "n_list": (_parse_ints, "8,16,32", "sweep sizes", ">= 1"),
+        "n_ref": (int, "0", "chaos reference size (0 = 8x the largest N)",
+                  ">= 0"),
+        "seeds": (_parse_ints, "1,2,3,4,5", "per-cell seeds", ">= 0"),
+        "tol": (float, "1e-6", "Picard tolerance", "> 0"),
+        "max_iter": (int, "25", "Picard iteration cap", ">= 1"),
+        "budget": (int, "120", "optimizer evaluation budget", ">= 1"),
+        "step0": (float, "0.5", "optimizer initial step", "> 0"),
     },
     "io": {
-        "output_dir": (str, "out", "output directory"),
+        "output_dir": (str, "out", "output directory", None),
     },
 }
 
@@ -256,81 +272,38 @@ def _reference_size(n_ref, n_list):
 
 
 def _check_ranges(values, errors):
-    def bad(msg):
-        errors.append(msg)
+    """Each _SCHEMA row's rule, then the rules that span keys."""
+    bad = errors.append
+    for section, keys in _SCHEMA.items():
+        for key, (_, _, _, rule) in keys.items():
+            value = values[(section, key)]
+            if rule is None or value is None:
+                continue
+            if isinstance(rule, tuple):
+                if value not in rule:
+                    bad(f"[{section}] unknown {key} '{value}'"
+                        + _suggest(value, rule))
+            elif not all(map(_BOUNDS[rule], value if isinstance(value, list)
+                             else [value])):
+                bad(f"[{section}] {key} must be {rule}")
 
-    if values[("run", "scenario")] is None:
+    scenario = values[("run", "scenario")]
+    if scenario is None:
         bad("[run] scenario is required, one of " + ", ".join(SCENARIOS))
-    elif values[("run", "scenario")] not in SCENARIOS:
-        bad(f"[run] unknown scenario '{values[('run', 'scenario')]}'"
-            + _suggest(values[("run", "scenario")], SCENARIOS))
-    if values[("run", "seed")] < 0:
-        bad("[run] seed must be >= 0")
-    if values[("model", "d")] < 1:
-        bad("[model] d must be >= 1")
-    if values[("model", "sigma")] < 0:
-        bad("[model] sigma must be >= 0")
-    if values[("model", "n_particles")] < 1:
-        bad("[model] n_particles must be >= 1")
-    if values[("model", "n_leaders")] < 0:
-        bad("[model] n_leaders must be >= 0")
-    for slot in ("k11", "k12", "k21", "k22"):
-        name = values[("model", slot)]
-        if name != "none" and name not in KERNEL_NAMES:
-            bad(f"[model] unknown kernel '{name}' for {slot}"
-                + _suggest(name, KERNEL_NAMES + ("none",)))
     for slot in ("k21", "k22"):
         name = values[("model", slot)]
         if name in KERNEL_NAMES and name not in _POSITION_KERNELS:
             bad(f"[model] {slot} must be a position kernel, one of "
                 + ", ".join(_POSITION_KERNELS))
-    if values[("model", "initial")] not in INITIAL_KINDS:
-        bad(f"[model] unknown initial law '{values[('model', 'initial')]}'"
-            + _suggest(values[("model", "initial")], INITIAL_KINDS))
-    if values[("grid", "t")] <= 0:
-        bad("[grid] t must be > 0")
-    if values[("grid", "n_steps")] < 1:
-        bad("[grid] n_steps must be >= 1")
-    if values[("control", "class")] not in ("zero", "sv"):
-        bad("[control] class must be zero or sv (other classes need code, "
-            "not config)")
-    if values[("control", "bins")] < 1:
-        bad("[control] bins must be >= 1")
-    if values[("control", "m_h")] <= 0:
-        bad("[control] m_h must be > 0")
-    if values[("control", "r_c")] <= 0:
-        bad("[control] r_c must be > 0")
-    if values[("cost", "lagrangian")] not in LAGRANGIAN_NAMES:
-        bad(f"[cost] unknown lagrangian '{values[('cost', 'lagrangian')]}'"
-            + _suggest(values[("cost", "lagrangian")], LAGRANGIAN_NAMES))
-    if values[("cost", "psi")] not in PSI_NAMES:
-        bad(f"[cost] unknown psi '{values[('cost', 'psi')]}'"
-            + _suggest(values[("cost", "psi")], PSI_NAMES))
-    if values[("cost", "psi_weight")] < 0:
-        bad("[cost] psi_weight must be >= 0")
-    if not values[("experiment", "n_list")] \
-            or min(values[("experiment", "n_list")], default=0) < 1:
-        bad("[experiment] n_list must hold sizes >= 1")
-    if values[("experiment", "n_ref")] < 0:
-        bad("[experiment] n_ref must be >= 0")
+    n_list = values[("experiment", "n_list")]
+    if not n_list:
+        bad("[experiment] n_list must not be empty")
     if not values[("experiment", "seeds")]:
         bad("[experiment] seeds must not be empty")
-    elif min(values[("experiment", "seeds")]) < 0:
-        bad("[experiment] seeds must be >= 0")
-    if values[("experiment", "tol")] <= 0:
-        bad("[experiment] tol must be > 0")
-    if values[("experiment", "max_iter")] < 1:
-        bad("[experiment] max_iter must be >= 1")
-    if values[("experiment", "budget")] < 1:
-        bad("[experiment] budget must be >= 1")
-    if values[("experiment", "step0")] <= 0:
-        bad("[experiment] step0 must be > 0")
 
     # What a scenario would refuse at run time is refused here.
-    scenario = values[("run", "scenario")]
-    no_leaders = values[("model", "n_leaders")] == 0
-    n_list = values[("experiment", "n_list")]
     n_ref = values[("experiment", "n_ref")]
+    no_leaders = values[("model", "n_leaders")] == 0
     if scenario == "chaos" and min(n_list, default=0) >= 1 and n_ref >= 0:
         try:
             check_reference_size(_reference_size(n_ref, n_list), max(n_list))
@@ -344,10 +317,11 @@ def _check_ranges(values, errors):
         bad("[control] control class sv needs n_leaders >= 1")
     m, d, bins = (values[("model", "n_leaders")], values[("model", "d")],
                   values[("control", "bins")])
-    if builds_sv and values[("control", "h_file")] and min(m, d, bins) >= 1:
+    h_file = values[("control", "h_file")]
+    if (builds_sv or scenario == "optimize") and h_file \
+            and min(m, d, bins) >= 1:
         try:
-            _load_h(values[("control", "h_file")], bins, m * d,
-                    default_features(d).ell)
+            _load_h(h_file, bins, m * d, default_features(d).ell)
         except ValueError as e:
             bad(f"[control] {e}")
         except OSError:
@@ -382,7 +356,7 @@ def parse_config(path):
     resolved = {}
     for section, keys in _SCHEMA.items():
         resolved[section] = {}
-        for key, (conv, default, desc) in keys.items():
+        for key, (conv, default, desc, rule) in keys.items():
             raw = parser.get(section, key, fallback=default) \
                 if parser.has_section(section) else default
             if raw is None:
@@ -393,38 +367,34 @@ def parse_config(path):
                 values[(section, key)] = conv(raw)
                 resolved[section][key] = str(raw)
             except (TypeError, ValueError):
+                hint = f"{desc}, {rule}" if isinstance(rule, str) else desc
                 errors.append(f"[{section}] {key}: cannot parse '{raw}' "
-                              f"({desc})")
+                              f"({hint})")
                 values[(section, key)] = conv(default) if default is not None \
                     else None
                 resolved[section][key] = str(default)
     _check_ranges(values, errors)
 
     d = values[("model", "d")]
+
+    def vec(section, key):
+        return _broadcast(values[(section, key)], d, f"[{section}] {key}")
+
     initial = None
     if not errors:
         try:
-            kind = values[("model", "initial")]
             initial = InitialLaw(
-                kind=kind, d=d,
-                mean_x=_broadcast(values[("model", "initial_x")], d,
-                                  "[model] initial_x"),
-                mean_v=_broadcast(values[("model", "initial_v")], d,
-                                  "[model] initial_v"),
-                std=_broadcast(values[("model", "initial_std")], d,
-                               "[model] initial_std"),
-                box=_broadcast(values[("model", "initial_box")], d,
-                               "[model] initial_box"),
+                kind=values[("model", "initial")], d=d,
+                mean_x=vec("model", "initial_x"),
+                mean_v=vec("model", "initial_v"),
+                std=vec("model", "initial_std"),
+                box=vec("model", "initial_box"),
                 mix_weight=values[("model", "mix_weight")],
-                mean_x2=_broadcast(values[("model", "initial_x2")], d,
-                                   "[model] initial_x2"),
-                mean_v2=_broadcast(values[("model", "initial_v2")], d,
-                                   "[model] initial_v2"),
-                std2=_broadcast(values[("model", "initial_std2")], d,
-                                "[model] initial_std2"),
-            )
-            _broadcast(values[("model", "leader_x")], d, "[model] leader_x")
-            _broadcast(values[("cost", "target")], d, "[cost] target")
+                mean_x2=vec("model", "initial_x2"),
+                mean_v2=vec("model", "initial_v2"),
+                std2=vec("model", "initial_std2"))
+            vec("model", "leader_x")
+            vec("cost", "target")
         except ValueError as e:
             errors.append(str(e))
     if errors:
@@ -440,7 +410,7 @@ def parse_config(path):
         kernel_names={slot.upper(): values[("model", slot.lower())]
                       for slot in ("K11", "K12", "K21", "K22")},
         constant_value=values[("model", "constant_value")],
-        leader_x=_broadcast(values[("model", "leader_x")], d, "leader_x"),
+        leader_x=vec("model", "leader_x"),
         initial=initial,
         T=values[("grid", "t")],
         n_steps=values[("grid", "n_steps")],
@@ -451,7 +421,7 @@ def parse_config(path):
         h_file=values[("control", "h_file")],
         lagrangian=values[("cost", "lagrangian")],
         lagrangian_value=values[("cost", "lagrangian_value")],
-        target=_broadcast(values[("cost", "target")], d, "target"),
+        target=vec("cost", "target"),
         psi=values[("cost", "psi")],
         psi_weight=values[("cost", "psi_weight")],
         N_list=tuple(values[("experiment", "n_list")]),
@@ -517,16 +487,20 @@ def _write_h(path, h):
                     fh.write(f"{b},{i},{j},{h[b, i, j]:.17g}\n")
 
 
-def _build_control(rc):
+def _sv_control(rc):
+    """The sv control with h read from [control] h_file, else all zero."""
     m, d = rc.n_leaders, rc.d
+    features = default_features(d, R_c=rc.R_c)
+    if not rc.h_file:
+        return sv_zero(m, d, rc.T, K=rc.bins, M_h=rc.M_h, features=features)
+    h = _load_h(rc.h_file, rc.bins, m * d, features.ell)
+    return sv_control(h, rc.T, rc.M_h, m, d, features=features)
+
+
+def _build_control(rc):
     if rc.control_class == "zero":
-        return zero_control(m, d)
-    base = sv_zero(m, d, rc.T, K=rc.bins, M_h=rc.M_h,
-                   features=default_features(d, R_c=rc.R_c))
-    if rc.h_file:
-        h = _load_h(rc.h_file, rc.bins, m * d, base.features.ell)
-        return sv_control(h, rc.T, rc.M_h, m, d, features=base.features)
-    return base
+        return zero_control(rc.n_leaders, rc.d)
+    return _sv_control(rc)
 
 
 def _build_cost(rc):
@@ -628,8 +602,7 @@ def _scenario_coupled(rc, model, cfg, out, progress):
 
 def _scenario_optimize(rc, model, cfg, out, progress):
     cost = _build_cost(rc)
-    u0 = sv_zero(model.m, model.d, rc.T, K=rc.bins, M_h=rc.M_h,
-                 features=default_features(model.d, R_c=rc.R_c))
+    u0 = _sv_control(rc)
     progress.phase("optimize", budget=rc.budget)
 
     def cost_fn(u):

@@ -216,25 +216,25 @@ def minima_convergence_experiment(model, cost, N_list, budget, cfg, seeds,
     })
 
 
-def table_to_csv(table, path, sweep_name="N"):
-    """CSV with header `<sweep>,mean,stderr,n_seeds`, full float precision."""
+def table_to_csv(table, path):
+    """CSV with header `N,mean,stderr,n_seeds`, full float precision."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"{sweep_name},mean,stderr,n_seeds\n")
+        fh.write("N,mean,stderr,n_seeds\n")
         for sweep, mean, stderr, n in table.rows:
             fh.write(f"{sweep:g},{mean:.17g},{stderr:.17g},{n}\n")
 
 
-def write_gnuplot(table, dat_path, gp_path, title=None, sweep_name="N"):
+def write_gnuplot(table, dat_path, gp_path, title=None):
     """Plain-text data file plus a minimal gnuplot script (log-log error
     bars); no plotting dependency enters the package."""
     title = title or table.metadata.get("experiment", "convergence")
     with open(dat_path, "w") as fh:
-        fh.write(f"# {sweep_name} mean stderr n_seeds\n")
+        fh.write("# N mean stderr n_seeds\n")
         for sweep, mean, stderr, n in table.rows:
             fh.write(f"{sweep:g} {mean:.17g} {stderr:.17g} {n}\n")
     with open(gp_path, "w") as fh:
         fh.write("set logscale xy\n"
-                 f"set xlabel '{sweep_name}'\n"
+                 "set xlabel 'N'\n"
                  "set ylabel 'metric'\n"
                  f"plot '{os.path.basename(dat_path)}' using 1:2:3 "
                  f"with yerrorlines title '{title}'\n")

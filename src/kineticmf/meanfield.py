@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .drift import clamp_drift
 from .phase_space import (MeasureFlow, gamma_p, moment_p, sup_moment,
                           young_moment)
 from .sde import generate_brownian, simulate_frozen
@@ -144,8 +143,7 @@ class PicardReport:
             raise ValueError("gaps must be nonnegative")
 
 
-def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None, *,
-                 record_gaps=True):
+def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, *, record_gaps=True):
     """Fixed-point iteration for the McKean-Vlasov dynamics driven by f.
 
     Starts from the constant-in-time extension of init, then repeatedly
@@ -163,14 +161,13 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None, *,
     gaps on convergence; on non-convergence it holds the exact flow_gap of
     the last two iterates, as the default's last gap.
 
-    Non-convergence is reported, not raised. clamp_cap routes the drift
-    through the moment-truncation cutoff first.
+    Non-convergence is reported, not raised. A caller that wants the
+    moment-truncation cutoff passes clamp_drift(f, cap) as f.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if init.N != cfg.N:
         raise ValueError("initial ensemble does not match the configuration")
-    field = clamp_drift(f, clamp_cap) if clamp_cap is not None else f
     paths = generate_brownian(cfg)
     times = cfg.grid()
     current = MeasureFlow.constant(init, times)
@@ -182,20 +179,20 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, clamp_cap=None, *,
         frozen = current
 
         def F(t, X, V, frozen=frozen):
-            return field.eval_batch(t, frozen, X, V)
+            return f.eval_batch(t, frozen, X, V)
 
         nxt = simulate_frozen(F, init, cfg, paths)
         iterations += 1
         if record_gaps:
-            gaps.append(flow_gap(current, nxt, field.p))
+            gaps.append(flow_gap(current, nxt, f.p))
             converged = gaps[-1] < tol
         else:
-            converged = _gap_below(current, nxt, field.p, tol)
+            converged = _gap_below(current, nxt, f.p, tol)
         previous, current = current, nxt
         if converged:
             break
     if not (record_gaps or converged) and previous is not None:
-        gaps.append(flow_gap(previous, current, field.p))
+        gaps.append(flow_gap(previous, current, f.p))
     return PicardReport(iterations=iterations, gaps=tuple(gaps),
                         converged=converged, final_flow=current)
 

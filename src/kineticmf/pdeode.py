@@ -76,22 +76,20 @@ class LeaderFollowerModel:
         return kernel_fields(self.kernels, self.m, p=self.p)
 
 
-def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
+def solve_leader_ode(F, u, flow, Y0):
     """Integrate the first-order leader equation dY/dt = F[t, mu](Y) + u(t, mu)
     along a given follower flow.
 
-    Explicit Euler by default, with steps times[k + 1] - times[k];
-    method="heun" adds one corrector stage. W stores the right-hand side
-    F.rhs, shared with the finite-N simulator, at every node, both ends
-    included. F reads the current (m, d) positions Y; a non-finite Y or
-    right-hand side raises FloatingPointError naming the time.
+    Explicit Euler on the flow's grid, with steps times[k + 1] - times[k].
+    W stores the right-hand side F.rhs, shared with the finite-N simulator,
+    at every node, both ends included. F reads the current (m, d) positions
+    Y; a non-finite Y or right-hand side raises FloatingPointError naming
+    the time.
 
-    Both schemes are causal, so solving on the full grid subsumes every
+    The scheme is causal, so solving on the full grid subsumes every
     prefix solve.
     """
-    if method not in ("euler", "heun"):
-        raise ValueError("method must be 'euler' or 'heun'")
-    times = np.asarray(flow.times if grid is None else grid, dtype=float)
+    times = np.asarray(flow.times, dtype=float)
     m, d = Y0.m, flow.d
     M = times.size - 1
 
@@ -111,9 +109,6 @@ def solve_leader_ode(F, u, flow, Y0, grid=None, method="euler"):
         dt = times[k + 1] - times[k]
         slope = rhs(times[k], Y)
         W_hist[k] = slope
-        if method == "heun":
-            pred = Y + dt * slope
-            slope = 0.5 * (slope + rhs(times[k + 1], pred))
         Y = Y + dt * slope
         Y_hist[k + 1] = Y
     W_hist[M] = rhs(times[M], Y)

@@ -51,8 +51,8 @@ def _index_at(times, t):
     return int(times.searchsorted(t + tol, side="right")) - 1
 
 
-def _as_locked(a, dtype=float):
-    out = np.array(a, dtype=dtype, copy=True)
+def _as_locked(a):
+    out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
 

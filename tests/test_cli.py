@@ -50,6 +50,12 @@ n_steps = 4
 """
 
 
+def _with_key(section, key, value):
+    """MINIMAL with one more key set."""
+    head = "" if section == "run" else f"[{section}]\n"
+    return MINIMAL + f"{head}{key} = {value}\n"
+
+
 def _law(kind="gaussian", d=1, **kw):
     base = dict(kind=kind, d=d,
                 mean_x=np.zeros(d), mean_v=np.zeros(d),
@@ -125,8 +131,10 @@ class TestParseConfig:
 
     def test_unparseable_number_reported_with_description(self, tmp_path):
         text = MINIMAL + "[grid]\nn_steps = owl\n"
-        with pytest.raises(ConfigError, match="cannot parse 'owl'"):
+        with pytest.raises(ConfigError) as exc:
             parse_config(_write(tmp_path, text))
+        assert exc.value.errors == [
+            "[grid] n_steps: cannot parse 'owl' (time steps, >= 1)"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):
@@ -146,6 +154,72 @@ class TestParseConfig:
         text = MINIMAL + "[experiment]\nn_list = 4,8.5\n"
         with pytest.raises(ConfigError, match="cannot parse '4,8.5'"):
             parse_config(_write(tmp_path, text))
+
+    # (section, key, bound, a value just past it, the boundary or, for a
+    # strict bound, a value just inside it). A list key is checked element
+    # by element, so its bad value hides one offender behind a good one.
+    BOUNDED = [
+        ("run", "seed", ">= 0", "-1", "0"),
+        ("model", "d", ">= 1", "0", "1"),
+        ("model", "sigma", ">= 0", "-1e-12", "0"),
+        ("model", "n_particles", ">= 1", "0", "1"),
+        ("model", "n_leaders", ">= 0", "-1", "0"),
+        ("model", "initial_std", ">= 0", "1,-1e-12", "0"),
+        ("model", "initial_box", ">= 0", "1,-1e-12", "0"),
+        ("model", "initial_std2", ">= 0", "1,-1e-12", "0"),
+        ("grid", "t", "> 0", "0", "1e-12"),
+        ("grid", "n_steps", ">= 1", "0", "1"),
+        ("control", "bins", ">= 1", "0", "1"),
+        ("control", "m_h", "> 0", "0", "1e-12"),
+        ("control", "r_c", "> 0", "0", "1e-12"),
+        ("cost", "psi_weight", ">= 0", "-1e-12", "0"),
+        ("experiment", "n_list", ">= 1", "8,0", "1"),
+        ("experiment", "n_ref", ">= 0", "-1", "0"),
+        ("experiment", "seeds", ">= 0", "1,-1", "0"),
+        ("experiment", "tol", "> 0", "0", "1e-12"),
+        ("experiment", "max_iter", ">= 1", "0", "1"),
+        ("experiment", "budget", ">= 1", "0", "1"),
+        ("experiment", "step0", "> 0", "0", "1e-12"),
+    ]
+
+    @pytest.mark.parametrize("section, key, bound, bad, edge", BOUNDED,
+                             ids=[row[1] for row in BOUNDED])
+    def test_bound_rule(self, tmp_path, section, key, bound, bad, edge):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_write(tmp_path, _with_key(section, key, bad)))
+        assert exc.value.errors == [f"[{section}] {key} must be {bound}"]
+        rc = parse_config(_write(tmp_path, _with_key(section, key, edge)))
+        assert rc.resolved[section][key] == edge
+
+    NAMED = [
+        ("run", "scenario", "simulat", "simulate"),
+        ("model", "k11", "bounded_atraction", "bounded_attraction"),
+        ("model", "k12", "bounded_alignmen", "bounded_alignment"),
+        ("model", "k21", "attraction_positon", "attraction_position"),
+        ("model", "k22", "zero_positio", "zero_position"),
+        ("model", "initial", "gausian", "gaussian"),
+        ("control", "class", "svv", "sv"),
+        ("cost", "lagrangian", "track_mean", "track_mean_x"),
+        ("cost", "psi", "quadratc", "quadratic"),
+    ]
+
+    @pytest.mark.parametrize("section, key, typo, name", NAMED,
+                             ids=[row[1] for row in NAMED])
+    def test_name_rule_suggests_the_nearest_name(self, tmp_path, section,
+                                                 key, typo, name):
+        text = f"[run]\nscenario = {typo}\n" if key == "scenario" \
+            else _with_key(section, key, typo)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_write(tmp_path, text))
+        assert exc.value.errors == [
+            f"[{section}] unknown {key} '{typo}' (did you mean '{name}'?)"]
+
+    def test_every_rule_has_a_case(self):
+        rules = {(section, key, type(row[3]))
+                 for section, keys in cli._SCHEMA.items()
+                 for key, row in keys.items() if row[3] is not None}
+        assert rules == {(s, k, str) for s, k, *_ in self.BOUNDED} \
+            | {(s, k, tuple) for s, k, *_ in self.NAMED}
 
 
 class TestInitialLaw:
@@ -214,6 +288,9 @@ class TestInitialLaw:
             _law("lognormal")
         with pytest.raises(ValueError, match=">= 0"):
             _law("gaussian", std=np.array([-1.0]))
+        with pytest.raises(ValueError, match=">= 0"):
+            _law("mixture", mean_x2=np.zeros(1), mean_v2=np.zeros(1),
+                 std2=np.array([-1.0]))
         with pytest.raises(ValueError, match="second component"):
             _law("mixture")
         with pytest.raises(ValueError, match="weight"):
@@ -434,6 +511,41 @@ class TestRunScenarios:
                      str(tmp_path / "out")]) == 0
         assert seen == ["moments[R_c=2]"]
 
+    OPTIMIZE_H = ("[run]\nscenario = optimize\n"
+                  "[model]\nn_particles = 4\nn_leaders = 1\n"
+                  "[control]\nbins = 1\nh_file = {path}\n"
+                  "[experiment]\nbudget = 2\n")
+
+    def test_optimize_with_a_missing_h_file_exits_4(self, tmp_path, capsys):
+        cfg = _write(tmp_path,
+                     self.OPTIMIZE_H.format(path=tmp_path / "none.csv"))
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 4
+        assert "I/O failure" in capsys.readouterr().out
+
+    def test_optimize_rejects_a_bad_h_file(self, tmp_path, capsys):
+        bad = tmp_path / "h.csv"
+        bad.write_text("a,b\n1,2\n")
+        cfg = _write(tmp_path, self.OPTIMIZE_H.format(path=bad))
+        for argv in (["validate", cfg],
+                     ["run", cfg, "--output-dir", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert "must start with header" in capsys.readouterr().out
+
+    def test_optimize_starts_from_the_h_file(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_optimize(u0, cost_fn, budget, step0, seed):
+            seen.append(u0.h)
+            return u0, [(1, 0.0, 0.0)]
+
+        monkeypatch.setattr(cli, "optimize", fake_optimize)
+        good = tmp_path / "h.csv"
+        good.write_text("bin,i,j,value\n0,0,2,0.5\n")
+        cfg = _write(tmp_path, self.OPTIMIZE_H.format(path=good))
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+        (h,) = seen
+        np.testing.assert_array_equal(h, [[[0.0, 0.0, 0.5]]])
+
     def test_bad_h_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "h.csv"
         bad.write_text("a,b\n1,2\n")
@@ -517,6 +629,10 @@ class TestCommandLine:
         pytest.param("[run]\nscenario = chaos\n[experiment]\nseeds = 1,-2\n",
                      "[experiment] seeds must be >= 0",
                      id="chaos-negative-seed"),
+        pytest.param("[run]\nscenario = simulate\n"
+                     "[model]\ninitial = mixture\ninitial_std2 = -1\n",
+                     "[model] initial_std2 must be >= 0",
+                     id="mixture-negative-std2"),
     ] + [
         pytest.param(f"[run]\nscenario = {scenario}\n[control]\nclass = sv\n",
                      "control class sv needs n_leaders >= 1",

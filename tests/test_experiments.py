@@ -228,12 +228,6 @@ class TestTableOutput:
         assert lines[2].split(",")[1] == "2.0000000000000001e-17"
         assert lines[1].endswith(",5")
 
-    def test_custom_sweep_name(self, tmp_path):
-        table = ConvergenceTable(rows=((1, 0.0, 0.0, 1),))
-        path = tmp_path / "t.csv"
-        table_to_csv(table, path, sweep_name="epsilon")
-        assert path.read_text().startswith("epsilon,mean,stderr,n_seeds")
-
     def test_gnuplot_pair(self, tmp_path):
         table = ConvergenceTable(rows=((2, 0.5, 0.25, 3), (4, 0.25, 0.125, 3)),
                                  metadata={"experiment": "chaos"})

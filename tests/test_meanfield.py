@@ -11,6 +11,7 @@ from kineticmf import meanfield
 
 from kineticmf.drift import (
     DriftField,
+    clamp_drift,
     constant_field,
     drift_from_kernel,
     kernel,
@@ -352,7 +353,8 @@ class TestPicard:
     def test_truncation_cap_kills_drift_for_fat_initial_data(self):
         cfg = _cfg(N=4, sigma=0.2)
         init = ParticleEnsemble(np.full((4, 1), 50.0), np.zeros((4, 1)))
-        clamped = picard_solve(constant_field([3.0]), init, cfg, clamp_cap=1.0)
+        clamped = picard_solve(clamp_drift(constant_field([3.0]), 1.0), init,
+                               cfg)
         free = picard_solve(zero_field(), init, cfg)
         np.testing.assert_array_equal(clamped.final_flow.snapshots[-1].X,
                                       free.final_flow.snapshots[-1].X)

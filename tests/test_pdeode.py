@@ -129,11 +129,10 @@ class TestModelBundle:
                 == ref.eval(t, flow, Y0.Y).tobytes()
         c = rng.standard_normal((m, 2))
         u = lambda t, mu: c * (1.0 + t)
-        for method in ("euler", "heun"):
-            got = solve_leader_ode(F, u, flow, Y0, method=method)
-            want = solve_leader_ode(ref, u, flow, Y0, method=method)
-            assert got.Y.tobytes() == want.Y.tobytes()
-            assert got.W.tobytes() == want.W.tobytes()
+        got = solve_leader_ode(F, u, flow, Y0)
+        want = solve_leader_ode(ref, u, flow, Y0)
+        assert got.Y.tobytes() == want.Y.tobytes()
+        assert got.W.tobytes() == want.W.tobytes()
 
 
 class TestLeaderOde:
@@ -169,23 +168,6 @@ class TestLeaderOde:
             y += dt * rhs
             assert path.Y[k + 1, 0, 0] == pytest.approx(y, rel=1e-13)
 
-    def test_heun_is_exact_for_linear_rhs(self):
-        flow = _const_flow(0.0, n_steps=16)
-        u = lambda t, mu: np.array([[t]])
-        Y0 = LeaderState([[0.0]], [[0.0]])
-        euler = solve_leader_ode(_zero_F(), u, flow, Y0, method="euler")
-        heun = solve_leader_ode(_zero_F(), u, flow, Y0, method="heun")
-        # Integral of t over [0, 1] is 1/2; trapezoid nails it, Euler lags
-        # by dt/2.
-        assert heun.Y[-1, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert euler.Y[-1, 0, 0] == pytest.approx(0.5 - 0.5 / 16, abs=1e-14)
-
-    def test_unknown_method_rejected(self):
-        flow = _const_flow(0.0)
-        with pytest.raises(ValueError, match="euler"):
-            solve_leader_ode(_zero_F(), None, flow,
-                             LeaderState([[0.0]], [[0.0]]), method="rk4")
-
     def test_nonfinite_rhs_raises_with_time(self):
         flow = _const_flow(0.0)
         bad = lambda t, mu: np.array([[np.inf if t > 0.4 else 0.0]])
@@ -193,23 +175,13 @@ class TestLeaderOde:
             solve_leader_ode(_zero_F(), bad, flow,
                              LeaderState([[0.0]], [[0.0]]))
 
-    @pytest.mark.parametrize("method", ["euler", "heun"])
-    def test_state_overflow_raises_with_time(self, method):
+    def test_state_overflow_raises_with_time(self):
         # A finite drive of 1e308 with dt = 2 overflows Y in one step.
         F = LeaderField(fn=lambda t, flow, Y: np.full_like(Y, 1e308))
         flow = _const_flow(0.0, n_steps=2, T=4.0)
         with pytest.raises(FloatingPointError,
                            match="non-finite leader state at t=2.0"):
-            solve_leader_ode(F, None, flow, LeaderState([[0.0]], [[0.0]]),
-                             method=method)
-
-    def test_custom_grid_overrides_flow_grid(self):
-        flow = _const_flow(0.0, n_steps=4)
-        grid = time_grid(1.0, 16)
-        path = solve_leader_ode(_zero_F(), lambda t, mu: np.array([[1.0]]),
-                                flow, LeaderState([[0.0]], [[0.0]]), grid=grid)
-        assert len(path.times) == 17
-        assert path.Y[-1, 0, 0] == pytest.approx(1.0, abs=1e-14)
+            solve_leader_ode(F, None, flow, LeaderState([[0.0]], [[0.0]]))
 
     def test_growth_bound_holds_for_bounded_drives(self):
         K21 = kernel("bounded_attraction_position")
