@@ -104,7 +104,8 @@ def _broadcast(vals, d, label):
     if arr.size == 1:
         arr = np.full(d, arr[0])
     if arr.shape != (d,):
-        raise ValueError(f"{label} needs 1 or {d} components, got {arr.size}")
+        need = f"1 or {d} components" if d > 1 else "1 component"
+        raise ValueError(f"{label} needs {need}, got {arr.size}")
     return arr
 
 
@@ -191,7 +192,7 @@ def _parse_ints(raw):
 # uniform. A rule is a bound from _BOUNDS, which the value (every element
 # of a list) must meet, or the tuple of allowed names; None checks nothing.
 _BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
-           ">= 1": lambda v: v >= 1}
+           ">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
 _SCHEMA = {
     "run": {
         "scenario": (str, None, "scenario to run", SCENARIOS),
@@ -215,8 +216,7 @@ _SCHEMA = {
         "initial_v": (_parse_floats, "0.0", "initial mean velocity", None),
         "initial_std": (_parse_floats, "1.0", "gaussian std", ">= 0"),
         "initial_box": (_parse_floats, "1.0", "uniform half-width", ">= 0"),
-        "mix_weight": (float, "0.5", "first mixture weight, in [0, 1]",
-                       None),
+        "mix_weight": (float, "0.5", "first mixture weight", "in [0, 1]"),
         "initial_x2": (_parse_floats, "0.0",
                        "second component mean position", None),
         "initial_v2": (_parse_floats, "0.0",

@@ -39,13 +39,11 @@ __all__ = [
     "validate_sublinearity",
     "validate_hoelder",
     "validate_dissipativity_v3pp",
+    "running_sup_gap",
     "clamp_drift",
     "cutoff_eta",
     "latin_hypercube_points",
 ]
-
-_VALIDATOR_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class InteractionKernel:
@@ -389,6 +387,9 @@ def zero_field(p=2.0):
                       K=1.0, beta=0.0, alpha=1.0, L=0.0, D=0.0, p=p, name="zero")
 
 
+_VALIDATOR_SLACK = 1e-9  # relative, granted to every sampled bound
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a sampled assumption check; carries the worst offender."""
@@ -402,6 +403,32 @@ class ValidationReport:
 
     def __bool__(self):
         return self.passed
+
+    @classmethod
+    def worst_of(cls, quotients, bound, note):
+        """Report on (quotient, where) samples: the worst is the first
+        strict maximum, named by its where dict plus its ratio, and PASS
+        iff it is <= bound within 1e-9 relative slack. A NaN quotient
+        becomes the worst and stays the worst, so the check fails."""
+        worst, where, n = 0.0, {}, 0
+        for q, at in quotients:
+            n += 1
+            if not (q <= worst or math.isnan(worst)):
+                worst, where = q, {**at, "ratio": q}
+        return cls(passed=bool(worst <= bound * (1.0 + _VALIDATOR_SLACK)),
+                   worst_ratio=worst, bound=bound, n_checked=n, worst=where,
+                   note=note)
+
+
+def running_sup_gap(flow_a, flow_b, p):
+    """sup_{s <= t_k} wasserstein_gap(flow_a_s, flow_b_s, p) at every node
+    k of two flows on a shared grid, as Python floats; a NaN gap is carried
+    forward. The flows must share their node count, as for flow_gap."""
+    if len(flow_a) != len(flow_b):
+        raise ValueError("flows must have the same number of nodes")
+    return np.maximum.accumulate(
+        [wasserstein_gap(a, b, p)
+         for a, b in zip(flow_a.snapshots, flow_b.snapshots)]).tolist()
 
 
 def latin_hypercube_points(n, d, low, high, seed):
@@ -425,86 +452,68 @@ def _at(f, t, flow, z):
 def validate_sublinearity(f, flow, sample_z, sample_t):
     """Sampled check of the sublinear growth bound: PASS iff
     |f[t, flow](z)| <= K * (1 + |x|^{beta/3} + |v|^beta + Mbar_p(T)^{1/p})
-    on every sample, within 1e-9 relative slack. Note the anisotropic
-    position exponent beta/3 (kinetic scaling: x ~ t^3, v ~ t)."""
+    on every sample within 1e-9 relative slack; NaN fails. Note the
+    anisotropic position exponent beta/3 (kinetic scaling: x ~ t^3, v ~ t)."""
     K, beta, p = f.K, f.beta, f.p
     mbar = sup_moment(flow, p, flow.T) ** (1.0 / p)
-    worst, worst_info = 0.0, {}
-    n = 0
-    for t in sample_t:
-        for z in sample_z:
-            denom = 1.0 + np.linalg.norm(z.x) ** (beta / 3.0) \
-                + np.linalg.norm(z.v) ** beta + mbar
-            ratio = float(np.linalg.norm(_at(f, t, flow, z))) / denom
-            n += 1
-            if ratio > worst:
-                worst, worst_info = ratio, {"t": t, "z": z, "ratio": ratio}
-    return ValidationReport(passed=bool(worst <= K * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=K, n_checked=n,
-                            worst=worst_info,
-                            note=f"sublinearity with beta={beta}, p={p}")
+    quotients = ((float(np.linalg.norm(_at(f, t, flow, z)))
+                  / (1.0 + np.linalg.norm(z.x) ** (beta / 3.0)
+                     + np.linalg.norm(z.v) ** beta + mbar),
+                  {"t": t, "z": z})
+                 for t in sample_t for z in sample_z)
+    return ValidationReport.worst_of(quotients, K,
+                                     f"sublinearity with beta={beta}, p={p}")
 
 
 def validate_hoelder(f, flow, pairs, L, alpha, R=None):
-    """Sampled anisotropic Hoelder check at fixed flow and time: PASS iff
-    |f(z1) - f(z2)| <= L * (|x1 - x2|^{alpha/3} + |v1 - v2|^alpha) on all
-    sampled pairs. Coincident pairs are skipped (quotient undefined).
-    When R is given, pairs outside |z| <= R are skipped too, mirroring the
-    local form of the assumption."""
-    worst, worst_info = 0.0, {}
-    n = 0
-    times = flow.times
-    for z1, z2 in pairs:
-        if R is not None and (np.linalg.norm(z1.z) > R or np.linalg.norm(z2.z) > R):
-            continue
-        dx = np.linalg.norm(z1.x - z2.x)
-        dv = np.linalg.norm(z1.v - z2.v)
-        denom = dx ** (alpha / 3.0) + dv**alpha
-        if denom == 0.0:
-            continue
-        for t in times:
-            q = float(np.linalg.norm(_at(f, t, flow, z1) - _at(f, t, flow, z2))) / denom
-            n += 1
-            if q > worst:
-                worst, worst_info = q, {"t": float(t), "z1": z1, "z2": z2, "ratio": q}
-    return ValidationReport(passed=bool(worst <= L * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=L, n_checked=n,
-                            worst=worst_info, note=f"hoelder with alpha={alpha}")
+    """Sampled anisotropic Hoelder check at every node of flow.times: PASS
+    iff |f(z1) - f(z2)| <= L * (|x1 - x2|^{alpha/3} + |v1 - v2|^alpha) on
+    all sampled pairs within 1e-9 relative slack; NaN fails. Coincident
+    pairs (quotient undefined) and, when R is given, pairs outside
+    |z| <= R (the local form of the assumption) are skipped."""
+    def quotients():
+        for z1, z2 in pairs:
+            if R is not None and (np.linalg.norm(z1.z) > R
+                                  or np.linalg.norm(z2.z) > R):
+                continue
+            denom = np.linalg.norm(z1.x - z2.x) ** (alpha / 3.0) \
+                + np.linalg.norm(z1.v - z2.v) ** alpha
+            if denom == 0.0:
+                continue
+            for t in flow.times:
+                diff = _at(f, t, flow, z1) - _at(f, t, flow, z2)
+                yield (float(np.linalg.norm(diff)) / denom,
+                       {"t": float(t), "z1": z1, "z2": z2})
+    return ValidationReport.worst_of(quotients(), L,
+                                     f"hoelder with alpha={alpha}")
 
 
 def validate_dissipativity_v3pp(f, flows, samples):
     """Sampled check of the Lipschitz sufficient condition for
     dissipativity: |f[t, mu1](z1) - f[t, mu2](z2)| <= D * (sup_{s<=t}
-    W_p(mu1_s, mu2_s) + |z1 - z2|). Passing certifies the integrated
-    dissipativity assumption through the implication chain. The two flows
-    must share their initial snapshot (the hypothesis of the condition).
+    W_p(mu1_s, mu2_s) + |z1 - z2|) within 1e-9 relative slack; NaN fails.
+    Passing certifies the integrated dissipativity assumption through the
+    implication chain. The two flows must share their grid and their
+    initial snapshot (the hypothesis of the condition).
 
     samples is an iterable of (t, z1, z2) triples.
     """
     flow1, flow2 = flows
-    d0 = wasserstein_gap(flow1.snapshots[0], flow2.snapshots[0], f.p)
-    if d0 > 1e-12:
+    sup = running_sup_gap(flow1, flow2, f.p)
+    if sup[0] > 1e-12:
         raise ValueError("dissipativity check requires flows sharing mu_0")
-    # sup_{s<=t} W_p along the shared grid, exact below the size switch.
-    per_node = [wasserstein_gap(a, b, f.p)
-                for a, b in zip(flow1.snapshots, flow2.snapshots)]
-    run_sup = np.maximum.accumulate(per_node)
-    worst, worst_info, n = 0.0, {}, 0
-    for t, z1, z2 in samples:
-        k = flow1.index_at(t)
-        denom = float(run_sup[k]) + float(np.linalg.norm(z1.z - z2.z))
-        if denom == 0.0:
-            continue
-        num = float(np.linalg.norm(_at(f, t, flow1, z1) - _at(f, t, flow2, z2)))
-        q = num / denom
-        n += 1
-        if q > worst:
-            worst, worst_info = q, {"t": t, "z1": z1, "z2": z2, "ratio": q}
+
+    def quotients():
+        for t, z1, z2 in samples:
+            denom = sup[flow1.index_at(t)] + float(np.linalg.norm(z1.z - z2.z))
+            if denom == 0.0:
+                continue
+            diff = _at(f, t, flow1, z1) - _at(f, t, flow2, z2)
+            yield (float(np.linalg.norm(diff)) / denom,
+                   {"t": t, "z1": z1, "z2": z2})
     metric = "exact" if gap_is_exact(flow1.N) else "paired-bound"
-    return ValidationReport(passed=bool(worst <= f.D * (1.0 + _VALIDATOR_TOL)),
-                            worst_ratio=worst, bound=f.D, n_checked=n,
-                            worst=worst_info,
-                            note=f"dissipativity sufficient condition, {metric} W_p")
+    return ValidationReport.worst_of(
+        quotients(), f.D, f"dissipativity sufficient condition, {metric} W_p")
 
 
 def cutoff_eta(r, cap):

@@ -1,5 +1,6 @@
 """Config parsing, initial-law sampling, and end-to-end scenario runs."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -17,7 +18,21 @@ from kineticmf.cli import (
     main,
     parse_config,
 )
-from kineticmf.phase_space import read_leader_csv
+from kineticmf.control_opt import ev_control, validate_control
+from kineticmf.drift import (
+    drift_from_kernel,
+    kernel,
+    latin_hypercube_points,
+    validate_dissipativity_v3pp,
+    validate_hoelder,
+    validate_sublinearity,
+)
+from kineticmf.phase_space import (
+    MeasureFlow,
+    ParticleEnsemble,
+    read_leader_csv,
+    time_grid,
+)
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -150,6 +165,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="1 or 2 components"):
             parse_config(_write(tmp_path, text))
 
+    def test_dimension_one_broadcast_mismatch_names_one_component(
+            self, tmp_path):
+        text = "[run]\nscenario = simulate\n[model]\ninitial_x = 1,2\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_write(tmp_path, text))
+        assert exc.value.errors == [
+            "[model] initial_x needs 1 component, got 2"]
+
     def test_fractional_size_rejected(self, tmp_path):
         text = MINIMAL + "[experiment]\nn_list = 4,8.5\n"
         with pytest.raises(ConfigError, match="cannot parse '4,8.5'"):
@@ -167,6 +190,7 @@ class TestParseConfig:
         ("model", "initial_std", ">= 0", "1,-1e-12", "0"),
         ("model", "initial_box", ">= 0", "1,-1e-12", "0"),
         ("model", "initial_std2", ">= 0", "1,-1e-12", "0"),
+        ("model", "mix_weight", "in [0, 1]", "1.000001", "1"),
         ("grid", "t", "> 0", "0", "1e-12"),
         ("grid", "n_steps", ">= 1", "0", "1"),
         ("control", "bins", ">= 1", "0", "1"),
@@ -602,6 +626,88 @@ class TestValidateScenario:
         assert "FAIL sublinearity" in (out / "validators.txt").read_text()
 
 
+    # validators.txt digests on three fixed configs, recorded before the
+    # validators shared one report builder: the sampled checks must keep
+    # their bytes, not only their %.6g text.
+    GOLDEN = {
+        "d1-leader-sv": (
+            "[run]\nscenario = validate\nseed = 5\n"
+            "[model]\nd = 1\nsigma = 0.2\nn_particles = 16\n"
+            "n_leaders = 1\nk11 = bounded_alignment\n"
+            "k12 = bounded_attraction\nk21 = attraction_position\n"
+            "[grid]\nt = 0.5\nn_steps = 8\n"
+            "[control]\nclass = sv\nh_file = {h}\n", 0,
+            "79a7d735eda2fc1a3cc18e7418732c89051e03f2846fe267041ce0cf5805b695",
+        ),
+        "d2-bounded-alignment": (
+            "[run]\nscenario = validate\nseed = 4\n"
+            "[model]\nd = 2\nk11 = bounded_alignment\nsigma = 0.1\n"
+            "n_particles = 16\n[grid]\nt = 0.5\nn_steps = 8\n", 0,
+            "5537424d630835201497851e673396c719d72d58f4fa59741c0378649f4073d8",
+        ),
+        "d2-alignment-point-fails": (
+            "[run]\nscenario = validate\nseed = 4\n"
+            "[model]\nd = 2\nk11 = alignment\nsigma = 0.0\n"
+            "n_particles = 16\ninitial = point\n"
+            "[grid]\nt = 0.5\nn_steps = 8\n", 2,
+            "06e3f5fb06cdfc1ddc3b6c389b9c27f17f5b06f202eb091e20efc432c19a45a8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_validators_txt_is_byte_identical(self, tmp_path, name):
+        text, code, digest = self.GOLDEN[name]
+        h = tmp_path / "h.csv"
+        h.write_text("bin,i,j,value\n0,0,0,0.8\n0,0,2,-0.5\n"
+                     "3,0,1,0.7\n7,0,0,-0.9\n")
+        cfg = _write(tmp_path, text.format(h=h))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == code
+        data = (out / "validators.txt").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_library_reports_are_bitwise_pinned(self):
+        rng = np.random.default_rng(11)
+        shared = ParticleEnsemble(rng.standard_normal((12, 1)),
+                                  rng.standard_normal((12, 1)))
+
+        def flow():
+            later = [ParticleEnsemble(rng.standard_normal((12, 1)),
+                                      rng.standard_normal((12, 1)))
+                     for _ in range(4)]
+            return MeasureFlow(time_grid(1.0, 4), [shared] + later)
+
+        flow1, flow2 = flow(), flow()
+        f = drift_from_kernel(kernel("bounded_alignment", d=1))
+        pts = latin_hypercube_points(40, 1, -3.0, 3.0, seed=3)
+        times = [0.0, 0.25, 0.6, 1.0]
+        u = ev_control(lambda t, ens: [[np.tanh(ens.X.mean()) + t]],
+                       m=1, d=1, M_u=4.0, L_u=1.0)
+        dirac = MeasureFlow.constant(
+            ParticleEnsemble(np.zeros((1, 1)), np.zeros((1, 1))),
+            flow1.times)
+        reports = [
+            validate_sublinearity(f, flow1, pts, times),
+            validate_hoelder(f, flow1, list(zip(pts[::2], pts[1::2])),
+                             L=f.L, alpha=f.alpha),
+            validate_dissipativity_v3pp(
+                f, (flow1, flow2),
+                [(t, a, b) for t in times
+                 for a, b in zip(pts[:10], pts[10:20])]),
+            validate_control(u, flow_pairs=[(flow1, flow2)], times=times,
+                             dirac_flow=dirac),
+        ]
+        assert [(repr(r.worst_ratio), r.n_checked, r.worst["t"])
+                for r in reports] == [
+            ("np.float64(0.21348790423764755)", 160, 0.6),
+            ("np.float64(0.4329314458997925)", 100, 0.5),
+            ("0.646726814631993", 40, 0.0),
+            ("0.28453363043400315", 7, 0.25),
+        ]
+        assert reports[3].worst["check"] == "lipschitz"
+        assert all(r.passed for r in reports)
+
+
 class TestCommandLine:
     def test_validate_subcommand_accepts_good_config(self, tmp_path, capsys):
         cfg = _write(tmp_path, SIMULATE)
@@ -633,6 +739,12 @@ class TestCommandLine:
                      "[model]\ninitial = mixture\ninitial_std2 = -1\n",
                      "[model] initial_std2 must be >= 0",
                      id="mixture-negative-std2"),
+    ] + [
+        pytest.param("[run]\nscenario = simulate\n"
+                     f"[model]\ninitial = mixture\nmix_weight = {w}\n",
+                     "[model] mix_weight must be in [0, 1]",
+                     id=f"mixture-weight-{w}")
+        for w in ("1.5", "nan")
     ] + [
         pytest.param(f"[run]\nscenario = {scenario}\n[control]\nclass = sv\n",
                      "control class sv needs n_leaders >= 1",

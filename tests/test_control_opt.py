@@ -360,6 +360,33 @@ class TestValidateControl:
         assert rep.passed
         assert rep.n_checked > 4
 
+    NAN = staticmethod(lambda t, ens: [[np.nan]])
+
+    def test_nan_dirac_bound_fails_at_the_first_time(self):
+        u = ev_control(self.NAN, m=1, d=1, M_u=1.0, L_u=1.0)
+        rep = validate_control(u, times=[0.25, 0.5], dirac_flow=_const_flow())
+        assert not rep.passed
+        assert math.isnan(rep.worst_ratio)
+        assert rep.n_checked == 2
+        assert rep.worst["check"] == "dirac_bound"
+        assert rep.worst["t"] == 0.25
+        assert math.isnan(rep.worst["ratio"])
+
+    def test_nan_lipschitz_quotient_fails(self):
+        u = ev_control(self.NAN, m=1, d=1, M_u=1.0, L_u=1.0)
+        pair = (_const_flow(x=0.0), _const_flow(x=1.0))
+        rep = validate_control(u, flow_pairs=[pair], times=[0.5, 1.0])
+        assert not rep.passed
+        assert math.isnan(rep.worst_ratio)
+        assert (rep.worst["check"], rep.worst["t"]) == ("lipschitz", 0.5)
+
+    def test_flow_pairs_must_share_their_node_count(self):
+        # Both prefixes up to t = 0.5 hold three nodes; the flows do not.
+        u = ev_control(lambda t, ens: [[0.0]], m=1, d=1, M_u=1.0, L_u=1.0)
+        pair = (_const_flow(n_steps=4), _const_flow(x=1.0, n_steps=2, T=0.5))
+        with pytest.raises(ValueError, match="same number of nodes"):
+            validate_control(u, flow_pairs=[pair], times=[0.5])
+
 
 class TestCosts:
     def test_nonconvex_control_cost_rejected_at_construction(self):

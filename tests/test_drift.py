@@ -24,11 +24,13 @@ from kineticmf.drift import (
     leader_field_from_kernels,
     linear_damping_field,
     pair_mean,
+    running_sup_gap,
     validate_dissipativity_v3pp,
     validate_hoelder,
     validate_sublinearity,
     zero_field,
 )
+from kineticmf.meanfield import flow_gap
 from kineticmf.phase_space import (
     LeaderPath,
     LeaderState,
@@ -338,6 +340,75 @@ class TestValidatorTieAndSkipRules:
                     validate_hoelder(f, flow, [], L=1.0, alpha=1.0)):
             assert (rep.n_checked, rep.worst_ratio, rep.worst) == (0, 0.0, {})
             assert rep.passed
+
+
+def _nan_where(mask):
+    """A field that is NaN on the rows mask(X, V) selects, 10 V elsewhere."""
+    return DriftField(batch=lambda t, flow, X, V: np.where(mask(X, V),
+                                                           np.nan, 10.0 * V))
+
+
+class TestNanQuotientFails:
+    """A NaN quotient is the worst sample from the first one on and fails
+    the check; comparing it with > would lose it and pass."""
+
+    def test_sublinearity_keeps_the_first_nan_over_larger_finite_ones(self):
+        f = _nan_where(lambda X, V: X > 0)
+        flow = _origin_flow(d=1)
+        small, nan, big = (PhasePoint([-1.0], [0.5]), PhasePoint([1.0], [0.0]),
+                           PhasePoint([-1.0], [5.0]))
+        rep = validate_sublinearity(f, flow, [small, nan, big, nan],
+                                    [0.0, 0.5])
+        assert not rep.passed
+        assert math.isnan(rep.worst_ratio)
+        assert rep.n_checked == 8
+        assert rep.worst["t"] == 0.0
+        assert rep.worst["z"] is nan
+        assert math.isnan(rep.worst["ratio"])
+
+    def test_hoelder_nan_fails_at_the_first_pair_and_time(self):
+        f = _nan_where(lambda X, V: np.ones_like(X, dtype=bool))
+        flow = _origin_flow(d=1)
+        pairs = [(PhasePoint([0.0], [0.0]), PhasePoint([1.0], [1.0])),
+                 (PhasePoint([2.0], [0.0]), PhasePoint([1.0], [1.0]))]
+        rep = validate_hoelder(f, flow, pairs, L=1.0, alpha=1.0)
+        assert not rep.passed
+        assert math.isnan(rep.worst_ratio)
+        assert rep.n_checked == 2 * len(flow.times)
+        assert rep.worst["z1"] is pairs[0][0]
+        assert rep.worst["t"] == float(flow.times[0])
+
+    def test_dissipativity_nan_fails_at_the_first_sample(self):
+        flow1, flow2 = TestDissipativityValidator._paired_flows(N=4)
+        f = _nan_where(lambda X, V: np.ones_like(X, dtype=bool))
+        z, w = PhasePoint([0.3], [1.0]), PhasePoint([0.0], [0.0])
+        rep = validate_dissipativity_v3pp(f, (flow1, flow2),
+                                          [(0.5, z, w), (1.0, w, z)])
+        assert not rep.passed
+        assert math.isnan(rep.worst_ratio)
+        assert rep.n_checked == 2
+        assert (rep.worst["t"], rep.worst["z1"]) == (0.5, z)
+
+
+class TestRunningSupGap:
+    @pytest.mark.parametrize("N", [5, 300], ids=["exact", "paired-bound"])
+    def test_is_flow_gap_of_every_prefix_bitwise(self, N):
+        flow1 = _flow_from_seeds(N, 1, seeds=range(6))
+        flow2 = _flow_from_seeds(N, 1, seeds=range(6, 12))
+        sup = running_sup_gap(flow1, flow2, 1.0)
+        assert all(type(w) is float for w in sup)
+        assert sup == [flow_gap(flow1.prefix(t), flow2.prefix(t), 1.0)
+                       for t in flow1.times]
+
+    def test_refuses_flows_with_different_node_counts(self):
+        flow1, _ = TestDissipativityValidator._paired_flows(N=4)
+        short = MeasureFlow(time_grid(1.0, 1), flow1.snapshots[:2])
+        with pytest.raises(ValueError, match="same number of nodes"):
+            running_sup_gap(flow1, short, 2.0)
+        f = drift_from_kernel(kernel("bounded_alignment", d=1))
+        z = PhasePoint([0.0], [1.0])
+        with pytest.raises(ValueError, match="same number of nodes"):
+            validate_dissipativity_v3pp(f, (flow1, short), [(0.0, z, z)])
 
 
 class TestTruncation:
