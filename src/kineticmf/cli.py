@@ -56,7 +56,9 @@ __all__ = [
 SCENARIOS = ("simulate", "meanfield", "coupled", "optimize", "chaos", "gamma",
              "validate")
 INITIAL_KINDS = ("point", "gaussian", "uniform", "mixture")
-_POSITION_KERNELS = tuple(n for n in KERNEL_NAMES if n.endswith("_position"))
+# Arity does not depend on d; d = 1 only lets every kernel construct.
+_POSITION_KERNELS = tuple(n for n in KERNEL_NAMES
+                          if kernel(n, d=1).arity == "position")
 _KERNEL_CHOICES = KERNEL_NAMES + ("none",)
 
 
@@ -454,7 +456,7 @@ def _build_model(rc):
     return LeaderFollowerModel(
         kernels=kernels, Y0=Y0,
         sampler=lambda N, seed: initial_law_sampler(rc.initial, N, seed),
-        sigma=rc.sigma, d=rc.d, p=2.0, name=f"cli[{label}]")
+        d=rc.d, p=2.0, name=f"cli[{label}]")
 
 
 def _load_h(path, K, md, ell):

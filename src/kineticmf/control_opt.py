@@ -257,10 +257,9 @@ def sv_zero(m, d, T, K=8, M_h=1.0, features=None, name="sv"):
 
 
 def evaluate_control(u, t, flow):
-    """u(t, mu) as an (m d,) vector, guarding the time range."""
-    tol = 1e-9 * max(1.0, flow.T)
-    if t < flow.times[0] - tol or t > flow.T + tol:
-        raise ValueError(f"time {t} outside the flow horizon")
+    """u(t, mu) as an (m d,) vector; a t off the flow's grid range, NaN
+    included, raises ValueError (MeasureFlow.index_at)."""
+    flow.index_at(t)
     return np.asarray(u(t, flow), dtype=float).ravel()
 
 

@@ -64,7 +64,6 @@ class InteractionKernel:
     fn: Callable
     L_ker: float
     M_ker: float
-    even: bool
     arity: str = "phase"
 
     def __post_init__(self):
@@ -100,6 +99,7 @@ def _k_alignment(dx, dv, out):
 
 
 def _k_bounded_alignment(dx, dv, out):
+    # tanh(dv) componentwise: |K| <= sqrt(d), Lipschitz 1.
     np.tanh(dv, out=out)
 
 
@@ -108,65 +108,56 @@ def _k_attraction(dx, dv, out):
 
 
 def _k_bounded_attraction(dx, dv, out):
+    # dx / (1 + |dx|^2): |K| <= 1/2, gradient bounded by 1.
     np.multiply(dx, dx, out=out)
     r2 = out.sum(axis=-1, keepdims=True)
     r2 += 1.0
     np.divide(dx, r2, out=out)
 
 
+def _constant(d, params):
+    c = np.full(d, float(params.get("value", 1.0)))
+
+    def fn(dx, dv, out):
+        out[...] = c
+
+    return fn, float(np.linalg.norm(c))
+
+
+# The kernel library, name: (fn, L_ker, M_ker, arity). A row whose M_ker
+# is None needs the dimension d: its fn maps (d, params) to (fn, M_ker).
+_KERNELS = {
+    "zero": (_k_zero, 0.0, 0.0, "phase"),
+    "constant": (_constant, 0.0, None, "phase"),
+    "alignment": (_k_alignment, 1.0, math.inf, "phase"),
+    "bounded_alignment": (lambda d, _: (_k_bounded_alignment, math.sqrt(d)),
+                          1.0, None, "phase"),
+    "attraction": (_k_attraction, 1.0, math.inf, "phase"),
+    "bounded_attraction": (_k_bounded_attraction, 1.0, 0.5, "phase"),
+    "zero_position": (_k_zero, 0.0, 0.0, "position"),
+    "attraction_position": (_k_attraction, 1.0, math.inf, "position"),
+    "bounded_attraction_position": (_k_bounded_attraction, 1.0, 0.5,
+                                    "position"),
+}
+
+KERNEL_NAMES = tuple(_KERNELS)
+
+
 def kernel(name, d=None, params=None):
-    """Construct a library kernel by name.
+    """Construct the library kernel called name, a key of the table above.
 
-    Shipped names: zero, constant, alignment, bounded_alignment, attraction,
-    bounded_attraction, zero_position, attraction_position,
-    bounded_attraction_position. The linear kernels (alignment, attraction)
-    carry M_ker = inf: they break the sublinearity assumption by design and
-    are meant for closed-form tests.
+    Rows declaring M_ker = inf (the linear kernels) break the sublinearity
+    assumption by design and are meant for closed-form tests. The constant
+    kernel has params["value"] (default 1) in each of its d components.
     """
-    params = dict(params or {})
-    if name == "zero":
-        return InteractionKernel("zero", _k_zero, 0.0, 0.0, even=True)
-    if name == "zero_position":
-        return InteractionKernel("zero_position", _k_zero, 0.0, 0.0, even=True,
-                                 arity="position")
-    if name == "constant":
+    if name not in KERNEL_NAMES:
+        raise ValueError(f"unknown kernel '{name}'")
+    fn, L_ker, M_ker, arity = _KERNELS[name]
+    if M_ker is None:
         if d is None:
-            raise ValueError("constant kernel needs the dimension d")
-        c = np.full(d, float(params.get("value", 1.0)))
-        mag = float(np.linalg.norm(c))
-
-        def fn(dx, dv, out, c=c):
-            out[...] = c
-
-        return InteractionKernel("constant", fn, 0.0, mag, even=True)
-    if name == "alignment":
-        # K(dx, dv) = dv. Lipschitz 1, unbounded: fails sublinearity.
-        return InteractionKernel("alignment", _k_alignment, 1.0, math.inf, even=False)
-    if name == "bounded_alignment":
-        # K(dx, dv) = tanh(dv) componentwise; |K| <= sqrt(d), Lipschitz 1.
-        if d is None:
-            raise ValueError("bounded_alignment kernel needs the dimension d")
-        return InteractionKernel("bounded_alignment", _k_bounded_alignment,
-                                 1.0, math.sqrt(d), even=False)
-    if name == "attraction":
-        return InteractionKernel("attraction", _k_attraction, 1.0, math.inf, even=False)
-    if name == "bounded_attraction":
-        # K(dx) = dx / (1 + |dx|^2); |K| <= 1/2, gradient bounded by 1.
-        return InteractionKernel("bounded_attraction", _k_bounded_attraction,
-                                 1.0, 0.5, even=False)
-    if name == "attraction_position":
-        return InteractionKernel("attraction_position", _k_attraction, 1.0,
-                                 math.inf, even=False, arity="position")
-    if name == "bounded_attraction_position":
-        return InteractionKernel("bounded_attraction_position",
-                                 _k_bounded_attraction, 1.0, 0.5, even=False,
-                                 arity="position")
-    raise ValueError(f"unknown kernel '{name}'")
-
-
-KERNEL_NAMES = ("zero", "constant", "alignment", "bounded_alignment", "attraction",
-                "bounded_attraction", "zero_position", "attraction_position",
-                "bounded_attraction_position")
+            raise ValueError(f"{name} kernel needs the dimension d")
+        fn, M_ker = fn(d, params or {})
+    return InteractionKernel(name, fn, L_ker, M_ker, arity)
 
 
 @dataclass(frozen=True)
@@ -434,13 +425,15 @@ def running_sup_gap(flow_a, flow_b, p):
 def latin_hypercube_points(n, d, low, high, seed):
     """n Latin-hypercube phase points with coordinates in [low, high]^{2d}.
 
-    scipy.stats is imported here, not at module load: only the validate
-    scenario samples these points. The import also loads scipy.optimize,
-    so a start that does not validate loads neither."""
-    from scipy.stats import qmc
-
-    sampler = qmc.LatinHypercube(d=2 * d, seed=seed)
-    u = qmc.scale(sampler.random(n), low, high)
+    Drawn with numpy alone, bit for bit scipy.stats.qmc.scale(
+    qmc.LatinHypercube(d=2 d, seed=seed).random(n), low, high): uniform
+    offsets, then one shuffled stratum order per coordinate."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, 2 * d))
+    perms = np.tile(np.arange(1, n + 1), (2 * d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    u = (perms.T - u) / n * (high - low) + low
     return [PhasePoint(row[:d], row[d:]) for row in u]
 
 

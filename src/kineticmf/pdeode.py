@@ -41,13 +41,13 @@ _LEADER_CACHE_SIZE = 4
 class LeaderFollowerModel:
     """Model bundle: interaction kernels (None entries mean zero), leader
     initial state, i.i.d. initial-law sampler (N, seed) -> ParticleEnsemble,
-    diffusion strength, and the Wasserstein order its drift is paired with.
+    and the Wasserstein order its drift is paired with. The diffusion
+    strength is not part of the model: simulations read SimConfig.sigma.
     """
 
     kernels: dict
     Y0: LeaderState
     sampler: Callable
-    sigma: float
     d: int
     p: float = 2.0
     name: str = "model"
@@ -56,8 +56,6 @@ class LeaderFollowerModel:
         unknown = set(self.kernels) - {"K11", "K12", "K21", "K22"}
         if unknown:
             raise ValueError(f"unknown kernel slots: {sorted(unknown)}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
 
     @property
     def m(self):
@@ -192,13 +190,8 @@ def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25,
 
 
 def _leader_sup_gap(a, b):
-    if a.m == 0:
-        return 0.0
-    da = np.concatenate([a.Y.reshape(len(a.times), -1),
-                         a.W.reshape(len(a.times), -1)], axis=1)
-    db = np.concatenate([b.Y.reshape(len(b.times), -1),
-                         b.W.reshape(len(b.times), -1)], axis=1)
-    return float(np.max(np.linalg.norm(da - db, axis=1)))
+    """sup_t |H_a(t) - H_b(t)| for H = (Y, W) on a shared grid."""
+    return LeaderPath._of(a.times, a.Y - b.Y, a.W - b.W).sup_norm()
 
 
 def control_stability(u_seq, u, v, w, F, init, Y0, cfg, tol=1e-6, max_iter=25):

@@ -379,16 +379,14 @@ class YoungFunction:
 
     Convexity is not verified globally (documented limitation): construction
     samples a grid and checks phi(0) = 0, nonnegativity, and monotonicity.
-    The dominated_by_square flag asserts phi(x) <= x^2 and is trusted.
     """
 
-    __slots__ = ("phi", "dominated_by_square")
+    __slots__ = ("phi",)
 
     _CHECK_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 28)])
 
-    def __init__(self, phi, dominated_by_square=False):
+    def __init__(self, phi):
         self.phi = phi
-        self.dominated_by_square = bool(dominated_by_square)
         vals = np.array([float(phi(x)) for x in self._CHECK_GRID])
         if abs(vals[0]) > 0.0:
             raise ValueError("Young function must satisfy phi(0) = 0")
@@ -401,7 +399,7 @@ class YoungFunction:
         return self.phi(x)
 
 
-IDENTITY_YOUNG = YoungFunction(lambda x: x, dominated_by_square=False)
+IDENTITY_YOUNG = YoungFunction(lambda x: x)
 
 
 def moment_p(ens, p):

@@ -79,14 +79,11 @@ class TransportPlan:
     """An assignment coupling: source i pairs with target assignment[i]."""
 
     assignment: np.ndarray
-    cost: float
 
     def __post_init__(self):
         a = np.asarray(self.assignment)
         if sorted(a.tolist()) != list(range(a.size)):
             raise ValueError("assignment must be a permutation of 0..N-1")
-        if self.cost < 0:
-            raise ValueError("transport cost must be nonnegative")
 
 
 def _check_pair(a, b, p):
@@ -134,7 +131,7 @@ def wasserstein_exact(a, b, p):
     solver's choice, the same on every call.
     """
     sigma, dist = _solve(a, b, p)
-    return dist, TransportPlan(assignment=sigma, cost=dist)
+    return dist, TransportPlan(assignment=sigma)
 
 
 def wasserstein_paired_bound(a, b, p):
@@ -145,17 +142,16 @@ def wasserstein_paired_bound(a, b, p):
     natural coupling between two runs of the same particles.
     """
     _check_pair(a, b, p)
-    diff = a.Z() - b.Z()
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return float(np.mean(dist**p) ** (1.0 / p))
+    return paired_bounds(a.X[None], a.V[None], b.X[None], b.V[None], p)[0]
 
 
 def paired_bounds(Xa, Va, Xb, Vb, p):
     """wasserstein_paired_bound at every node of (nodes, N, d) arrays, in
-    one array pass: a list of one float per node, bit for bit the per-pair
-    values. The differences, squared norms and means run over the node
-    axis at once; only the final ** (1/p) stays a per-node scalar power,
-    because numpy's array power can differ from it in the last bit."""
+    one array pass: a list of one float per node (wasserstein_paired_bound
+    is the one-node case). The differences, squared norms and means run
+    over the node axis at once; only the final ** (1/p) stays a per-node
+    scalar power, because numpy's array power can differ from it in the
+    last bit."""
     if np.ndim(Xa) != 3 \
             or not np.shape(Xa) == np.shape(Va) == np.shape(Xb) == np.shape(Vb):
         raise ValueError("paired bounds need (nodes, N, d) arrays of one shape")

@@ -355,7 +355,7 @@ def test_09_empirical_flow_convergence():
     """Empirical flows approach the high-N reference as N grows."""
     model = LeaderFollowerModel(
         kernels={"K11": kernel("bounded_alignment", d=1)},
-        Y0=LeaderState.empty(1), sampler=_gauss, sigma=0.1, d=1,
+        Y0=LeaderState.empty(1), sampler=_gauss, d=1,
         name="flocking")
     cfg = SimConfig(T=0.5, n_steps=20, N=8, sigma=0.1, seed=1, d=1)
     table = chaos_experiment(model, [8, 16, 32, 64, 128], 1024, cfg,
@@ -377,7 +377,7 @@ def test_10_cost_convergence():
         kernels={"K11": kernel("bounded_alignment", d=1),
                  "K12": kernel("bounded_attraction", d=1)},
         Y0=LeaderState(np.full((1, 1), 1.0), np.zeros((1, 1))),
-        sampler=_gauss, sigma=0.1, d=1, name="steered")
+        sampler=_gauss, d=1, name="steered")
     u = sv_control(np.full((4, 1, 3), 0.2), T=0.5, M_h=1.0, m=1, d=1)
     assert validate_control(u).passed
     cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.5),
@@ -397,7 +397,7 @@ def test_11_steering_optimization():
         kernels={"K12": kernel("bounded_attraction", d=1)},
         Y0=LeaderState(np.zeros((1, 1)), np.zeros((1, 1))),
         sampler=lambda N, seed: _gauss(N, seed, std=0.5),
-        sigma=0.05, d=1, name="steering")
+        d=1, name="steering")
     cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.5),
                     psi=psi_quadratic(1e-3), dim=1)
     improvements = []

@@ -45,8 +45,7 @@ def test_tracer_installs_and_counts_every_chaos_cell():
     tracing = _load_tracer()
     model = LeaderFollowerModel(kernels={"K11": kernel("bounded_alignment",
                                                        d=1)},
-                                Y0=LeaderState.empty(1), sampler=_sampler,
-                                sigma=0.2, d=1)
+                                Y0=LeaderState.empty(1), sampler=_sampler, d=1)
     cfg = SimConfig(T=0.5, n_steps=4, N=4, sigma=0.2, seed=3, d=1)
     N_list, seeds = [2, 4], [1, 2]
     tracer = tracing.Tracer()
@@ -66,7 +65,7 @@ def _steering_problem():
     scenario: K12 attraction, an sv control with nonzero gains."""
     model = LeaderFollowerModel(
         kernels={"K12": kernel("bounded_attraction", d=1)},
-        Y0=LeaderState([[0.0]], [[0.0]]), sampler=_sampler, sigma=0.05, d=1)
+        Y0=LeaderState([[0.0]], [[0.0]]), sampler=_sampler, d=1)
     cfg = SimConfig(T=1.0, n_steps=10, N=16, sigma=0.05, seed=5, d=1)
     u = sv_control(np.full((1, 1, 3), 0.4), cfg.T, 2.0, 1, 1)
     cost = make_cost("track_mean_x", "quadratic", 1,

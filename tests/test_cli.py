@@ -141,8 +141,11 @@ class TestParseConfig:
         # calls them with dx only, which they reject.
         for name in ("bounded_alignment", "zero", "constant"):
             text = MINIMAL + f"[model]\nn_leaders = 1\nk21 = {name}\n"
-            with pytest.raises(ConfigError, match="position kernel"):
+            with pytest.raises(ConfigError) as exc:
                 parse_config(_write(tmp_path, text))
+            assert ("[model] k21 must be a position kernel, one of "
+                    "zero_position, attraction_position, "
+                    "bounded_attraction_position") in exc.value.errors
 
     def test_unparseable_number_reported_with_description(self, tmp_path):
         text = MINIMAL + "[grid]\nn_steps = owl\n"

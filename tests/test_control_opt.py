@@ -86,12 +86,11 @@ def _point_sampler(d, x=0.0, v=0.0):
     return sampler
 
 
-def _free_model(d=1, m=0, sigma=0.0, sampler=None):
+def _free_model(d=1, m=0, sampler=None):
     Y0 = LeaderState.empty(d) if m == 0 \
         else LeaderState(np.zeros((m, d)), np.zeros((m, d)))
     return LeaderFollowerModel(kernels={}, Y0=Y0,
-                               sampler=sampler or _point_sampler(d),
-                               sigma=sigma, d=d)
+                               sampler=sampler or _point_sampler(d), d=d)
 
 
 class TestFeatures:
@@ -274,8 +273,14 @@ class TestSVControl:
         u = zero_control(2, 2)
         flow = _const_flow()
         assert evaluate_control(u, 0.5, flow).shape == (4,)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match="outside grid"):
             evaluate_control(u, 2.0, flow)
+
+    def test_evaluate_control_refuses_a_nan_time(self):
+        # Both comparisons of a plain range test are false for NaN, so a
+        # NaN time must be refused explicitly, not evaluated.
+        with pytest.raises(ValueError, match="outside grid"):
+            evaluate_control(zero_control(2, 2), float("nan"), _const_flow())
 
 
 class TestProjection:
@@ -454,7 +459,7 @@ class TestCostEvaluation:
             sampler=lambda N, seed: ParticleEnsemble(
                 np.random.default_rng(seed).standard_normal((N, 1)),
                 np.random.default_rng(seed + 1).standard_normal((N, 1))),
-            sigma=0.1, d=1)
+            d=1)
         cost = CostSpec(lagrangian=lagrangian_zero(), psi=None, dim=1)
         with pytest.raises(RuntimeError, match="did not converge"):
             evaluate_cost_meanfield(None, model, cost, _cfg(N=6), tol=1e-16,
@@ -496,7 +501,7 @@ class TestCostEvaluation:
             return ParticleEnsemble(rng.standard_normal((N, 1)),
                                     rng.standard_normal((N, 1)))
 
-        model = _free_model(sigma=0.3, sampler=sampler)
+        model = _free_model(sampler=sampler)
         cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.0), psi=None, dim=1)
         cfg = _cfg(N=6, sigma=0.3, seed=9)
         mf = evaluate_cost_meanfield(None, model, cost, cfg)

@@ -1,5 +1,6 @@
 """Kernel library, drift construction, truncation, and validator tests."""
 
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -57,6 +58,67 @@ def _origin_flow(d=1, N=1):
     return MeasureFlow.constant(ens, time_grid(1.0, 2))
 
 
+# (name, d): (repr(L_ker), repr(M_ker), arity, unbounded, the first 16
+# hex digits of the SHA-256 of K(dx, dv)'s bytes), with params {"value":
+# -0.75} and dx, dv the two (7, d) standard normal draws of default_rng(d).
+_RECORDED_KERNELS = {
+    ("zero", 1):
+        ("0.0", "0.0", "phase", False, "d4817aa5497628e7"),
+    ("constant", 1):
+        ("0.0", "0.75", "phase", False, "94f20fa4329688a3"),
+    ("alignment", 1):
+        ("1.0", "inf", "phase", True, "9544a88406e489e2"),
+    ("bounded_alignment", 1):
+        ("1.0", "1.0", "phase", False, "f680e1525f950ad1"),
+    ("attraction", 1):
+        ("1.0", "inf", "phase", True, "37fbcc933903188f"),
+    ("bounded_attraction", 1):
+        ("1.0", "0.5", "phase", False, "20b4d67630093839"),
+    ("zero_position", 1):
+        ("0.0", "0.0", "position", False, "d4817aa5497628e7"),
+    ("attraction_position", 1):
+        ("1.0", "inf", "position", True, "37fbcc933903188f"),
+    ("bounded_attraction_position", 1):
+        ("1.0", "0.5", "position", False, "20b4d67630093839"),
+    ("zero", 2):
+        ("0.0", "0.0", "phase", False, "b5fdab78d8947eac"),
+    ("constant", 2):
+        ("0.0", "1.0606601717798212", "phase", False, "f370e95c755f3bc6"),
+    ("alignment", 2):
+        ("1.0", "inf", "phase", True, "b24d2f1703e6879d"),
+    ("bounded_alignment", 2):
+        ("1.0", "1.4142135623730951", "phase", False, "e22944b163a31b5e"),
+    ("attraction", 2):
+        ("1.0", "inf", "phase", True, "f9ca33010ef9ad73"),
+    ("bounded_attraction", 2):
+        ("1.0", "0.5", "phase", False, "a19d4fa9b0d46163"),
+    ("zero_position", 2):
+        ("0.0", "0.0", "position", False, "b5fdab78d8947eac"),
+    ("attraction_position", 2):
+        ("1.0", "inf", "position", True, "f9ca33010ef9ad73"),
+    ("bounded_attraction_position", 2):
+        ("1.0", "0.5", "position", False, "a19d4fa9b0d46163"),
+    ("zero", 3):
+        ("0.0", "0.0", "phase", False, "e3c2af35d1dfc500"),
+    ("constant", 3):
+        ("0.0", "1.299038105676658", "phase", False, "c7c5eabbece4c0c6"),
+    ("alignment", 3):
+        ("1.0", "inf", "phase", True, "30674a1fc0130e07"),
+    ("bounded_alignment", 3):
+        ("1.0", "1.7320508075688772", "phase", False, "276ba4caff99382d"),
+    ("attraction", 3):
+        ("1.0", "inf", "phase", True, "8992b56d08e2257e"),
+    ("bounded_attraction", 3):
+        ("1.0", "0.5", "phase", False, "117f578d0d9d967e"),
+    ("zero_position", 3):
+        ("0.0", "0.0", "position", False, "e3c2af35d1dfc500"),
+    ("attraction_position", 3):
+        ("1.0", "inf", "position", True, "8992b56d08e2257e"),
+    ("bounded_attraction_position", 3):
+        ("1.0", "0.5", "position", False, "117f578d0d9d967e"),
+}
+
+
 class TestKernelLibrary:
     def test_all_names_construct(self):
         for name in KERNEL_NAMES:
@@ -64,7 +126,7 @@ class TestKernelLibrary:
             assert K.name == name
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
+        with pytest.raises(ValueError, match="^unknown kernel 'gravity'$"):
             kernel("gravity")
 
     def test_bounded_attraction_hand_value(self):
@@ -100,10 +162,31 @@ class TestKernelLibrary:
         K = kernel("bounded_attraction_position")
         np.testing.assert_allclose(K(np.array([1.0])), [0.5])
 
+    def test_library_matches_the_recorded_kernels(self):
+        # _RECORDED_KERNELS pins every row of the table, bit for bit.
+        assert KERNEL_NAMES == (
+            "zero", "constant", "alignment", "bounded_alignment",
+            "attraction", "bounded_attraction", "zero_position",
+            "attraction_position", "bounded_attraction_position")
+        assert {name for name, _ in _RECORDED_KERNELS} == set(KERNEL_NAMES)
+        for (name, d), row in _RECORDED_KERNELS.items():
+            rng = np.random.default_rng(d)
+            dx, dv = rng.standard_normal((2, 7, d))
+            K = kernel(name, d=d, params={"value": -0.75})
+            digest = hashlib.sha256(K(dx, dv).tobytes()).hexdigest()
+            assert (repr(K.L_ker), repr(K.M_ker), K.arity, K.unbounded,
+                    digest[:16]) == row, (name, d)
+
+    @pytest.mark.parametrize("name", ["constant", "bounded_alignment"])
+    def test_dimension_free_construction_names_the_kernel(self, name):
+        with pytest.raises(ValueError) as exc:
+            kernel(name)
+        assert str(exc.value) == f"{name} kernel needs the dimension d"
+
     def test_arity_validated(self):
         from kineticmf.drift import InteractionKernel
         with pytest.raises(ValueError):
-            InteractionKernel("bad", lambda dx: dx, 1.0, 1.0, even=True,
+            InteractionKernel("bad", lambda dx: dx, 1.0, 1.0,
                               arity="diagonal")
 
 
@@ -192,6 +275,18 @@ class TestLatinHypercube:
         for z in pts:
             assert z.d == 3
             assert np.all(np.abs(z.z) <= 2.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 + 5, 2**63,
+                                      10**30])
+    def test_is_scipy_latin_hypercube_bitwise(self, seed):
+        from scipy.stats import qmc
+
+        for n, d in [(1, 1), (2, 3), (13, 2), (100, 1), (37, 10)]:
+            want = qmc.scale(qmc.LatinHypercube(d=2 * d, seed=seed).random(n),
+                             -3.0, 3.0)
+            got = [np.concatenate([z.x, z.v])
+                   for z in latin_hypercube_points(n, d, -3.0, 3.0, seed)]
+            assert np.array(got).tobytes() == want.tobytes(), (n, d)
 
     def test_deterministic_in_seed(self):
         a = latin_hypercube_points(10, 1, 0.0, 1.0, seed=4)

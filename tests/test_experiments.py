@@ -51,11 +51,10 @@ def _gauss_sampler(d=1):
     return sampler
 
 
-def _free_model(sampler, d=1, m=0, sigma=0.0):
+def _free_model(sampler, d=1, m=0):
     Y0 = LeaderState.empty(d) if m == 0 \
         else LeaderState(np.zeros((m, d)), np.zeros((m, d)))
-    return LeaderFollowerModel(kernels={}, Y0=Y0, sampler=sampler,
-                               sigma=sigma, d=d)
+    return LeaderFollowerModel(kernels={}, Y0=Y0, sampler=sampler, d=d)
 
 
 class TestConvergenceTable:
@@ -108,7 +107,7 @@ class TestChaosExperiment:
 
     def test_self_distance_at_reference_seed_is_zero(self):
         cfg = _cfg(sigma=0.3, seed=5)
-        model = _free_model(_gauss_sampler(), sigma=0.3)
+        model = _free_model(_gauss_sampler())
         table = chaos_experiment(model, [8], 8, cfg,
                                  seeds=[reference_seed(cfg.seed)],
                                  min_ref_factor=1)
@@ -116,7 +115,7 @@ class TestChaosExperiment:
 
     def test_metric_shrinks_with_ensemble_size(self):
         cfg = _cfg(T=0.5, n_steps=5, sigma=0.4, seed=2)
-        model = _free_model(_gauss_sampler(), sigma=0.4)
+        model = _free_model(_gauss_sampler())
         table = chaos_experiment(model, [2, 64], 256, cfg, seeds=[1, 2, 3])
         means = table.means()
         assert means[1] < means[0]
@@ -145,7 +144,7 @@ class TestChaosExperiment:
         cfg = _cfg(sigma=0.2, seed=3, d=d)
         model = LeaderFollowerModel(kernels={"K11": kernel(name, d=d)},
                                     Y0=LeaderState.empty(d),
-                                    sampler=_gauss_sampler(d), sigma=0.2, d=d)
+                                    sampler=_gauss_sampler(d), d=d)
         N_ref = 4 * max(N_list)
         main = chaos_experiment(model, N_list, N_ref, cfg, seeds)
         result = []
@@ -158,7 +157,7 @@ class TestChaosExperiment:
 
     def test_stderr_shrinks_with_more_seeds(self):
         cfg = _cfg(T=0.25, n_steps=2, sigma=0.5, seed=1)
-        model = _free_model(_gauss_sampler(), sigma=0.5)
+        model = _free_model(_gauss_sampler())
         few = chaos_experiment(model, [2], 8, cfg, seeds=range(24))
         many = chaos_experiment(model, [2], 8, cfg, seeds=range(96))
         ratio = few.rows[0][2] / many.rows[0][2]

@@ -63,22 +63,17 @@ class TestModelBundle:
         with pytest.raises(ValueError, match="K13"):
             LeaderFollowerModel(kernels={"K13": kernel("zero")},
                                 Y0=LeaderState.empty(1),
-                                sampler=_gauss_sampler(1), sigma=0.0, d=1)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            LeaderFollowerModel(kernels={}, Y0=LeaderState.empty(1),
-                                sampler=_gauss_sampler(1), sigma=-1.0, d=1)
+                                sampler=_gauss_sampler(1), d=1)
 
     def test_initial_checks_sampler_output(self):
         model = LeaderFollowerModel(kernels={}, Y0=LeaderState.empty(1),
-                                    sampler=_gauss_sampler(2), sigma=0.0, d=1)
+                                    sampler=_gauss_sampler(2), d=1)
         with pytest.raises(ValueError, match="sampler"):
             model.initial(4, seed=0)
 
     def test_mean_field_fields_fill_missing_slots(self):
         model = LeaderFollowerModel(kernels={}, Y0=LeaderState([[0.0]], [[0.0]]),
-                                    sampler=_gauss_sampler(1), sigma=0.0, d=1)
+                                    sampler=_gauss_sampler(1), d=1)
         v, w, F = model.mean_field_fields()
         assert v.name == "zero"
         assert w is None
@@ -92,7 +87,7 @@ class TestModelBundle:
             kernels={"K11": kernel("bounded_alignment", d=1),
                      "K12": kernel("bounded_attraction_position")},
             Y0=LeaderState([[2.0]], [[0.0]]),
-            sampler=_gauss_sampler(1), sigma=0.1, d=1)
+            sampler=_gauss_sampler(1), d=1)
         v, w, F = model.mean_field_fields()
         assert v.name == "conv[bounded_alignment]"
         assert w is not None
@@ -111,7 +106,7 @@ class TestModelBundle:
         rng = np.random.default_rng(m)
         Y0 = LeaderState(rng.standard_normal((m, 2)), np.zeros((m, 2)))
         model = LeaderFollowerModel(kernels=kernels, Y0=Y0,
-                                    sampler=_gauss_sampler(2), sigma=0.1, d=2)
+                                    sampler=_gauss_sampler(2), d=2)
         _, _, F = model.mean_field_fields()
         A, B = (kernels.get(s, kernel("zero_position")) for s in ("K21", "K22"))
         ref = LeaderField(

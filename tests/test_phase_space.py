@@ -382,7 +382,7 @@ class TestMoments:
 
     def test_young_moment_applies_phi_to_radius_power(self):
         ens = ParticleEnsemble([[3.0]], [[4.0]])
-        Phi = YoungFunction(lambda x: x * x, dominated_by_square=False)
+        Phi = YoungFunction(lambda x: x * x)
         # |z| = 5, p = 1, Phi(5) = 25.
         assert young_moment(ens, Phi, 1.0) == 25.0
 

@@ -166,6 +166,14 @@ class TestValueOnly:
         np.testing.assert_array_equal(plan.assignment, [1, 0])
 
 
+def _per_pair_bound(a, b, p):
+    """((1/N) sum_i |z_i - z'_i|^p)^(1/p) on one ensemble pair: the paired
+    bound written out per pair, the reference for the stacked pass."""
+    diff = a.Z() - b.Z()
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return float(np.mean(dist**p) ** (1.0 / p))
+
+
 class TestPairedBounds:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([1, 2, 7, 8, 9, 64, 127, 128, 129, 300, 512]),
@@ -183,12 +191,12 @@ class TestPairedBounds:
                           * 10.0 ** rng.uniform(-0.5, 0.5, (nodes, N, d))
                           for _ in range(4))
         got = paired_bounds(Xa, Va, Xb, Vb, p)
-        want = [wasserstein_paired_bound(ParticleEnsemble(Xa[k], Va[k]),
-                                         ParticleEnsemble(Xb[k], Vb[k]), p)
-                for k in range(nodes)]
+        pairs = [(ParticleEnsemble(Xa[k], Va[k]),
+                  ParticleEnsemble(Xb[k], Vb[k])) for k in range(nodes)]
         assert len(got) == nodes
         assert all(type(g) is float for g in got)
-        assert got == want
+        assert got == [_per_pair_bound(a, b, p) for a, b in pairs]
+        assert got == [wasserstein_paired_bound(a, b, p) for a, b in pairs]
 
     def test_shapes_and_order_checked(self):
         A = np.zeros((2, 3, 1))
@@ -347,9 +355,7 @@ class TestGuards:
 
     def test_plan_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
-            TransportPlan(assignment=np.array([0, 0]), cost=1.0)
-        with pytest.raises(ValueError):
-            TransportPlan(assignment=np.array([0, 1]), cost=-1.0)
+            TransportPlan(assignment=np.array([0, 0]))
 
 
 def _fresh_process(code):
@@ -423,8 +429,9 @@ class TestSolverLoader:
         assert result == [True, 1.0, [1, 0]]
 
     def test_validate_after_the_loader_keeps_one_solver(self, tmp_path):
-        # validate imports scipy.stats, and with it scipy.optimize, after
-        # the extension is registered; the solver must stay the same object.
+        # validate draws its Latin hypercube with numpy, so it loads no
+        # scipy.stats; scipy.optimize imported after the run must still
+        # hand out the registered solver object.
         cfg = tmp_path / "validate.ini"
         cfg.write_text("[run]\nscenario = validate\nseed = 4\n"
                        "[model]\nk11 = bounded_alignment\nsigma = 0.1\n"
@@ -437,12 +444,13 @@ class TestSolverLoader:
             assert "scipy.optimize" not in sys.modules
             code = run(parse_config({str(cfg)!r}),
                        output_dir={str(tmp_path / "out")!r})
+            stats = "scipy.stats" in sys.modules
             import scipy.optimize
-            print(json.dumps([code, "scipy.stats" in sys.modules,
+            print(json.dumps([code, stats,
                               wasserstein.linear_sum_assignment
                               is scipy.optimize.linear_sum_assignment]))
         """)
-        assert result == [0, True, True]
+        assert result == [0, False, True]
 
     @given(st.integers(min_value=1, max_value=200),
            st.integers(min_value=0, max_value=2**32 - 1),
