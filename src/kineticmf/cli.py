@@ -178,21 +178,14 @@ def _parse_floats(raw):
 
 
 def _parse_ints(raw):
-    out = []
-    for part in str(raw).split(","):
-        if part.strip() == "":
-            continue
-        val = float(part)
-        if val != int(val):
-            raise ValueError(f"'{part.strip()}' is not an integer")
-        out.append(int(val))
-    return out
+    return [int(part) for part in str(raw).split(",") if part.strip() != ""]
 
 
 # Schema: section -> key -> (converter, default-as-string, description,
 # rule). Defaults are strings so the resolved config in the manifest is
 # uniform. A rule is a bound from _BOUNDS, which the value (every element
 # of a list) must meet, or the tuple of allowed names; None checks nothing.
+# Every float value (every element of a float list) must also be finite.
 _BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
            ">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
 _SCHEMA = {
@@ -274,20 +267,25 @@ def _reference_size(n_ref, n_list):
 
 
 def _check_ranges(values, errors):
-    """Each _SCHEMA row's rule, then the rules that span keys."""
+    """Each _SCHEMA row's rule, then finiteness of its float values, then
+    the rules that span keys."""
     bad = errors.append
     for section, keys in _SCHEMA.items():
-        for key, (_, _, _, rule) in keys.items():
+        for key, (conv, _, _, rule) in keys.items():
             value = values[(section, key)]
-            if rule is None or value is None:
+            if value is None:
                 continue
             if isinstance(rule, tuple):
                 if value not in rule:
                     bad(f"[{section}] unknown {key} '{value}'"
                         + _suggest(value, rule))
-            elif not all(map(_BOUNDS[rule], value if isinstance(value, list)
-                             else [value])):
+            elif rule is not None and not all(map(
+                    _BOUNDS[rule],
+                    value if isinstance(value, list) else [value])):
                 bad(f"[{section}] {key} must be {rule}")
+            elif conv in (float, _parse_floats) \
+                    and not np.isfinite(value).all():
+                bad(f"[{section}] {key} must be finite")
 
     scenario = values[("run", "scenario")]
     if scenario is None:

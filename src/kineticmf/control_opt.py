@@ -46,10 +46,6 @@ __all__ = [
 
 _SIMPLEX_DIAMETER_STOP = 1e-8
 _CONVEXITY_SEED = 0xC09F
-# Flows whose stacked features an SVControl keeps, by identity: a handful
-# covers one cost evaluation (a Picard iterate's leader solve, the final
-# leader solve and the cost on the final flow).
-_FEATURE_CACHE_SIZE = 4
 
 
 def _squash(x):
@@ -113,38 +109,29 @@ def default_features(d, R_c=5.0):
 
 @dataclass(frozen=True, kw_only=True)
 class ControlSpec:
-    """Control u(t, flow) -> (m, d) with declared admissibility constants.
+    """Feedback control u(t, flow) -> (m, d) with declared admissibility
+    constants.
 
-    kind 'zero' ignores fn; 'ev' evaluates fn(t, mu_t) on the current
-    marginal only; 'general' passes the whole flow prefix through. The
-    declared M_u bounds |u| at the Dirac reference and L_u is the total
-    Lipschitz budget in the measure (per scalar component: L_u / (m d)).
+    fn(t, flow) sees the whole flow prefix; its result comes back as an
+    (m, d) float array. zero_control and ev_control build the usual fn.
+    The declared M_u bounds |u| at the Dirac reference and L_u is the
+    total Lipschitz budget in the measure (per scalar component:
+    L_u / (m d)).
     """
 
-    kind: str
+    fn: Callable
     m: int
     d: int
     M_u: float
     L_u: float
-    fn: Callable | None = None
     name: str = "control"
 
     def __post_init__(self):
-        if self.kind not in ("zero", "ev", "general"):
-            raise ValueError(f"unknown control kind '{self.kind}'")
-        if self.kind != "zero" and self.fn is None:
-            raise ValueError(f"control kind '{self.kind}' needs a callable")
         if self.m < 0 or self.d < 1:
             raise ValueError("control needs m >= 0 leaders in dimension d >= 1")
 
     def __call__(self, t, flow):
-        if self.kind == "zero":
-            return np.zeros((self.m, self.d))
-        if self.kind == "ev":
-            out = self.fn(t, flow.at_time(t))
-        else:
-            out = self.fn(t, flow)
-        return np.asarray(out, dtype=float).reshape(self.m, self.d)
+        return np.asarray(self.fn(t, flow), dtype=float).reshape(self.m, self.d)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -159,11 +146,11 @@ class SVControl:
     component (rows of h have norm at most the Frobenius norm).
 
     The features of a flow come from one stacked pass over all its nodes,
-    kept for the last _FEATURE_CACHE_SIZE flows by identity: the leader
-    ODE and the cost trapezoid read one flow at every node. A flow first
-    read at its last node, as the finite-N simulator's running prefix is,
-    gets that node's features alone, which keeps a simulation linear in
-    its step count. Either way g is the same, bit for bit.
+    kept for the last flow read, by identity: the leader ODE and the cost
+    trapezoid read one flow at every node. A flow first read at its last
+    node, as the finite-N simulator's running prefix is, gets that node's
+    features alone, which keeps a simulation linear in its step count.
+    Either way g is the same, bit for bit. h is copied, then locked.
     """
 
     h: np.ndarray
@@ -173,10 +160,9 @@ class SVControl:
     m: int
     d: int
     name: str = "sv"
-    kind: str = "sv"
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
         if h.ndim != 3 or h.shape[1] != self.m * self.d \
                 or h.shape[2] != self.features.ell:
             raise ValueError("h must have shape (K, m*d, ell)")
@@ -186,7 +172,7 @@ class SVControl:
             raise ValueError("horizon T must be positive")
         if self.M_h <= 0:
             raise ValueError("Frobenius budget M_h must be positive")
-        object.__setattr__(self, "_flow_features", [])
+        object.__setattr__(self, "_last_features", (None, None))
 
     @property
     def K(self):
@@ -215,15 +201,12 @@ class SVControl:
         return min(int(max(t, 0.0) * self.K / self.T), self.K - 1)
 
     def _features_at(self, flow, k):
-        for seen, G in self._flow_features:
-            if seen is flow:
-                return G[k]
-        if k == len(flow) - 1:
-            return self.features.stacked(flow.X[k], flow.V[k])
-        G = self.features.stacked(flow.X, flow.V)
-        self._flow_features.append((flow, G))
-        if len(self._flow_features) > _FEATURE_CACHE_SIZE:
-            self._flow_features.pop(0)
+        seen, G = self._last_features
+        if seen is not flow:
+            if k == len(flow) - 1:
+                return self.features.stacked(flow.X[k], flow.V[k])
+            G = self.features.stacked(flow.X, flow.V)
+            object.__setattr__(self, "_last_features", (flow, G))
         return G[k]
 
     def __call__(self, t, flow):
@@ -232,20 +215,22 @@ class SVControl:
 
 
 def zero_control(m, d):
-    return ControlSpec(kind="zero", m=m, d=d, M_u=0.0, L_u=0.0, name="zero")
+    return ControlSpec(fn=lambda t, flow: np.zeros((m, d)), m=m, d=d,
+                       M_u=0.0, L_u=0.0, name="zero")
 
 
 def ev_control(fn, m, d, M_u, L_u, name="ev"):
     """Wrap a marginal-only callback fn(t, ensemble) -> (m, d). The declared
     constants are the caller's promise; validate_control samples them."""
-    return ControlSpec(kind="ev", m=m, d=d, M_u=M_u, L_u=L_u, fn=fn, name=name)
+    return ControlSpec(fn=lambda t, flow: fn(t, flow.at_time(t)), m=m, d=d,
+                       M_u=M_u, L_u=L_u, name=name)
 
 
 def sv_control(h, T, M_h, m, d, features=None, name="sv"):
     if features is None:
         features = default_features(d)
-    return SVControl(h=np.asarray(h, dtype=float), T=T, M_h=M_h,
-                     features=features, m=m, d=d, name=name)
+    return SVControl(h=h, T=T, M_h=M_h, features=features, m=m, d=d,
+                     name=name)
 
 
 def sv_zero(m, d, T, K=8, M_h=1.0, features=None, name="sv"):
@@ -268,7 +253,7 @@ def project_admissible(u):
     preserved); controls that are already admissible come back unchanged,
     which makes the projection exactly idempotent. Non-sv controls carry
     no free parameters to project."""
-    if getattr(u, "kind", None) != "sv":
+    if not isinstance(u, SVControl):
         return u
     norms = np.linalg.norm(u.h.reshape(u.K, -1), axis=1)
     if np.all(norms <= u.M_h):
@@ -287,7 +272,7 @@ def validate_control(u, flow_pairs=(), times=(), dirac_flow=None):
     over the supplied flow pairs, each on one grid. Worst quotient as a
     fraction of its bound: PASS iff <= 1 within 1e-9 slack; NaN fails."""
     def quotients():
-        if getattr(u, "kind", None) == "sv":
+        if isinstance(u, SVControl):
             norms = np.linalg.norm(u.h.reshape(u.K, -1), axis=1)
             for k, nk in enumerate(norms):
                 yield float(nk / u.M_h), {"check": "frobenius", "bin": k}
@@ -433,10 +418,18 @@ def evaluate_cost_meanfield(u, model, cost, cfg, tol=1e-6, max_iter=25):
     return _pathwise_cost(cost, u, sol.flow, sol.leaders)
 
 
+def mean_stderr(vals):
+    """Mean and standard error of per-seed values; one value has stderr 0."""
+    mean = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
+        if len(vals) > 1 else 0.0
+    return mean, stderr
+
+
 def evaluate_cost_N(u, model, cost, N, cfg, seeds):
-    """F^N[u]: Monte Carlo mean and standard error of the pathwise cost of
-    the finite-N system over the given seeds (one i.i.d. initial draw and
-    noise realization per seed). A single seed reports stderr 0."""
+    """F^N[u]: Monte Carlo mean and standard error (mean_stderr) of the
+    pathwise cost of the finite-N system over the given seeds (one i.i.d.
+    initial draw and noise realization per seed)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not seeds:
@@ -449,10 +442,7 @@ def evaluate_cost_N(u, model, cost, N, cfg, seeds):
         flow, leaders = simulate_interacting(model.kernels, u, init, model.Y0,
                                              cfg_s, paths)
         vals.append(_pathwise_cost(cost, u, flow, leaders))
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
-        if len(vals) > 1 else 0.0
-    return mean, stderr
+    return mean_stderr(vals)
 
 
 def optimize(u0, cost_fn, budget, step0=0.5, seed=0):
@@ -468,7 +458,7 @@ def optimize(u0, cost_fn, budget, step0=0.5, seed=0):
     rows (evaluation index, cost, best cost so far). Stops at the budget
     or when the simplex diameter drops below 1e-8.
     """
-    if getattr(u0, "kind", None) != "sv":
+    if not isinstance(u0, SVControl):
         raise ValueError("optimize needs the finitely parameterized sv class")
     if budget < 1:
         raise ValueError("evaluation budget must be >= 1")

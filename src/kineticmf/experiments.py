@@ -9,14 +9,13 @@ are monotone-trend material, not rate fits: no convergence exponent is
 asserted anywhere.
 """
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control_opt import (evaluate_cost_N, evaluate_cost_meanfield, optimize,
-                          sv_zero)
+from .control_opt import (evaluate_cost_N, evaluate_cost_meanfield,
+                          mean_stderr, optimize, sv_zero)
 from .phase_space import ParticleEnsemble
 from .sde import STREAM_SUBSAMPLE, generate_brownian, path_rng, simulate_interacting
 from .wasserstein import EXACT_SIZE_CAP, wasserstein_distance
@@ -65,13 +64,6 @@ class ConvergenceTable:
         return [float(np.median(raw[r[0]])) for r in self.rows] if raw else None
 
 
-def _mean_stderr(vals):
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
-        if len(vals) > 1 else 0.0
-    return mean, stderr
-
-
 def _map_cells(fn, cells, threads):
     """[fn(c) for c in cells], in order. threads is ignored and callers
     pass None: the parameter stays only because the benchmark tracer
@@ -88,7 +80,7 @@ def _sweep(cell_value, N_list, seeds):
     values = _map_cells(cell_value, cells, None)
     raw = {N: [v for (n, _), v in zip(cells, values) if n == N]
            for N in N_list}
-    return raw, tuple((N, *_mean_stderr(raw[N]), len(seeds)) for N in N_list)
+    return raw, tuple((N, *mean_stderr(raw[N]), len(seeds)) for N in N_list)
 
 
 def check_reference_size(N_ref, N_max, min_ref_factor=4):

@@ -210,6 +210,29 @@ class TestFunction:
     name: str = "custom"
 
 
+def _bump_profile(u):
+    """(inside, om, val) of exp(1 - 1/(1 - u)) for u < 1, zero outside;
+    om is 1 - u, masked to 1 outside to keep the exponent finite."""
+    inside = u < 1.0
+    om = np.where(inside, 1.0 - u, 1.0)
+    return inside, om, np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
+
+
+def _bump_gradient(diff, inside, om, val, R2):
+    """The profile's gradient in the coordinates diff of u = (|diff|^2 +
+    ...) / R2: (d val / d u) (2 / R2) diff inside the support, 0 outside."""
+    g = (-val / om**2) * (2.0 / R2)
+    return np.where(inside[:, None], g[:, None] * diff, 0.0)
+
+
+def _zeros_vec(X, V):
+    return np.zeros_like(X)
+
+
+def _zeros_scalar(X, V):
+    return np.zeros(X.shape[0])
+
+
 def bump(center_x, center_v, radius, name="bump"):
     """Compactly supported bump psi(z) = exp(1 - 1/(1 - r^2)) for r < 1,
     r^2 = (|x - cx|^2 + |v - cv|^2) / radius^2, with analytic gradients and
@@ -223,31 +246,23 @@ def bump(center_x, center_v, radius, name="bump"):
         dx = X - cx
         dv = V - cv
         u = (np.sum(dx * dx, axis=1) + np.sum(dv * dv, axis=1)) / R2
-        inside = u < 1.0
-        om = np.where(inside, 1.0 - u, 1.0)  # 1 - u, masked to avoid overflow
-        val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
-        return dx, dv, u, inside, om, val
+        return (dx, dv, *_bump_profile(u))
 
     def value(X, V):
-        return parts(X, V)[5]
-
-    def dpsi_du(val, om):
-        return -val / om**2
+        return parts(X, V)[4]
 
     def grad_x(X, V):
-        dx, _, _, inside, om, val = parts(X, V)
-        g = dpsi_du(val, om) * (2.0 / R2)
-        return np.where(inside[:, None], g[:, None] * dx, 0.0)
+        dx, _, *profile = parts(X, V)
+        return _bump_gradient(dx, *profile, R2)
 
     def grad_v(X, V):
-        _, dv, _, inside, om, val = parts(X, V)
-        g = dpsi_du(val, om) * (2.0 / R2)
-        return np.where(inside[:, None], g[:, None] * dv, 0.0)
+        _, dv, *profile = parts(X, V)
+        return _bump_gradient(dv, *profile, R2)
 
     def lap_v(X, V):
-        _, dv, _, inside, om, val = parts(X, V)
+        _, dv, inside, om, val = parts(X, V)
         d = dv.shape[1]
-        first = dpsi_du(val, om)
+        first = -val / om**2
         second = val * (1.0 / om**4 - 2.0 / om**3)
         r2v = np.sum(dv * dv, axis=1)
         out = second * (4.0 * r2v / R2**2) + first * (2.0 * d / R2)
@@ -264,28 +279,16 @@ def x_bump(center_x, radius, name="x_bump"):
 
     def parts(X):
         dx = X - cx
-        u = np.sum(dx * dx, axis=1) / R2
-        inside = u < 1.0
-        om = np.where(inside, 1.0 - u, 1.0)
-        val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
-        return dx, inside, om, val
+        return (dx, *_bump_profile(np.sum(dx * dx, axis=1) / R2))
 
     def value(X, V):
         return parts(X)[3]
 
     def grad_x(X, V):
-        dx, inside, om, val = parts(X)
-        g = (-val / om**2) * (2.0 / R2)
-        return np.where(inside[:, None], g[:, None] * dx, 0.0)
+        return _bump_gradient(*parts(X), R2)
 
-    def zeros_vec(X, V):
-        return np.zeros_like(X)
-
-    def zeros_scalar(X, V):
-        return np.zeros(X.shape[0])
-
-    return TestFunction(value=value, grad_x=grad_x, grad_v=zeros_vec,
-                        lap_v=zeros_scalar, name=name)
+    return TestFunction(value=value, grad_x=grad_x, grad_v=_zeros_vec,
+                        lap_v=_zeros_scalar, name=name)
 
 
 def constant_test_function(c=1.0):
@@ -295,14 +298,8 @@ def constant_test_function(c=1.0):
     def value(X, V):
         return np.full(X.shape[0], float(c))
 
-    def zeros_vec(X, V):
-        return np.zeros_like(X)
-
-    def zeros_scalar(X, V):
-        return np.zeros(X.shape[0])
-
-    return TestFunction(value=value, grad_x=zeros_vec, grad_v=zeros_vec,
-                        lap_v=zeros_scalar, name="plateau")
+    return TestFunction(value=value, grad_x=_zeros_vec, grad_v=_zeros_vec,
+                        lap_v=_zeros_scalar, name="plateau")
 
 
 def weakform_residual(flow, f, sigma, psi, t_index):

@@ -32,10 +32,6 @@ __all__ = [
     "discrete_leader_growth",
 ]
 
-# Leader paths cached per (flow, control) identity inside a combined field;
-# a handful of live flows is plenty (one per Picard iterate).
-_LEADER_CACHE_SIZE = 4
-
 
 @dataclass(frozen=True)
 class LeaderFollowerModel:
@@ -123,7 +119,7 @@ def combined_drift(v, w, F, u, Y0, T=1.0):
     """Follower drift of the coupled system: G[t, mu](z) = v[t, mu](z) +
     w[t, S[mu, u]](z), where S[mu, u] is the leader path solved along mu.
 
-    The leader solve (explicit Euler) is cached per (flow, control) object
+    The leader path (explicit Euler) of the last flow read is kept, by
     identity, so one Picard iterate triggers exactly one ODE solve.
     Declared constants: the sublinearity constant follows the composition rule
     K_G = K_v + K_w (1 + K_F)(1 + C1 + K_F + K_u) with the discrete
@@ -135,17 +131,12 @@ def combined_drift(v, w, F, u, Y0, T=1.0):
     """
     if w is None:
         return v
-    cache = []
+    last = [None, None]
 
     def leaders_for(flow):
-        for entry in cache:
-            if entry[0] is flow:
-                return entry[1]
-        path = solve_leader_ode(F, u, flow, Y0)
-        cache.append((flow, path))
-        if len(cache) > _LEADER_CACHE_SIZE:
-            cache.pop(0)
-        return path
+        if last[0] is not flow:
+            last[:] = flow, solve_leader_ode(F, u, flow, Y0)
+        return last[1]
 
     def batch(t, flow, X, V):
         return v.eval_batch(t, flow, X, V) \

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import kernel_fields
-from .phase_space import LeaderPath, MeasureFlow, time_grid
+from .phase_space import LeaderPath, MeasureFlow, _locked, time_grid
 
 __all__ = [
     "SimConfig",
@@ -85,16 +85,18 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class BrownianPaths:
-    """Increment array (n_steps, n_paths, d), already scaled by sqrt(dt)."""
+    """Increment array (n_steps, n_paths, d), already scaled by sqrt(dt),
+    held as a read-only view: a float array is not copied, and the caller's
+    array stays writeable."""
 
     increments: np.ndarray
     seed: int
 
     def __post_init__(self):
-        inc = np.asarray(self.increments)
+        inc = _locked(np.asarray(self.increments, dtype=float))
         if inc.ndim != 3:
             raise ValueError("increments must have shape (n_steps, n_paths, d)")
-        inc.flags.writeable = False
+        object.__setattr__(self, "increments", inc)
 
     @property
     def n_steps(self):

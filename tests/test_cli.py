@@ -71,6 +71,23 @@ def _with_key(section, key, value):
     return MINIMAL + f"{head}{key} = {value}\n"
 
 
+def _non_finite_float_cases():
+    """inf and nan in every float key: a bound the value fails is reported
+    as for a finite value; a value that meets its bound, or has none, must
+    still be finite."""
+    for section, keys in cli._SCHEMA.items():
+        for key, (conv, _, _, rule) in keys.items():
+            if conv not in (float, cli._parse_floats):
+                continue
+            for value in ("inf", "nan"):
+                fails = rule is not None \
+                    and not cli._BOUNDS[rule](float(value))
+                yield pytest.param(
+                    _with_key(section, key, value),
+                    f"[{section}] {key} must be "
+                    + (rule if fails else "finite"), id=f"{key}-{value}")
+
+
 def _law(kind="gaussian", d=1, **kw):
     base = dict(kind=kind, d=d,
                 mean_x=np.zeros(d), mean_v=np.zeros(d),
@@ -180,6 +197,20 @@ class TestParseConfig:
         text = MINIMAL + "[experiment]\nn_list = 4,8.5\n"
         with pytest.raises(ConfigError, match="cannot parse '4,8.5'"):
             parse_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["8,inf", "8.0", "1e3"])
+    def test_size_list_parts_parse_as_integers(self, tmp_path, value):
+        # A list part follows the rule of a scalar integer key: int().
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_write(tmp_path,
+                                _with_key("experiment", "n_list", value)))
+        assert exc.value.errors == [
+            f"[experiment] n_list: cannot parse '{value}' (sweep sizes, >= 1)"]
+
+    def test_seeds_above_two_to_the_53_stay_exact(self, tmp_path):
+        rc = parse_config(_write(tmp_path, _with_key(
+            "experiment", "seeds", "9007199254740993,2")))
+        assert rc.seeds == (9007199254740993, 2)
 
     # (section, key, bound, a value just past it, the boundary or, for a
     # strict bound, a value just inside it). A list key is checked element
@@ -753,7 +784,11 @@ class TestCommandLine:
                      "control class sv needs n_leaders >= 1",
                      id=f"{scenario}-sv-control-without-leaders")
         for scenario in ("simulate", "coupled", "gamma", "validate")
-    ])
+    ] + [
+        pytest.param(_with_key("experiment", "n_list", "8,inf"),
+                     "[experiment] n_list: cannot parse '8,inf' "
+                     "(sweep sizes, >= 1)", id="non-finite-size"),
+    ] + list(_non_finite_float_cases()))
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text,
                                                message):
         cfg = _write(tmp_path, text)

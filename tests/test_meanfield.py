@@ -1,5 +1,6 @@
 """Picard solver, weak-form residual, stability, and certificate tests."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -517,6 +518,44 @@ class TestBumpCalculus:
         assert vals[2] == pytest.approx(1.0)
         np.testing.assert_array_equal(psi.grad_x(X, V)[0], [0.0])
         assert psi.lap_v(X, V)[0] == 0.0
+
+    # First 16 hex digits of the SHA-256 of value, grad_x, grad_v and
+    # lap_v, in that order, per (test function, d), recorded before bump
+    # and x_bump shared their profile.
+    _RECORDED_DIGESTS = {
+        ("bump", 1): "c985adb26e2b8a33",
+        ("bump", 2): "edcc1d551459f7b9",
+        ("bump", 3): "080e4e1d3c1860cd",
+        ("x_bump", 1): "47df55534470f66d",
+        ("x_bump", 2): "cfebfa385c65535f",
+        ("x_bump", 3): "a39c39fd79fbc6c4",
+        ("constant", 1): "9556ec76cb037748",
+        ("constant", 2): "679589cfa1eeca34",
+        ("constant", 3): "3e95bfa441901c4d",
+    }
+
+    @staticmethod
+    def _digests(d):
+        """Digest of every callback output per test function at d, on
+        seeded points that fall both inside and outside the supports."""
+        rng = np.random.default_rng(100 + d)
+        cx, cv = rng.uniform(-0.3, 0.3, (2, d))
+        X, V = 0.8 * rng.standard_normal((2, 50, d))
+        funcs = {"bump": bump(cx, cv, 1.5), "x_bump": x_bump(cx, 1.5),
+                 "constant": constant_test_function(-2.5)}
+        out = {}
+        for name, psi in funcs.items():
+            h = hashlib.sha256()
+            for cb in (psi.value, psi.grad_x, psi.grad_v, psi.lap_v):
+                h.update(np.ascontiguousarray(cb(X, V)).tobytes())
+            out[(name, d)] = h.hexdigest()[:16]
+        return out
+
+    def test_callbacks_match_the_recorded_digests(self):
+        got = {}
+        for d in (1, 2, 3):
+            got.update(self._digests(d))
+        assert got == self._RECORDED_DIGESTS
 
 
 class TestStability:

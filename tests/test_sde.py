@@ -153,6 +153,21 @@ class TestRandomness:
         with pytest.raises(ValueError):
             BrownianPaths(increments=np.zeros((3, 4)), seed=0)
 
+    def test_caller_increments_stay_writeable(self):
+        # The paths hold a locked view: no copy, and no lock on the caller.
+        inc = np.zeros((3, 4, 1))
+        paths = BrownianPaths(increments=inc, seed=0)
+        inc[0, 0, 0] = 1.0
+        assert np.shares_memory(paths.increments, inc)
+        with pytest.raises(ValueError):
+            paths.increments[0, 0, 0] = 1.0
+
+    def test_nested_list_increments_become_an_array(self):
+        paths = BrownianPaths(increments=[[[0.5]], [[-0.5]]], seed=0)
+        assert (paths.n_steps, paths.n_paths, paths.d) == (2, 1, 1)
+        assert paths.increments.dtype == float
+        assert not paths.increments.flags.writeable
+
 
 class TestFrozenDrift:
     def test_ballistic_transport_is_exact(self):
