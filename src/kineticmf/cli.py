@@ -6,10 +6,11 @@ location. `kineticmf run config.ini` executes the configured scenario and
 writes CSV outputs plus a JSON manifest that records the fully resolved
 configuration; `kineticmf validate config.ini` only checks the file.
 
-Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
-4 I/O failure. `--threads` is accepted and has no effect: a run starts
-no threads of its own. Identical configs produce byte-identical CSVs;
-manifests differ only in their single timestamp line.
+Exit codes: 0 success, 2 validation failure, 3 solver non-convergence
+(for `optimize`, no candidate with a finite cost), 4 I/O failure.
+`--threads` is accepted and has no effect: a run starts no threads of its
+own. Identical configs produce byte-identical CSVs; manifests differ only
+in their single timestamp line.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import difflib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -138,122 +139,127 @@ def initial_law_sampler(spec, N, seed):
     return ParticleEnsemble(X, V)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    seed: int
-    d: int
-    sigma: float
-    n_particles: int
-    n_leaders: int
-    kernel_names: dict
-    constant_value: float
-    leader_x: np.ndarray
-    initial: InitialLaw
-    T: float
-    n_steps: int
-    control_class: str
-    bins: int
-    M_h: float
-    R_c: float
-    h_file: str
-    lagrangian: str
-    lagrangian_value: float
-    target: np.ndarray
-    psi: str
-    psi_weight: float
-    N_list: tuple
-    N_ref: int
-    seeds: tuple
-    tol: float
-    max_iter: int
-    budget: int
-    step0: float
-    output_dir: str
-    resolved: dict = field(default_factory=dict, compare=False)
-
-
 def _parse_floats(raw):
-    return [float(part) for part in str(raw).split(",") if part.strip() != ""]
+    return tuple(float(p) for p in str(raw).split(",") if p.strip())
 
 
 def _parse_ints(raw):
-    return [int(part) for part in str(raw).split(",") if part.strip() != ""]
+    return tuple(int(p) for p in str(raw).split(",") if p.strip())
 
 
-# Schema: section -> key -> (converter, default-as-string, description,
-# rule). Defaults are strings so the resolved config in the manifest is
-# uniform. A rule is a bound from _BOUNDS, which the value (every element
-# of a list) must meet, or the tuple of allowed names; None checks nothing.
-# Every float value (every element of a float list) must also be finite.
+def _key(section, key, conv, default, desc, rule=None):
+    """A RunConfig field read from `[section] key`. conv parses the raw
+    string; the default is a string, so the resolved config in the manifest
+    is uniform (None: the key is required); desc names the value in
+    messages. A rule is a bound from _BOUNDS, which the value (every
+    element of a list) must meet, or the tuple of allowed names; None checks
+    nothing. Every float value (every element of a float list) must also be
+    finite, and a float list is broadcast to a d-vector."""
+    return field(metadata={"key": (section, key),
+                           "row": (conv, default, desc, rule)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed config: one field per config key, declared with its row,
+    then the initial law built from the [model] initial_* keys."""
+
+    scenario: str = _key("run", "scenario", str, None, "scenario to run",
+                         SCENARIOS)
+    seed: int = _key("run", "seed", int, "0", "base seed", ">= 0")
+    d: int = _key("model", "d", int, "1", "state dimension", ">= 1")
+    sigma: float = _key("model", "sigma", float, "0.1", "diffusion strength",
+                        ">= 0")
+    n_particles: int = _key("model", "n_particles", int, "64",
+                            "follower count", ">= 1")
+    n_leaders: int = _key("model", "n_leaders", int, "0", "leader count",
+                          ">= 0")
+    k11: str = _key("model", "k11", str, "none", "follower-follower kernel",
+                    _KERNEL_CHOICES)
+    k12: str = _key("model", "k12", str, "none", "leader-to-follower kernel",
+                    _KERNEL_CHOICES)
+    k21: str = _key("model", "k21", str, "none", "follower-to-leader kernel",
+                    _KERNEL_CHOICES)
+    k22: str = _key("model", "k22", str, "none", "leader-leader kernel",
+                    _KERNEL_CHOICES)
+    constant_value: float = _key("model", "constant_value", float, "1.0",
+                                 "value for 'constant' kernels")
+    leader_x: np.ndarray = _key("model", "leader_x", _parse_floats, "1.0",
+                                "initial leader position(s)")
+    initial_kind: str = _key("model", "initial", str, "gaussian",
+                             "initial law", INITIAL_KINDS)
+    initial_x: np.ndarray = _key("model", "initial_x", _parse_floats, "0.0",
+                                 "initial mean position")
+    initial_v: np.ndarray = _key("model", "initial_v", _parse_floats, "0.0",
+                                 "initial mean velocity")
+    initial_std: np.ndarray = _key("model", "initial_std", _parse_floats,
+                                   "1.0", "gaussian std", ">= 0")
+    initial_box: np.ndarray = _key("model", "initial_box", _parse_floats,
+                                   "1.0", "uniform half-width", ">= 0")
+    mix_weight: float = _key("model", "mix_weight", float, "0.5",
+                             "first mixture weight", "in [0, 1]")
+    initial_x2: np.ndarray = _key("model", "initial_x2", _parse_floats, "0.0",
+                                  "second component mean position")
+    initial_v2: np.ndarray = _key("model", "initial_v2", _parse_floats, "0.0",
+                                  "second component mean velocity")
+    initial_std2: np.ndarray = _key("model", "initial_std2", _parse_floats,
+                                    "1.0", "second component std", ">= 0")
+    T: float = _key("grid", "t", float, "1.0", "horizon", "> 0")
+    n_steps: int = _key("grid", "n_steps", int, "50", "time steps", ">= 1")
+    control_class: str = _key("control", "class", str, "zero",
+                              "control class", ("zero", "sv"))
+    bins: int = _key("control", "bins", int, "8",
+                     "piecewise-constant time bins", ">= 1")
+    M_h: float = _key("control", "m_h", float, "1.0",
+                      "Frobenius budget per bin", "> 0")
+    R_c: float = _key("control", "r_c", float, "5.0",
+                      "feature clamping radius", "> 0")
+    h_file: str = _key("control", "h_file", str, "",
+                       "optional CSV of h entries (bin,i,j,value)")
+    lagrangian: str = _key("cost", "lagrangian", str, "zero", "running cost",
+                           LAGRANGIAN_NAMES)
+    lagrangian_value: float = _key("cost", "lagrangian_value", float, "1.0",
+                                   "value for the constant lagrangian")
+    target: np.ndarray = _key("cost", "target", _parse_floats, "0.0",
+                              "target for track_mean_x")
+    psi: str = _key("cost", "psi", str, "zero", "control cost", PSI_NAMES)
+    psi_weight: float = _key("cost", "psi_weight", float, "1.0",
+                             "quadratic control cost weight", ">= 0")
+    N_list: tuple = _key("experiment", "n_list", _parse_ints, "8,16,32",
+                         "sweep sizes", ">= 1")
+    N_ref: int = _key("experiment", "n_ref", int, "0",
+                      "chaos reference size (0 = 8x the largest N)", ">= 0")
+    seeds: tuple = _key("experiment", "seeds", _parse_ints, "1,2,3,4,5",
+                        "per-cell seeds", ">= 0")
+    tol: float = _key("experiment", "tol", float, "1e-6", "Picard tolerance",
+                      "> 0")
+    max_iter: int = _key("experiment", "max_iter", int, "25",
+                         "Picard iteration cap", ">= 1")
+    budget: int = _key("experiment", "budget", int, "120",
+                       "optimizer evaluation budget", ">= 1")
+    step0: float = _key("experiment", "step0", float, "0.5",
+                        "optimizer initial step", "> 0")
+    output_dir: str = _key("io", "output_dir", str, "out", "output directory")
+    initial: InitialLaw
+    resolved: dict = field(default_factory=dict, compare=False)
+
+
+# (field name, section, key, row) of every config key, in field order.
+_KEYS = tuple((f.name, *f.metadata["key"], f.metadata["row"])
+              for f in fields(RunConfig) if f.metadata)
+
+
+def _schema():
+    """section -> key -> (conv, default, desc, rule), in field order."""
+    schema = {}
+    for _, section, key, row in _KEYS:
+        schema.setdefault(section, {})[key] = row
+    return schema
+
+
+_SCHEMA = _schema()
 _BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
            ">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
-_SCHEMA = {
-    "run": {
-        "scenario": (str, None, "scenario to run", SCENARIOS),
-        "seed": (int, "0", "base seed", ">= 0"),
-    },
-    "model": {
-        "d": (int, "1", "state dimension", ">= 1"),
-        "sigma": (float, "0.1", "diffusion strength", ">= 0"),
-        "n_particles": (int, "64", "follower count", ">= 1"),
-        "n_leaders": (int, "0", "leader count", ">= 0"),
-        "k11": (str, "none", "follower-follower kernel", _KERNEL_CHOICES),
-        "k12": (str, "none", "leader-to-follower kernel", _KERNEL_CHOICES),
-        "k21": (str, "none", "follower-to-leader kernel", _KERNEL_CHOICES),
-        "k22": (str, "none", "leader-leader kernel", _KERNEL_CHOICES),
-        "constant_value": (float, "1.0", "value for 'constant' kernels",
-                           None),
-        "leader_x": (_parse_floats, "1.0", "initial leader position(s)",
-                     None),
-        "initial": (str, "gaussian", "initial law", INITIAL_KINDS),
-        "initial_x": (_parse_floats, "0.0", "initial mean position", None),
-        "initial_v": (_parse_floats, "0.0", "initial mean velocity", None),
-        "initial_std": (_parse_floats, "1.0", "gaussian std", ">= 0"),
-        "initial_box": (_parse_floats, "1.0", "uniform half-width", ">= 0"),
-        "mix_weight": (float, "0.5", "first mixture weight", "in [0, 1]"),
-        "initial_x2": (_parse_floats, "0.0",
-                       "second component mean position", None),
-        "initial_v2": (_parse_floats, "0.0",
-                       "second component mean velocity", None),
-        "initial_std2": (_parse_floats, "1.0", "second component std",
-                         ">= 0"),
-    },
-    "grid": {
-        "t": (float, "1.0", "horizon", "> 0"),
-        "n_steps": (int, "50", "time steps", ">= 1"),
-    },
-    "control": {
-        "class": (str, "zero", "control class", ("zero", "sv")),
-        "bins": (int, "8", "piecewise-constant time bins", ">= 1"),
-        "m_h": (float, "1.0", "Frobenius budget per bin", "> 0"),
-        "r_c": (float, "5.0", "feature clamping radius", "> 0"),
-        "h_file": (str, "", "optional CSV of h entries (bin,i,j,value)",
-                   None),
-    },
-    "cost": {
-        "lagrangian": (str, "zero", "running cost", LAGRANGIAN_NAMES),
-        "lagrangian_value": (float, "1.0",
-                             "value for the constant lagrangian", None),
-        "target": (_parse_floats, "0.0", "target for track_mean_x", None),
-        "psi": (str, "zero", "control cost", PSI_NAMES),
-        "psi_weight": (float, "1.0", "quadratic control cost weight",
-                       ">= 0"),
-    },
-    "experiment": {
-        "n_list": (_parse_ints, "8,16,32", "sweep sizes", ">= 1"),
-        "n_ref": (int, "0", "chaos reference size (0 = 8x the largest N)",
-                  ">= 0"),
-        "seeds": (_parse_ints, "1,2,3,4,5", "per-cell seeds", ">= 0"),
-        "tol": (float, "1e-6", "Picard tolerance", "> 0"),
-        "max_iter": (int, "25", "Picard iteration cap", ">= 1"),
-        "budget": (int, "120", "optimizer evaluation budget", ">= 1"),
-        "step0": (float, "0.5", "optimizer initial step", "> 0"),
-    },
-    "io": {
-        "output_dir": (str, "out", "output directory", None),
-    },
-}
 
 
 def _suggest(name, candidates):
@@ -267,43 +273,44 @@ def _reference_size(n_ref, n_list):
 
 
 def _check_ranges(values, errors):
-    """Each _SCHEMA row's rule, then finiteness of its float values, then
-    the rules that span keys."""
+    """Each key's rule, then finiteness of its float values, then the rules
+    that span keys. values holds the parsed value of each field by name."""
     bad = errors.append
-    for section, keys in _SCHEMA.items():
-        for key, (conv, _, _, rule) in keys.items():
-            value = values[(section, key)]
-            if value is None:
-                continue
-            if isinstance(rule, tuple):
-                if value not in rule:
-                    bad(f"[{section}] unknown {key} '{value}'"
-                        + _suggest(value, rule))
-            elif rule is not None and not all(map(
-                    _BOUNDS[rule],
-                    value if isinstance(value, list) else [value])):
-                bad(f"[{section}] {key} must be {rule}")
-            elif conv in (float, _parse_floats) \
-                    and not np.isfinite(value).all():
-                bad(f"[{section}] {key} must be finite")
+    for name, section, key, (conv, _, _, rule) in _KEYS:
+        value = values[name]
+        if value is None:
+            continue
+        parts = value if isinstance(value, tuple) else (value,)
+        if isinstance(rule, tuple):
+            if value not in rule:
+                bad(f"[{section}] unknown {key} '{value}'"
+                    + _suggest(value, rule))
+        elif rule is not None and not all(map(_BOUNDS[rule], parts)):
+            bad(f"[{section}] {key} must be {rule}")
+        elif conv in (float, _parse_floats) and not np.isfinite(value).all():
+            bad(f"[{section}] {key} must be finite")
 
-    scenario = values[("run", "scenario")]
+    scenario = values["scenario"]
     if scenario is None:
         bad("[run] scenario is required, one of " + ", ".join(SCENARIOS))
     for slot in ("k21", "k22"):
-        name = values[("model", slot)]
+        name = values[slot]
         if name in KERNEL_NAMES and name not in _POSITION_KERNELS:
             bad(f"[model] {slot} must be a position kernel, one of "
                 + ", ".join(_POSITION_KERNELS))
-    n_list = values[("experiment", "n_list")]
+    n_list, seeds = values["N_list"], values["seeds"]
     if not n_list:
         bad("[experiment] n_list must not be empty")
-    if not values[("experiment", "seeds")]:
+    if len(set(n_list)) < len(n_list):
+        bad("[experiment] n_list must not repeat a size")
+    if not seeds:
         bad("[experiment] seeds must not be empty")
+    if len(set(seeds)) < len(seeds):
+        bad("[experiment] seeds must not repeat a seed")
 
     # What a scenario would refuse at run time is refused here.
-    n_ref = values[("experiment", "n_ref")]
-    no_leaders = values[("model", "n_leaders")] == 0
+    n_ref = values["N_ref"]
+    no_leaders = values["n_leaders"] == 0
     if scenario == "chaos" and min(n_list, default=0) >= 1 and n_ref >= 0:
         try:
             check_reference_size(_reference_size(n_ref, n_list), max(n_list))
@@ -311,13 +318,12 @@ def _check_ranges(values, errors):
             bad(f"[experiment] {e}")
     if no_leaders and scenario == "optimize":
         bad("[model] optimize scenario needs n_leaders >= 1")
-    builds_sv = values[("control", "class")] == "sv" \
+    builds_sv = values["control_class"] == "sv" \
         and scenario in ("simulate", "coupled", "gamma", "validate")
     if no_leaders and builds_sv:
         bad("[control] control class sv needs n_leaders >= 1")
-    m, d, bins = (values[("model", "n_leaders")], values[("model", "d")],
-                  values[("control", "bins")])
-    h_file = values[("control", "h_file")]
+    m, d, bins = values["n_leaders"], values["d"], values["bins"]
+    h_file = values["h_file"]
     if (builds_sv or scenario == "optimize") and h_file \
             and min(m, d, bins) >= 1:
         try:
@@ -353,108 +359,60 @@ def parse_config(path):
                               + _suggest(key, list(_SCHEMA[section])))
 
     values = {}
-    resolved = {}
-    for section, keys in _SCHEMA.items():
-        resolved[section] = {}
-        for key, (conv, default, desc, rule) in keys.items():
-            raw = parser.get(section, key, fallback=default) \
-                if parser.has_section(section) else default
-            if raw is None:
-                values[(section, key)] = None
-                resolved[section][key] = ""
-                continue
-            try:
-                values[(section, key)] = conv(raw)
-                resolved[section][key] = str(raw)
-            except (TypeError, ValueError):
-                hint = f"{desc}, {rule}" if isinstance(rule, str) else desc
-                errors.append(f"[{section}] {key}: cannot parse '{raw}' "
-                              f"({hint})")
-                values[(section, key)] = conv(default) if default is not None \
-                    else None
-                resolved[section][key] = str(default)
+    resolved = {section: {} for section in _SCHEMA}
+    for name, section, key, (conv, default, desc, rule) in _KEYS:
+        raw = parser.get(section, key, fallback=default) \
+            if parser.has_section(section) else default
+        if raw is None:
+            values[name] = None
+            resolved[section][key] = ""
+            continue
+        try:
+            values[name] = conv(raw)
+            resolved[section][key] = str(raw)
+        except (TypeError, ValueError):
+            hint = f"{desc}, {rule}" if isinstance(rule, str) else desc
+            errors.append(f"[{section}] {key}: cannot parse '{raw}' "
+                          f"({hint})")
+            values[name] = conv(default) if default is not None else None
+            resolved[section][key] = str(default)
     _check_ranges(values, errors)
 
-    d = values[("model", "d")]
-
-    def vec(section, key):
-        return _broadcast(values[(section, key)], d, f"[{section}] {key}")
-
-    initial = None
-    if not errors:
-        try:
-            initial = InitialLaw(
-                kind=values[("model", "initial")], d=d,
-                mean_x=vec("model", "initial_x"),
-                mean_v=vec("model", "initial_v"),
-                std=vec("model", "initial_std"),
-                box=vec("model", "initial_box"),
-                mix_weight=values[("model", "mix_weight")],
-                mean_x2=vec("model", "initial_x2"),
-                mean_v2=vec("model", "initial_v2"),
-                std2=vec("model", "initial_std2"))
-            vec("model", "leader_x")
-            vec("cost", "target")
-        except ValueError as e:
-            errors.append(str(e))
+    # Float lists become d-vectors once every key has passed its rule.
+    d = values["d"]
+    for name, section, key, (conv, *_) in () if errors else _KEYS:
+        if conv is _parse_floats:
+            try:
+                values[name] = _broadcast(values[name], d,
+                                          f"[{section}] {key}")
+            except ValueError as e:
+                errors.append(str(e))
     if errors:
         raise ConfigError(errors)
-
-    return RunConfig(
-        scenario=values[("run", "scenario")],
-        seed=values[("run", "seed")],
-        d=d,
-        sigma=values[("model", "sigma")],
-        n_particles=values[("model", "n_particles")],
-        n_leaders=values[("model", "n_leaders")],
-        kernel_names={slot.upper(): values[("model", slot.lower())]
-                      for slot in ("K11", "K12", "K21", "K22")},
-        constant_value=values[("model", "constant_value")],
-        leader_x=vec("model", "leader_x"),
-        initial=initial,
-        T=values[("grid", "t")],
-        n_steps=values[("grid", "n_steps")],
-        control_class=values[("control", "class")],
-        bins=values[("control", "bins")],
-        M_h=values[("control", "m_h")],
-        R_c=values[("control", "r_c")],
-        h_file=values[("control", "h_file")],
-        lagrangian=values[("cost", "lagrangian")],
-        lagrangian_value=values[("cost", "lagrangian_value")],
-        target=vec("cost", "target"),
-        psi=values[("cost", "psi")],
-        psi_weight=values[("cost", "psi_weight")],
-        N_list=tuple(values[("experiment", "n_list")]),
-        N_ref=values[("experiment", "n_ref")],
-        seeds=tuple(values[("experiment", "seeds")]),
-        tol=values[("experiment", "tol")],
-        max_iter=values[("experiment", "max_iter")],
-        budget=values[("experiment", "budget")],
-        step0=values[("experiment", "step0")],
-        output_dir=values[("io", "output_dir")],
-        resolved=resolved,
-    )
+    initial = InitialLaw(
+        kind=values["initial_kind"], d=d, mean_x=values["initial_x"],
+        mean_v=values["initial_v"], std=values["initial_std"],
+        box=values["initial_box"], mix_weight=values["mix_weight"],
+        mean_x2=values["initial_x2"], mean_v2=values["initial_v2"],
+        std2=values["initial_std2"])
+    return RunConfig(**values, initial=initial, resolved=resolved)
 
 
 def _build_model(rc):
-    def resolve(slot):
-        name = rc.kernel_names[slot]
-        if name == "none":
-            return None
-        return kernel(name, d=rc.d, params={"value": rc.constant_value})
-
-    kernels = {slot: resolve(slot) for slot in ("K11", "K12", "K21", "K22")}
+    names = {"K11": rc.k11, "K12": rc.k12, "K21": rc.k21, "K22": rc.k22}
+    kernels = {slot: None if name == "none"
+               else kernel(name, d=rc.d, params={"value": rc.constant_value})
+               for slot, name in names.items()}
     m = rc.n_leaders
     if m == 0:
         Y0 = LeaderState.empty(rc.d)
     else:
         Y = np.tile(rc.leader_x, (m, 1))
         Y0 = LeaderState(Y, np.zeros_like(Y))
-    label = ",".join(rc.kernel_names[s] for s in ("K11", "K12", "K21", "K22"))
     return LeaderFollowerModel(
         kernels=kernels, Y0=Y0,
         sampler=lambda N, seed: initial_law_sampler(rc.initial, N, seed),
-        d=rc.d, p=2.0, name=f"cli[{label}]")
+        d=rc.d, p=2.0, name=f"cli[{','.join(names.values())}]")
 
 
 def _load_h(path, K, md, ell):
@@ -467,12 +425,16 @@ def _load_h(path, K, md, ell):
                              "bin,i,j,value")
         for lineno, row in enumerate(reader, start=2):
             try:
-                b, i, j, val = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+                b, i, j = int(row[0]), int(row[1]), int(row[2])
+                val = float(row[3])
             except (ValueError, IndexError) as e:
                 raise ValueError(f"h file '{path}' line {lineno}: {e}") from e
             if not (0 <= b < K and 0 <= i < md and 0 <= j < ell):
                 raise ValueError(f"h file '{path}' line {lineno}: index "
                                  f"({b},{i},{j}) outside ({K},{md},{ell})")
+            if not np.isfinite(val):
+                raise ValueError(f"h file '{path}' line {lineno}: value "
+                                 "must be finite")
             h[b, i, j] = val
     return h
 
@@ -617,9 +579,11 @@ def _scenario_optimize(rc, model, cfg, out, progress):
             fh.write(f"{k},{c:.17g},{b:.17g}\n")
     _write_h(out / "control_h.csv", best.h)
     outputs = ["history.csv", "control_h.csv"]
+    best_cost = history[-1][2]
     print(f"[optimize] evaluations={len(history)} "
-          f"best_cost={history[-1][2]:.6g} -> history.csv, control_h.csv")
-    return 0, outputs
+          f"best_cost={best_cost:.6g} -> history.csv, control_h.csv")
+    # Every candidate failed when no cost is finite.
+    return (0 if np.isfinite(best_cost) else 3), outputs
 
 
 def _scenario_chaos(rc, model, cfg, out, progress):

@@ -353,28 +353,31 @@ def psi_quadratic(weight=1.0):
     return lambda uvec: weight * float(np.sum(np.square(uvec)))
 
 
-LAGRANGIAN_NAMES = ("zero", "constant", "track_mean_x")
-PSI_NAMES = ("zero", "quadratic")
+# The cost library, name: builder from the config's params ("value",
+# "target", "weight"). A zero control cost is no psi at all.
+_LAGRANGIANS = {
+    "zero": lambda params: lagrangian_zero(),
+    "constant": lambda params: lagrangian_constant(params.get("value", 1.0)),
+    "track_mean_x": lambda params: lagrangian_track_mean_x(
+        params.get("target", 0.0)),
+}
+_PSIS = {
+    "zero": lambda params: None,
+    "quadratic": lambda params: psi_quadratic(params.get("weight", 1.0)),
+}
+LAGRANGIAN_NAMES = tuple(_LAGRANGIANS)
+PSI_NAMES = tuple(_PSIS)
 
 
 def make_cost(lagrangian_id, psi_id, dim, params=None):
     """Cost library lookup for the config layer."""
     params = dict(params or {})
-    if lagrangian_id == "zero":
-        L = lagrangian_zero()
-    elif lagrangian_id == "constant":
-        L = lagrangian_constant(params.get("value", 1.0))
-    elif lagrangian_id == "track_mean_x":
-        L = lagrangian_track_mean_x(params.get("target", 0.0))
-    else:
+    if lagrangian_id not in _LAGRANGIANS:
         raise ValueError(f"unknown lagrangian '{lagrangian_id}'")
-    if psi_id == "zero":
-        psi = None
-    elif psi_id == "quadratic":
-        psi = psi_quadratic(params.get("weight", 1.0))
-    else:
+    if psi_id not in _PSIS:
         raise ValueError(f"unknown control cost '{psi_id}'")
-    return CostSpec(lagrangian=L, psi=psi, dim=dim,
+    return CostSpec(lagrangian=_LAGRANGIANS[lagrangian_id](params),
+                    psi=_PSIS[psi_id](params), dim=dim,
                     name=f"{lagrangian_id}+{psi_id}")
 
 

@@ -83,6 +83,17 @@ def _sweep(cell_value, N_list, seeds):
     return raw, tuple((N, *mean_stderr(raw[N]), len(seeds)) for N in N_list)
 
 
+def _sweep_sizes(N_list, seeds):
+    """N_list as sorted ints, after refusing a repeated size or seed: a
+    repeat would run its cells again and count them twice in the stderr."""
+    N_list = sorted(int(N) for N in N_list)
+    if len(set(N_list)) < len(N_list):
+        raise ValueError("N_list must not repeat a size")
+    if len(set(map(int, seeds))) < len(seeds):
+        raise ValueError("seeds must not repeat a seed")
+    return N_list
+
+
 def check_reference_size(N_ref, N_max, min_ref_factor=4):
     """ValueError unless N_ref >= min_ref_factor N_max and N_ref is within
     the exact-transport cap; the CLI's config check calls it too."""
@@ -104,7 +115,7 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, min_ref_factor=4):
     assignment solver applies. Requires N_ref >= 4 max(N_list) by default;
     pass a smaller min_ref_factor only for degenerate self-distance checks.
     """
-    N_list = sorted(int(N) for N in N_list)
+    N_list = _sweep_sizes(N_list, seeds)
     if not N_list or N_list[0] < 1:
         raise ValueError("N_list must contain positive sizes")
     check_reference_size(N_ref, N_list[-1], min_ref_factor)
@@ -146,7 +157,7 @@ def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds,
                                  tol=1e-6, max_iter=25):
     """|F^N[u] - F[u]| per N, mean and stderr over seeds, against the
     mean-field cost computed once at cfg.N (the Picard reference size)."""
-    N_list = sorted(int(N) for N in N_list)
+    N_list = _sweep_sizes(N_list, seeds)
     F_ref = evaluate_cost_meanfield(u, model, cost, cfg, tol=tol,
                                     max_iter=max_iter)
 
@@ -175,7 +186,7 @@ def minima_convergence_experiment(model, cost, N_list, budget, cfg, seeds,
     derivative-free search. Heuristic by nature (local minima, finite
     budget): the table is flagged as indicative in its metadata and should
     never be read as ground truth for the true minima."""
-    N_list = sorted(int(N) for N in N_list)
+    N_list = _sweep_sizes(N_list, seeds)
     if u0 is None:
         u0 = sv_zero(model.m, model.d, cfg.T, K=K, M_h=M_h)
 

@@ -194,12 +194,14 @@ def _sliced_w1_samples(A, B, n_proj, seed):
 
 
 def sliced_w1_points(A, B, n_proj, seed):
-    """Sliced W_1 between raw point clouds: the average over n_proj random
-    unit directions of the 1-d W_1 (sorted pairing) of the projections.
-    In one dimension the projection is +/- identity and the value equals
-    the exact W_1."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    """Sliced W_1 between raw point clouds of shape (N, D), or (N,) for N
+    points on the line: the average over n_proj random unit directions of
+    the 1-d W_1 (sorted pairing) of the projections. In one dimension the
+    projection is +/- identity and the value equals the exact W_1."""
+    A, B = (np.asarray(C, dtype=float) for C in (A, B))
+    A, B = (C[:, None] if C.ndim == 1 else C for C in (A, B))
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError("point clouds must have shape (N,) or (N, D)")
     if A.shape != B.shape:
         raise ValueError("requires equal-size point clouds")
     if n_proj < 1:

@@ -1,9 +1,12 @@
 """Config parsing, initial-law sampling, and end-to-end scenario runs."""
 
+import dataclasses
 import hashlib
+import importlib.util
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,76 @@ def _non_finite_float_cases():
                     _with_key(section, key, value),
                     f"[{section}] {key} must be "
                     + (rule if fails else "finite"), id=f"{key}-{value}")
+
+
+def _canonical(value):
+    """value with arrays as (dtype, entries), dataclasses as dicts and
+    callables by name: a repr that is the same in every process."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", str(value.dtype), value.tolist())
+    if dataclasses.is_dataclass(value):
+        return {f.name: _canonical(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_canonical, value))
+    return value.__name__ if callable(value) else value
+
+
+def _digest(value):
+    return hashlib.sha256(repr(_canonical(value)).encode()).hexdigest()[:16]
+
+
+def _bench_config_text(workload):
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.config_text(workload, 1)
+
+
+MIXTURE = """\
+[run]
+scenario = coupled
+seed = 7
+
+[model]
+d = 2
+n_leaders = 2
+k11 = bounded_alignment
+k12 = bounded_attraction
+k21 = attraction_position
+leader_x = 1.5,-0.5
+initial = mixture
+initial_x = 1,2
+initial_v = -1
+initial_std = 0.25,0.5
+initial_box = 2
+mix_weight = 0.3
+initial_x2 = -3
+initial_v2 = 0.5,0.75
+initial_std2 = 0.1
+
+[cost]
+lagrangian = track_mean_x
+target = 0.5,1.5
+psi = quadratic
+psi_weight = 0.01
+
+[experiment]
+n_list = 4,2
+seeds = 3,1
+"""
+
+# The RunConfig attributes a parsed config had before each field carried
+# its own [section] key row; the kernel names are pinned through resolved.
+PINNED_ATTRS = (
+    "scenario", "seed", "d", "sigma", "n_particles", "n_leaders",
+    "constant_value", "leader_x", "initial", "T", "n_steps",
+    "control_class", "bins", "M_h", "R_c", "h_file", "lagrangian",
+    "lagrangian_value", "target", "psi", "psi_weight", "N_list", "N_ref",
+    "seeds", "tol", "max_iter", "budget", "step0", "output_dir")
 
 
 def _law(kind="gaussian", d=1, **kw):
@@ -193,6 +266,17 @@ class TestParseConfig:
         assert exc.value.errors == [
             "[model] initial_x needs 1 component, got 2"]
 
+    def test_every_mis_sized_vector_is_reported(self, tmp_path):
+        text = ("[run]\nscenario = simulate\n"
+                "[model]\nd = 2\ninitial_x = 1,2,3\nleader_x = 1,2,3\n"
+                "[cost]\ntarget = 1,2,3\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_write(tmp_path, text))
+        assert exc.value.errors == [
+            f"[{section}] {key} needs 1 or 2 components, got 3"
+            for section, key in (("model", "leader_x"), ("model", "initial_x"),
+                                 ("cost", "target"))]
+
     def test_fractional_size_rejected(self, tmp_path):
         text = MINIMAL + "[experiment]\nn_list = 4,8.5\n"
         with pytest.raises(ConfigError, match="cannot parse '4,8.5'"):
@@ -271,6 +355,28 @@ class TestParseConfig:
             parse_config(_write(tmp_path, text))
         assert exc.value.errors == [
             f"[{section}] unknown {key} '{typo}' (did you mean '{name}'?)"]
+
+    # (digest of the PINNED_ATTRS values, digest of resolved), recorded
+    # before the config keys were declared on RunConfig's fields.
+    PINNED = {
+        "chaos": ("d5c7a398560754ec", "3ec44dd3cbe13bed"),
+        "optimize": ("6faa3bfddddb8d1c", "49d1900941df364f"),
+        "simulate_n2048": ("21d6313403d63335", "7e1c499e5ef0513b"),
+        "coupled_n512": ("8cac2feee76883de", "3f5cfc94cad00f8e"),
+        "minimal": ("4b392e33ae43d09d", "e98647600a34baa6"),
+        "mixture": ("5713a96e3592b2d3", "7790ae2685e7fe31"),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_parsed_values_match_the_recorded_digests(self, tmp_path, name):
+        text = {"minimal": MINIMAL, "mixture": MIXTURE}.get(name) \
+            or _bench_config_text(name)
+        rc = parse_config(_write(tmp_path, text))
+        values = {attr: getattr(rc, attr) for attr in PINNED_ATTRS}
+        assert (_digest(values), _digest(rc.resolved)) == self.PINNED[name]
+
+    def test_schema_index_matches_the_recorded_digest(self):
+        assert _digest(cli._SCHEMA) == "d7da69b4dfbadea2"
 
     def test_every_rule_has_a_case(self):
         rules = {(section, key, type(row[3]))
@@ -569,6 +675,22 @@ class TestRunScenarios:
                      str(tmp_path / "out")]) == 0
         assert seen == ["moments[R_c=2]"]
 
+    def test_optimize_exits_3_when_every_candidate_fails(self, tmp_path):
+        # One Picard iterate never meets tol = 1e-30, so every candidate
+        # scores +inf; both outputs are still written, as meanfield does.
+        text = ("[run]\nscenario = optimize\nseed = 1\n"
+                "[model]\nsigma = 0.1\nn_particles = 4\nn_leaders = 1\n"
+                "k11 = bounded_alignment\nk12 = bounded_attraction\n"
+                "[grid]\nt = 0.5\nn_steps = 4\n"
+                "[control]\nbins = 1\n"
+                "[experiment]\ntol = 1e-30\nmax_iter = 1\nbudget = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, text), "--output-dir",
+                     str(out)]) == 3
+        history = (out / "history.csv").read_text().splitlines()
+        assert history[1:] == [f"{k},inf,inf" for k in (1, 2, 3)]
+        assert (out / "control_h.csv").exists()
+
     OPTIMIZE_H = ("[run]\nscenario = optimize\n"
                   "[model]\nn_particles = 4\nn_leaders = 1\n"
                   "[control]\nbins = 1\nh_file = {path}\n"
@@ -788,6 +910,13 @@ class TestCommandLine:
         pytest.param(_with_key("experiment", "n_list", "8,inf"),
                      "[experiment] n_list: cannot parse '8,inf' "
                      "(sweep sizes, >= 1)", id="non-finite-size"),
+    ] + [
+        pytest.param(_with_key("experiment", "n_list", "4,4"),
+                     "[experiment] n_list must not repeat a size",
+                     id="repeated-size"),
+        pytest.param(_with_key("experiment", "seeds", "1,1"),
+                     "[experiment] seeds must not repeat a seed",
+                     id="repeated-seed"),
     ] + list(_non_finite_float_cases()))
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text,
                                                message):
@@ -813,6 +942,20 @@ class TestCommandLine:
         cfg = _write(tmp_path, self.H_CONFIG.format(path=bad))
         assert main(["validate", cfg]) == 2
         assert message in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_h_value_exits_2(self, tmp_path, capsys, value):
+        bad = tmp_path / "h.csv"
+        bad.write_text(f"bin,i,j,value\n0,0,0,{value}\n")
+        message = f"h file '{bad}' line 2: value must be finite"
+        for scenario in ("simulate", "coupled", "optimize"):
+            cfg = _write(tmp_path, self.H_CONFIG.format(path=bad).replace(
+                "simulate", scenario))
+            for argv in (["validate", cfg],
+                         ["run", cfg, "--output-dir", str(tmp_path / "out")]):
+                assert main(argv) == 2
+                assert f"config error: [control] {message}" \
+                    in capsys.readouterr().out
 
     def test_validate_accepts_a_good_h_file(self, tmp_path, capsys):
         good = tmp_path / "h.csv"

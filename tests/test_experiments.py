@@ -15,6 +15,7 @@ from kineticmf.control_opt import (
     psi_quadratic,
     sv_control,
 )
+from kineticmf import experiments
 from kineticmf.experiments import (
     ConvergenceTable,
     chaos_experiment,
@@ -132,9 +133,9 @@ class TestChaosExperiment:
         assert len(md["raw"][2]) == 2
 
     @given(st.lists(st.integers(min_value=0, max_value=2**31 - 1),
-                    min_size=1, max_size=3),
+                    min_size=1, max_size=3, unique=True),
            st.lists(st.integers(min_value=1, max_value=12), min_size=1,
-                    max_size=3),
+                    max_size=3, unique=True),
            st.sampled_from(["bounded_alignment", "bounded_attraction"]),
            st.integers(min_value=1, max_value=2))
     @settings(max_examples=12, deadline=None)
@@ -154,6 +155,27 @@ class TestChaosExperiment:
         worker.join()
         assert main.rows == result[0].rows
         assert main.metadata == result[0].metadata
+
+    @pytest.mark.parametrize("N_list, seeds, message", [
+        ([4, 4], [1, 2], "N_list must not repeat a size"),
+        ([4], [1, 1], "seeds must not repeat a seed"),
+    ], ids=["size", "seed"])
+    def test_repeats_refused_before_any_simulation(self, monkeypatch, N_list,
+                                                   seeds, message):
+        # A repeat would run its cells twice and count them twice in the
+        # stderr, against an n_seeds column that counts them once.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(experiments, "simulate_interacting", no_run)
+        monkeypatch.setattr(experiments, "evaluate_cost_meanfield", no_run)
+        model = _free_model(_point_sampler())
+        cost = CostSpec(lagrangian=lagrangian_zero(), psi=None, dim=1)
+        with pytest.raises(ValueError, match=message):
+            chaos_experiment(model, N_list, 16, _cfg(), seeds)
+        with pytest.raises(ValueError, match=message):
+            gamma_convergence_experiment(None, model, cost, N_list, _cfg(),
+                                         seeds)
 
     def test_stderr_shrinks_with_more_seeds(self):
         cfg = _cfg(T=0.25, n_steps=2, sigma=0.5, seed=1)

@@ -322,6 +322,27 @@ class TestSliced:
         with pytest.raises(ValueError):
             sliced_w1_points(np.zeros((3, 1)), np.zeros((4, 1)), 2, 0)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_one_dimensional_samples_are_points_on_the_line(self, seed, N):
+        # An (N,) array is N points on the line, as its (N, 1) form, not one
+        # point in R^N; so it too stays at or below the exact W_1.
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal(N), rng.standard_normal(N)
+        got = sliced_w1_points(A, B, n_proj=8, seed=seed)
+        assert got == sliced_w1_points(A[:, None], B[:, None], 8, seed)
+        exact = wasserstein_distance(_ens(A[:, None]), _ens(B[:, None]), 1.0)
+        assert got <= exact + 1e-12
+
+    def test_reordered_one_dimensional_sample_is_at_distance_zero(self):
+        assert sliced_w1_points([0, 1, 5], [5, 1, 0], 64, 3) == 0.0
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 1)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(N,\) or \(N, D\)"):
+            sliced_w1_points(np.zeros(shape), np.zeros(shape), 2, 0)
+
 
 class TestGuards:
     def test_unequal_sizes_rejected_with_hint(self):
