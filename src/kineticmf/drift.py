@@ -53,8 +53,14 @@ class InteractionKernel:
     dx -> R^d (used for the leader position couplings). fn(dx, dv, out)
     writes the values into out, a float array with dx's shape and memory
     layout, and returns nothing; dv is None for position kernels. fn must
-    not write into dx or dv, and an out given to K must not overlap them
-    (pair_mean's never does). The declared L_ker
+    not write into dx or dv other than through out.
+
+    elementwise declares that the value at an entry depends only on that
+    entry of dx and dv, so fn may write over its own input. Then, and only
+    then, out may be dx or dv itself (pair_mean hands such a kernel dv, or
+    dx when there is no dv); no other overlap of out with the inputs is
+    allowed. A kernel that sums over components is not elementwise, and
+    neither is a custom kernel unless it says so. The declared L_ker
     and M_ker are promises checked by the validators, not by construction;
     kernels with M_ker = inf are flagged unbounded and exist for
     closed-form tests only.
@@ -65,6 +71,7 @@ class InteractionKernel:
     L_ker: float
     M_ker: float
     arity: str = "phase"
+    elementwise: bool = False
 
     def __post_init__(self):
         if self.arity not in ("phase", "position"):
@@ -124,20 +131,21 @@ def _constant(d, params):
     return fn, float(np.linalg.norm(c))
 
 
-# The kernel library, name: (fn, L_ker, M_ker, arity). A row whose M_ker
-# is None needs the dimension d: its fn maps (d, params) to (fn, M_ker).
+# The kernel library, name: (fn, L_ker, M_ker, arity, elementwise). A row
+# whose M_ker is None needs the dimension d: its fn maps (d, params) to
+# (fn, M_ker). bounded_attraction sums over components: not elementwise.
 _KERNELS = {
-    "zero": (_k_zero, 0.0, 0.0, "phase"),
-    "constant": (_constant, 0.0, None, "phase"),
-    "alignment": (_k_alignment, 1.0, math.inf, "phase"),
+    "zero": (_k_zero, 0.0, 0.0, "phase", True),
+    "constant": (_constant, 0.0, None, "phase", True),
+    "alignment": (_k_alignment, 1.0, math.inf, "phase", True),
     "bounded_alignment": (lambda d, _: (_k_bounded_alignment, math.sqrt(d)),
-                          1.0, None, "phase"),
-    "attraction": (_k_attraction, 1.0, math.inf, "phase"),
-    "bounded_attraction": (_k_bounded_attraction, 1.0, 0.5, "phase"),
-    "zero_position": (_k_zero, 0.0, 0.0, "position"),
-    "attraction_position": (_k_attraction, 1.0, math.inf, "position"),
+                          1.0, None, "phase", True),
+    "attraction": (_k_attraction, 1.0, math.inf, "phase", True),
+    "bounded_attraction": (_k_bounded_attraction, 1.0, 0.5, "phase", False),
+    "zero_position": (_k_zero, 0.0, 0.0, "position", True),
+    "attraction_position": (_k_attraction, 1.0, math.inf, "position", True),
     "bounded_attraction_position": (_k_bounded_attraction, 1.0, 0.5,
-                                    "position"),
+                                    "position", False),
 }
 
 KERNEL_NAMES = tuple(_KERNELS)
@@ -152,12 +160,12 @@ def kernel(name, d=None, params=None):
     """
     if name not in KERNEL_NAMES:
         raise ValueError(f"unknown kernel '{name}'")
-    fn, L_ker, M_ker, arity = _KERNELS[name]
+    fn, L_ker, M_ker, arity, elementwise = _KERNELS[name]
     if M_ker is None:
         if d is None:
             raise ValueError(f"{name} kernel needs the dimension d")
         fn, M_ker = fn(d, params or {})
-    return InteractionKernel(name, fn, L_ker, M_ker, arity)
+    return InteractionKernel(name, fn, L_ker, M_ker, arity, elementwise)
 
 
 @dataclass(frozen=True)
@@ -234,16 +242,21 @@ class LeaderCouplingField:
 _PAIR_BLOCK = 256
 
 # pair_mean's per-thread workspace: three flat float buffers (the two
-# difference arrays and the kernel's values), grown to the largest tile.
+# difference arrays and the kernel's values), each grown to the largest
+# tile that used it.
 _WORKSPACE = threading.local()
 
 
-def _workspace(size):
-    """This thread's three workspace buffers, each at least size values."""
+def _workspace(slot, size):
+    """This thread's workspace buffer slot (0: dx, 1: dv, 2: the kernel's
+    values), at least size values. Only the buffer asked for grows, so a
+    thread whose calls never use a slot never allocates it."""
     bufs = getattr(_WORKSPACE, "bufs", None)
-    if bufs is None or bufs[0].size < size:
-        bufs = _WORKSPACE.bufs = tuple(np.empty(size) for _ in range(3))
-    return bufs
+    if bufs is None:
+        bufs = _WORKSPACE.bufs = [np.empty(0)] * 3
+    if bufs[slot].size < size:
+        bufs[slot] = np.empty(size)
+    return bufs[slot]
 
 
 def _tile(buf, n, m, d):
@@ -301,29 +314,36 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     So every row comes out bit for bit as in the untiled sum, and never as
     -0.0 (tests/test_numpy_assumptions.py checks these summation orders).
 
-    The differences and the kernel's values live in a workspace of three
-    flat buffers per thread, reused across tiles and calls instead of
-    allocated per tile: each tile takes a contiguous prefix of each buffer,
-    laid out as above, and the kernel writes into the third (K(dx, dv,
-    out=...)). The buffers live as long as their thread and are as large as
-    the largest tile it has seen: about 24 MiB on the main thread at
-    N = 2048, d = 2. Threads never share them, but the engine is not
-    reentrant: a kernel must not call pair_mean itself. The returned array
-    is always fresh.
+    The differences live in a workspace of flat buffers per thread, reused
+    across tiles and calls instead of allocated per tile: each tile takes a
+    contiguous prefix of a buffer, laid out as above. An elementwise kernel
+    writes its values over dv (over dx when it gets no dv), K(dx, dv,
+    out=dv); any other kernel writes into a third buffer. The values, and
+    so the mean, keep the same layout either way. Each buffer lives as long
+    as its thread and is as large as the largest tile that used it: at
+    N = 2048, d = 2 a tile is 8 MiB, so bounded_alignment keeps two of
+    them (16 MiB) on the main thread and bounded_attraction three.
+    Threads never share them, but the engine is not reentrant: a kernel
+    must not call pair_mean itself. The returned array is always fresh.
     """
     out = np.zeros(np.shape(A_to))
     n = len(A_from)
     if n == 0:
         return out
-    rows_max = min(len(A_to), _PAIR_BLOCK)
-    buf_a, buf_b, buf_k = _workspace(n * A_from.shape[1] * rows_max)
+    size = n * A_from.shape[1] * min(len(A_to), _PAIR_BLOCK)
+    phase = K.arity == "phase" and B_to is not None
+    buf_a = _workspace(0, size)
+    buf_b = _workspace(1, size) if phase else None
+    buf_k = None if K.elementwise else _workspace(2, size)
     for lo in range(0, len(A_to), _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
         dA = _differences(A_from, A_to[rows], buf_a)
-        dB = (_differences(B_from, B_to[rows], buf_b)
-              if K.arity == "phase" and B_to is not None else None)
-        vals = K(dA, dB, out=_tile(buf_k, *dA.shape))
-        out[rows] = vals.mean(axis=0)
+        dB = _differences(B_from, B_to[rows], buf_b) if phase else None
+        if K.elementwise:
+            into = dA if dB is None else dB
+        else:
+            into = _tile(buf_k, *dA.shape)
+        out[rows] = K(dA, dB, out=into).mean(axis=0)
     return out
 
 

@@ -197,13 +197,16 @@ def sliced_w1_points(A, B, n_proj, seed):
     """Sliced W_1 between raw point clouds of shape (N, D), or (N,) for N
     points on the line: the average over n_proj random unit directions of
     the 1-d W_1 (sorted pairing) of the projections. In one dimension the
-    projection is +/- identity and the value equals the exact W_1."""
+    projection is +/- identity and the value equals the exact W_1. Empty
+    clouds are refused."""
     A, B = (np.asarray(C, dtype=float) for C in (A, B))
     A, B = (C[:, None] if C.ndim == 1 else C for C in (A, B))
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("point clouds must have shape (N,) or (N, D)")
     if A.shape != B.shape:
         raise ValueError("requires equal-size point clouds")
+    if A.size == 0:
+        raise ValueError("point clouds must not be empty")
     if n_proj < 1:
         raise ValueError("n_proj must be >= 1")
     return float(np.mean(_sliced_w1_samples(A, B, n_proj, seed)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kineticmf.drift import (
     KERNEL_NAMES,
     DriftField,
+    InteractionKernel,
     clamp_drift,
     constant_field,
     coupling_from_kernel,
@@ -184,7 +185,6 @@ class TestKernelLibrary:
         assert str(exc.value) == f"{name} kernel needs the dimension d"
 
     def test_arity_validated(self):
-        from kineticmf.drift import InteractionKernel
         with pytest.raises(ValueError):
             InteractionKernel("bad", lambda dx: dx, 1.0, 1.0,
                               arity="diagonal")
@@ -708,6 +708,121 @@ class TestPairWorkspace:
                 tracemalloc.stop()
 
         assert _in_fresh_thread(second_call_peak) < 256 * 1024
+
+    def test_first_elementwise_call_keeps_two_tiles(self):
+        # bounded_alignment writes its values over dv, so a first call at
+        # 512 x 512, d = 2 allocates the dx and dv tiles of 2 MiB each and
+        # no third tile for the kernel's values.
+        rng = np.random.default_rng(8)
+        X, V = rng.standard_normal((2, 512, 2))
+        K = kernel("bounded_alignment", d=2)
+
+        def first_call_peak():
+            tracemalloc.start()
+            try:
+                pair_mean(K, X, X, V, V)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _in_fresh_thread(first_call_peak) < 5 * 2**20
+
+    @pytest.mark.parametrize("name, writes_over", [
+        ("bounded_alignment", "dv"), ("attraction_position", "dx"),
+        ("bounded_attraction", None), ("bounded_attraction_position", None)])
+    def test_only_elementwise_kernels_write_over_a_difference(
+            self, name, writes_over):
+        rng = np.random.default_rng(9)
+        X, V = rng.standard_normal((2, 512, 2))
+        K = kernel(name, d=2)
+        seen = []
+
+        def spy(dx, dv, out):
+            before = dx.tobytes(), None if dv is None else dv.tobytes()
+            overlaps = {key for key, a in (("dx", dx), ("dv", dv))
+                        if a is not None and np.shares_memory(out, a)}
+            K.fn(dx, dv, out)
+            after = dx.tobytes(), None if dv is None else dv.tobytes()
+            seen.append((overlaps, after == before))
+
+        spied = InteractionKernel(name, spy, K.L_ker, K.M_ker, K.arity,
+                                  K.elementwise)
+        got = _in_fresh_thread(pair_mean, spied, X, X, V, V)
+        assert got.tobytes() == pair_mean(K, X, X, V, V).tobytes()
+        assert len(seen) == 2
+        if writes_over is None:
+            assert seen == [(set(), True)] * 2
+        else:
+            assert all(overlaps == {writes_over} for overlaps, _ in seen)
+
+
+def _moves_only_its_own_entry(K, dx, dv):
+    """The perturbation check of K's elementwise declaration: whether
+    changing any one entry of dx (or of dv, for a phase kernel) leaves
+    every other entry of K(dx, dv) as it was."""
+    base = K(dx, dv)
+    for a in (dx,) if K.arity == "position" else (dx, dv):
+        for idx in np.ndindex(a.shape):
+            kept = a[idx]
+            a[idx] = kept + 1.0
+            moved = K(dx, dv) != base
+            a[idx] = kept
+            moved[idx] = False
+            if moved.any():
+                return False
+    return True
+
+
+class TestElementwiseDeclaration:
+    def test_declared_rows(self):
+        assert [name for name in KERNEL_NAMES
+                if kernel(name, d=2).elementwise] == [
+            "zero", "constant", "alignment", "bounded_alignment",
+            "attraction", "zero_position", "attraction_position"]
+        custom = InteractionKernel("custom", lambda dx, dv, out: None, 1.0, 1.0)
+        assert not custom.elementwise
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("component_major", [True, False])
+    def test_elementwise_rows_pass_the_perturbation_check(
+            self, d, component_major):
+        rng = np.random.default_rng(d)
+        dx = _laid_out(_spread(rng, (3, 4, d)), component_major)
+        dv = _laid_out(_spread(rng, (3, 4, d)), component_major)
+        for name in KERNEL_NAMES:
+            K = kernel(name, d=d, params={"value": -0.25})
+            if K.elementwise:
+                assert _moves_only_its_own_entry(K, dx, dv), name
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("component_major", [True, False])
+    @pytest.mark.parametrize("name", ["bounded_attraction",
+                                      "bounded_attraction_position"])
+    def test_the_check_catches_a_component_sum(self, name, d,
+                                               component_major):
+        rng = np.random.default_rng(d)
+        dx = _laid_out(_spread(rng, (3, 4, d)), component_major)
+        dv = _laid_out(_spread(rng, (3, 4, d)), component_major)
+        assert not _moves_only_its_own_entry(kernel(name, d=d), dx, dv)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("component_major", [True, False])
+    def test_writing_over_an_input_gives_the_fresh_bytes(
+            self, d, component_major):
+        rng = np.random.default_rng(d)
+        dx = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        dv = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        for name in KERNEL_NAMES:
+            K = kernel(name, d=d, params={"value": -0.25})
+            if not K.elementwise:
+                continue
+            fresh = K(dx, dv).tobytes()
+            for over in ("dx",) if K.arity == "position" else ("dx", "dv"):
+                a = _laid_out(dx, component_major)
+                b = _laid_out(dv, component_major)
+                out = a if over == "dx" else b
+                assert K(a, b, out=out) is out
+                assert out.tobytes() == fresh, (name, over)
 
 
 class TestLeaderFields:

@@ -343,6 +343,12 @@ class TestSliced:
         with pytest.raises(ValueError, match=r"shape \(N,\) or \(N, D\)"):
             sliced_w1_points(np.zeros(shape), np.zeros(shape), 2, 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (3, 0)])
+    def test_rejects_empty_clouds(self, shape):
+        with pytest.raises(ValueError, match="must not be empty"):
+            sliced_w1_points(np.zeros(shape), np.zeros(shape), 2, 0)
+
 
 class TestGuards:
     def test_unequal_sizes_rejected_with_hint(self):
