@@ -8,9 +8,11 @@ configuration; `kineticmf validate config.ini` only checks the file.
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence
 (for `optimize`, no candidate with a finite cost), 4 I/O failure.
-`--threads` is accepted and has no effect: a run starts no threads of its
-own. Identical configs produce byte-identical CSVs; manifests differ only
-in their single timestamp line.
+A pair sum of at least 2^20 pairs runs on every core the process may run
+on (see kineticmf.drift.pair_mean); a run starts no other threads.
+`--threads` is accepted and has no effect: it changes neither that nor any
+output. Identical configs produce byte-identical CSVs; manifests differ
+only in their single timestamp line.
 """
 
 import argparse
@@ -417,6 +419,7 @@ def _build_model(rc):
 
 def _load_h(path, K, md, ell):
     h = np.zeros((K, md, ell))
+    seen = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -435,6 +438,11 @@ def _load_h(path, K, md, ell):
             if not np.isfinite(val):
                 raise ValueError(f"h file '{path}' line {lineno}: value "
                                  "must be finite")
+            if (b, i, j) in seen:
+                raise ValueError(f"h file '{path}' line {lineno}: index "
+                                 f"({b},{i},{j}) repeats line "
+                                 f"{seen[b, i, j]}")
+            seen[b, i, j] = lineno
             h[b, i, j] = val
     return h
 
@@ -666,7 +674,9 @@ _SCENARIO_FNS = {
 
 def run(rc, threads=None, progress=False, output_dir=None):
     """Execute a parsed config; returns the process exit code. threads is
-    accepted and has no effect: a run starts no threads of its own."""
+    accepted and has no effect: pair sums of at least 2^20 pairs use every
+    core the process may run on whatever its value, and no output depends
+    on it."""
     out = Path(output_dir or rc.output_dir)
     prog = _Progress(progress, rc.scenario)
     start = time.perf_counter()
@@ -707,7 +717,9 @@ def main(argv=None):
     runp = sub.add_parser("run", help="execute a configured scenario")
     runp.add_argument("config", help="path to the INI config file")
     runp.add_argument("--threads", type=int, default=None,
-                      help="accepted, no effect (a run starts no threads)")
+                      help="accepted, no effect: pair sums of at least "
+                      "2^20 pairs use every core whatever its value, and "
+                      "no output depends on it")
     runp.add_argument("--progress", action="store_true",
                       help="machine-readable progress on standard error")
     runp.add_argument("--output-dir", default=None,

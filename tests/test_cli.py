@@ -957,6 +957,17 @@ class TestCommandLine:
                 assert f"config error: [control] {message}" \
                     in capsys.readouterr().out
 
+    def test_repeated_h_index_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "h.csv"
+        bad.write_text("bin,i,j,value\n0,0,0,0.5\n0,0,1,1.0\n0,0,0,-0.25\n")
+        message = f"h file '{bad}' line 4: index (0,0,0) repeats line 2"
+        cfg = _write(tmp_path, self.H_CONFIG.format(path=bad))
+        for argv in (["validate", cfg],
+                     ["run", cfg, "--output-dir", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert f"config error: [control] {message}" \
+                in capsys.readouterr().out
+
     def test_validate_accepts_a_good_h_file(self, tmp_path, capsys):
         good = tmp_path / "h.csv"
         good.write_text("bin,i,j,value\n0,0,2,0.5\n7,0,0,-1.0\n")

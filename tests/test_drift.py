@@ -2,7 +2,12 @@
 
 import hashlib
 import math
+import os
+import select
+import signal
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kineticmf import drift
 from kineticmf.drift import (
     KERNEL_NAMES,
     DriftField,
@@ -616,6 +622,21 @@ def _spread(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
 
 
+@pytest.fixture
+def split(monkeypatch):
+    """split(workers, pairs=1) makes every pair_mean call of at least pairs
+    pairs split its rows across workers threads, on a pool built for the
+    test and shut down after it."""
+    def force(workers, pairs=1):
+        monkeypatch.setattr(drift, "_SPLIT_PAIRS", pairs)
+        monkeypatch.setattr(drift, "_WORKERS", workers)
+        monkeypatch.setattr(drift, "_POOL", None)
+
+    yield force
+    if drift._POOL is not None:
+        drift._POOL.shutdown()
+
+
 class TestPairWorkspace:
     @pytest.mark.parametrize("d", range(1, 11))
     @pytest.mark.parametrize("component_major", [True, False])
@@ -668,7 +689,11 @@ class TestPairWorkspace:
         assert _in_fresh_thread(run_all, calls) == fresh
         assert _in_fresh_thread(run_all, calls[::-1]) == fresh[::-1]
 
-    def test_concurrent_threads_give_the_serial_bytes(self):
+    @pytest.mark.parametrize("workers", [None, 2, 3])
+    def test_concurrent_threads_give_the_serial_bytes(self, split, workers):
+        # With workers set, every call splits, and both callers' shares
+        # queue on the one pool: up to five threads on the host's cores,
+        # switching every 10 us.
         rng = np.random.default_rng(5)
         jobs = []
         for d, name in [(2, "bounded_alignment"), (1, "bounded_attraction")]:
@@ -676,6 +701,8 @@ class TestPairWorkspace:
             A, B = _spread(rng, (2, 600, d))
             jobs.append([(K, A[:N], A, B[:N], B) for N in (600, 300, 513)] * 4)
         serial = [[pair_mean(*c).tobytes() for c in job] for job in jobs]
+        if workers is not None:
+            split(workers)
         start = threading.Barrier(len(jobs))
         got = [None] * len(jobs)
 
@@ -685,10 +712,16 @@ class TestPairWorkspace:
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(len(jobs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert got == serial
 
     def test_repeated_calls_reuse_the_workspace(self):
@@ -754,6 +787,99 @@ class TestPairWorkspace:
             assert seen == [(set(), True)] * 2
         else:
             assert all(overlaps == {writes_over} for overlaps, _ in seen)
+
+
+class _ShareError(Exception):
+    pass
+
+
+class TestPairSplit:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_every_library_kernel_gives_the_serial_bytes(self, split,
+                                                         workers, d):
+        # 600 rows in shares of 300 or 200 leave a ragged last tile of the
+        # 128 or 85 rows a share tiles at; 2 and 1 targets leave fewer
+        # rows than workers, so a share may be empty.
+        rng = np.random.default_rng(d)
+        calls = []
+        for N, n in [(600, 257), (2, 300), (1, 9)]:
+            A_to, B_to = _spread(rng, (2, N, d))
+            A_from, B_from = _spread(rng, (2, n, d))
+            for name in KERNEL_NAMES:
+                K = kernel(name, d=d, params={"value": -0.25})
+                calls.append((K, A_to, A_from, B_to, B_from))
+        serial = [pair_mean(*c).tobytes() for c in calls]
+        split(workers)
+        assert [pair_mean(*c).tobytes() for c in calls] == serial
+        assert (drift._POOL is None) == (workers == 1)
+
+    def test_the_split_starts_at_2_20_pairs(self, split):
+        split(2, pairs=drift._SPLIT_PAIRS)
+        seen = set()
+
+        def spy(dx, dv, out):
+            seen.add(threading.current_thread().name)
+            out[...] = 0.0
+
+        K = InteractionKernel("spy", spy, 0.0, 0.0, "position")
+        for N, n, threads in [(1023, 1025, 1), (1024, 1024, 2)]:
+            seen.clear()
+            pair_mean(K, np.zeros((N, 1)), np.zeros((n, 1)))
+            assert len(seen) == threads, N * n
+
+    def test_a_raising_share_raises_after_every_share_finished(self, split):
+        # Three shares of three rows each. The pool share of rows 3-5
+        # raises at once, the one of rows 6-8 sleeps first, and the
+        # caller's own share of rows 0-2 ends at once.
+        finished = []
+
+        def fn(dx, dv, out):
+            row = int(-dx[0, 0, 0])
+            if row == 3:
+                raise _ShareError("rows 3-5")
+            if row == 6:
+                time.sleep(0.2)
+            out[...] = 0.0
+            finished.append(row)
+
+        raising = InteractionKernel("raises", fn, 0.0, 0.0, "position")
+        rng = np.random.default_rng(4)
+        A, B = _spread(rng, (2, 300, 2))
+        K = kernel("bounded_attraction", d=2)
+        serial = pair_mean(K, A, A, B, B).tobytes()
+        split(3)
+        with pytest.raises(_ShareError, match="rows 3-5"):
+            pair_mean(raising, np.arange(9.0)[:, None], np.zeros((4, 1)))
+        assert sorted(finished) == [0, 6]
+        assert pair_mean(K, A, A, B, B).tobytes() == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_splits_on_a_pool_of_its_own(self, split):
+        rng = np.random.default_rng(6)
+        A, B = _spread(rng, (2, 300, 2))
+        K = kernel("bounded_alignment", d=2)
+        serial = pair_mean(K, A, A, B, B).tobytes()
+        split(2)
+        assert pair_mean(K, A, A, B, B).tobytes() == serial
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report, and never return into pytest
+            try:
+                same = pair_mean(K, A, A, B, B).tobytes() == serial
+                os.write(write_end, b"same" if same else b"differs")
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 30)
+            answer = os.read(read_end, 16) if ready else b"timed out"
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert answer == b"same"
 
 
 def _moves_only_its_own_entry(K, dx, dv):

@@ -498,3 +498,24 @@ class TestSolverLoader:
         assert rows.dtype == want_rows.dtype and cols.dtype == want_cols.dtype
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(cols, want_cols)
+
+
+class TestNoPoolBelowTheSplit:
+    """pair_mean builds its thread pool on the first call of at least 2^20
+    pairs, so a run below that starts no thread and loads no executor."""
+
+    def test_simulate_run_starts_no_thread(self, tmp_path):
+        cfg = tmp_path / "simulate.ini"
+        cfg.write_text("[run]\nscenario = simulate\nseed = 3\n"
+                       "[model]\nk11 = bounded_alignment\nsigma = 0.1\n"
+                       "n_particles = 64\nd = 2\n"
+                       "[grid]\nt = 0.5\nn_steps = 8\n")
+        result = _fresh_process(f"""
+            import json, sys, threading
+            from kineticmf.cli import parse_config, run
+            code = run(parse_config({str(cfg)!r}),
+                       output_dir={str(tmp_path / "out")!r})
+            print(json.dumps([code, "concurrent.futures" in sys.modules,
+                              threading.active_count()]))
+        """)
+        assert result == [0, False, 1]
