@@ -35,7 +35,7 @@ from .control_opt import (LAGRANGIAN_NAMES, PSI_NAMES, default_features,
                           zero_control)
 from .drift import (KERNEL_NAMES, kernel, latin_hypercube_points,
                     validate_dissipativity_v3pp, validate_hoelder,
-                    validate_sublinearity)
+                    validate_sublinearity, zero_field)
 from .experiments import (chaos_experiment, check_reference_size,
                           gamma_convergence_experiment, table_to_csv,
                           write_gnuplot)
@@ -539,8 +539,14 @@ def _scenario_simulate(rc, model, cfg, out, progress):
     return 0, outputs
 
 
+def _follower_field(model):
+    """The model's K11 field, or the zero field when it has no K11."""
+    v = model.mean_field_fields()[0]
+    return v if v is not None else zero_field(p=model.p)
+
+
 def _scenario_meanfield(rc, model, cfg, out, progress):
-    f = model.mean_field_fields()[0]
+    f = _follower_field(model)
     progress.phase("picard", N=cfg.N, tol=rc.tol)
     rep = picard_solve(f, model.initial(cfg.N, cfg.seed), cfg, tol=rc.tol,
                        max_iter=rc.max_iter)
@@ -624,7 +630,7 @@ def _scenario_gamma(rc, model, cfg, out, progress):
 
 
 def _scenario_validate(rc, model, cfg, out, progress):
-    f = model.mean_field_fields()[0]
+    f = _follower_field(model)
     progress.phase("flows", N=cfg.N)
     init = model.initial(cfg.N, cfg.seed)
     flow1 = simulate_interacting(model.kernels, None, init, model.Y0, cfg,

@@ -61,10 +61,15 @@ class InteractionKernel:
     then, out may be dx or dv itself (pair_mean hands such a kernel dv, or
     dx when there is no dv); no other overlap of out with the inputs is
     allowed. A kernel that sums over components is not elementwise, and
-    neither is a custom kernel unless it says so. The declared L_ker
-    and M_ker are promises checked by the validators, not by construction;
-    kernels with M_ker = inf are flagged unbounded and exist for
-    closed-form tests only.
+    neither is a custom kernel unless it says so.
+
+    reads_dv declares that a phase kernel's values depend on dv. One that
+    reads dx alone may be called with dv None, and pair_mean builds no dv
+    for it; a custom kernel reads dv unless it says otherwise.
+
+    The declared L_ker and M_ker are promises checked by the validators,
+    not by construction; kernels with M_ker = inf are flagged unbounded and
+    exist for closed-form tests only.
     """
 
     name: str
@@ -73,6 +78,7 @@ class InteractionKernel:
     M_ker: float
     arity: str = "phase"
     elementwise: bool = False
+    reads_dv: bool = True
 
     def __post_init__(self):
         if self.arity not in ("phase", "position"):
@@ -88,10 +94,10 @@ class InteractionKernel:
         dx = np.asarray(dx, dtype=float)
         if self.arity == "position":
             dv = None
-        elif dv is None:
-            raise ValueError(f"kernel '{self.name}' needs both dx and dv")
-        else:
+        elif dv is not None:
             dv = np.asarray(dv, dtype=float)
+        elif self.reads_dv:
+            raise ValueError(f"kernel '{self.name}' needs both dx and dv")
         if out is None:
             out = np.empty_like(dx)
         self.fn(dx, dv, out)
@@ -118,7 +124,7 @@ def _k_attraction(dx, dv, out):
 def _k_bounded_attraction(dx, dv, out):
     # dx / (1 + |dx|^2): |K| <= 1/2, gradient bounded by 1.
     np.multiply(dx, dx, out=out)
-    r2 = out.sum(axis=-1, keepdims=True)
+    r2 = np.add.reduce(out, axis=-1, keepdims=True)
     r2 += 1.0
     np.divide(dx, r2, out=out)
 
@@ -132,21 +138,24 @@ def _constant(d, params):
     return fn, float(np.linalg.norm(c))
 
 
-# The kernel library, name: (fn, L_ker, M_ker, arity, elementwise). A row
-# whose M_ker is None needs the dimension d: its fn maps (d, params) to
-# (fn, M_ker). bounded_attraction sums over components: not elementwise.
+# The kernel library, name: (fn, L_ker, M_ker, arity, elementwise,
+# reads_dv). A row whose M_ker is None needs the dimension d: its fn maps
+# (d, params) to (fn, M_ker). bounded_attraction sums over components: not
+# elementwise. Only the alignment kernels read dv.
 _KERNELS = {
-    "zero": (_k_zero, 0.0, 0.0, "phase", True),
-    "constant": (_constant, 0.0, None, "phase", True),
-    "alignment": (_k_alignment, 1.0, math.inf, "phase", True),
+    "zero": (_k_zero, 0.0, 0.0, "phase", True, False),
+    "constant": (_constant, 0.0, None, "phase", True, False),
+    "alignment": (_k_alignment, 1.0, math.inf, "phase", True, True),
     "bounded_alignment": (lambda d, _: (_k_bounded_alignment, math.sqrt(d)),
-                          1.0, None, "phase", True),
-    "attraction": (_k_attraction, 1.0, math.inf, "phase", True),
-    "bounded_attraction": (_k_bounded_attraction, 1.0, 0.5, "phase", False),
-    "zero_position": (_k_zero, 0.0, 0.0, "position", True),
-    "attraction_position": (_k_attraction, 1.0, math.inf, "position", True),
+                          1.0, None, "phase", True, True),
+    "attraction": (_k_attraction, 1.0, math.inf, "phase", True, False),
+    "bounded_attraction": (_k_bounded_attraction, 1.0, 0.5, "phase", False,
+                           False),
+    "zero_position": (_k_zero, 0.0, 0.0, "position", True, False),
+    "attraction_position": (_k_attraction, 1.0, math.inf, "position", True,
+                            False),
     "bounded_attraction_position": (_k_bounded_attraction, 1.0, 0.5,
-                                    "position", False),
+                                    "position", False, False),
 }
 
 KERNEL_NAMES = tuple(_KERNELS)
@@ -161,12 +170,13 @@ def kernel(name, d=None, params=None):
     """
     if name not in KERNEL_NAMES:
         raise ValueError(f"unknown kernel '{name}'")
-    fn, L_ker, M_ker, arity, elementwise = _KERNELS[name]
+    fn, L_ker, M_ker, arity, elementwise, reads_dv = _KERNELS[name]
     if M_ker is None:
         if d is None:
             raise ValueError(f"{name} kernel needs the dimension d")
         fn, M_ker = fn(d, params or {})
-    return InteractionKernel(name, fn, L_ker, M_ker, arity, elementwise)
+    return InteractionKernel(name, fn, L_ker, M_ker, arity, elementwise,
+                             reads_dv)
 
 
 @dataclass(frozen=True)
@@ -220,7 +230,7 @@ class LeaderField:
     def rhs(self, t, flow, Y, u=None):
         """F[t, flow](Y) + u(t, flow) (u may be None) as a fresh (m, d) array:
         the leader right-hand side of the finite-N and mean-field levels."""
-        out = self.eval(t, flow, Y).reshape(Y.shape).copy()
+        out = np.array(self.fn(t, flow, Y), dtype=float).reshape(Y.shape)
         if u is not None:
             out += np.asarray(u(t, flow), dtype=float).reshape(Y.shape)
         return out
@@ -252,16 +262,17 @@ _WORKERS = min(len(os.sched_getaffinity(0))
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
-# pair_mean's per-thread workspace: three flat float buffers (the two
-# difference arrays and the kernel's values), each grown to the largest
+# pair_mean's per-thread workspace: up to three flat float buffers (the
+# differences a kernel reads and its values), each grown to the largest
 # tile that used it.
 _WORKSPACE = threading.local()
 
 
 def _workspace(slot, size):
-    """This thread's workspace buffer slot (0: dx, 1: dv, 2: the kernel's
-    values), at least size values. Only the buffer asked for grows, so a
-    thread whose calls never use a slot never allocates it.
+    """This thread's workspace buffer slot (0: dx, then dv and the kernel's
+    values in the next free slots), at least size values. Only the buffer
+    asked for grows, so a thread whose calls never use a slot never
+    allocates it.
 
     A split pair_mean call tiles each thread's share at _PAIR_BLOCK //
     _WORKERS rows, so the tiles that one call holds across all its threads
@@ -312,39 +323,44 @@ def _differences(F, T, buf):
     the buffer's memory order: broadcast into the view itself, it is about
     six times slower at n = 512, d = 2."""
     (n, d), m = F.shape, len(T)
-    tile = _tile(buf, n, m, d)
+    flat = buf[:n * d * m]
     if 2 <= d <= 7:
-        np.subtract(F[:, :, None], np.ascontiguousarray(T.T)[None],
-                    out=tile.transpose(0, 2, 1))
-    else:
-        np.subtract(F[None], T[:, None], out=tile.transpose(1, 0, 2))
-    return tile
+        mem = flat.reshape(n, d, m)
+        np.subtract(F[:, :, None], np.ascontiguousarray(T.T)[None], out=mem)
+        return mem.transpose(0, 2, 1)
+    mem = flat.reshape(m, n, d)
+    np.subtract(F[None], T[:, None], out=mem)
+    return mem.transpose(1, 0, 2)
 
 
 def _pair_rows(K, A_to, A_from, B_to, B_from, out, start, stop, block):
     """Rows start:stop of pair_mean, written into out, in tiles of block
     target rows in this thread's workspace."""
-    size = len(A_from) * A_from.shape[1] * min(stop - start, block)
-    phase = K.arity == "phase" and B_to is not None
+    n, d = A_from.shape
+    size = n * d * min(stop - start, block)
+    with_dv = K.arity == "phase" and K.reads_dv and B_to is not None
     buf_a = _workspace(0, size)
-    buf_b = _workspace(1, size) if phase else None
-    buf_k = None if K.elementwise else _workspace(2, size)
+    buf_b = _workspace(1, size) if with_dv else None
+    buf_k = None if K.elementwise else _workspace(1 + with_dv, size)
     for lo in range(start, stop, block):
-        rows = slice(lo, min(lo + block, stop))
-        dA = _differences(A_from, A_to[rows], buf_a)
-        dB = _differences(B_from, B_to[rows], buf_b) if phase else None
+        hi = min(lo + block, stop)
+        dA = _differences(A_from, A_to[lo:hi], buf_a)
+        dB = _differences(B_from, B_to[lo:hi], buf_b) if with_dv else None
         if K.elementwise:
             into = dA if dB is None else dB
         else:
-            into = _tile(buf_k, *dA.shape)
-        out[rows] = K(dA, dB, out=into).mean(axis=0)
+            into = _tile(buf_k, n, hi - lo, d)
+        # mean(axis=0) is this sum divided by n, bit for bit.
+        np.divide(np.add.reduce(K(dA, dB, out=into), axis=0), n,
+                  out=out[lo:hi])
 
 
 def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     """(1/n) sum_j K(a_j - a_i, b_j - b_i) for every target row i.
 
     a_i, b_i are the rows of A_to, B_to and the sum runs over the n rows of
-    A_from, B_from. Position kernels read A only; a phase kernel given no B
+    A_from, B_from. Position kernels read A only, and so does a phase kernel
+    that declares it reads no dv; one that reads dv and is given no B
     raises the kernel's own "needs both dx and dv". This is the one pairwise
     engine: every kernel-built field calls it, and the finite-N simulator
     steps those fields on its empirical flow. With no sources the result is
@@ -387,16 +403,20 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
 
     The differences live in a workspace of flat buffers per thread, reused
     across tiles and calls instead of allocated per tile: each tile takes a
-    contiguous prefix of a buffer, laid out as above. An elementwise kernel
-    writes its values over dv (over dx when it gets no dv), K(dx, dv,
-    out=dv); any other kernel writes into a third buffer. The values, and
-    so the mean, keep the same layout either way. Each buffer lives as long
-    as its thread and is as large as the largest tile that used it: at
-    N = 2048, d = 2 a serial tile is 8 MiB and a split one on a 2-core host
-    4 MiB on each thread, so bounded_alignment keeps 16 MiB of tiles across
-    both threads and bounded_attraction 24 MiB, as a serial call would.
-    Threads never share them, but the engine is not reentrant: a kernel
-    must not call pair_mean itself. The returned array is always fresh.
+    contiguous prefix of a buffer, laid out as above. Every call builds dx,
+    and dv only for a kernel that reads it (InteractionKernel.reads_dv). An
+    elementwise kernel writes its values over dv (over dx when it gets no
+    dv), K(dx, dv, out=dv); any other kernel writes into the next buffer
+    no difference holds, the unused dv buffer when it reads dx alone. The
+    values, and so the mean, keep the same layout either way; each tile's
+    mean is the sum over sources divided by n, as mean(axis=0) computes
+    it, written straight into the result. Each buffer lives as long as its
+    thread and is as large as the largest tile that used it: at N = 2048,
+    d = 2 a serial tile is 8 MiB and a split one on a 2-core host 4 MiB on
+    each thread, so bounded_alignment and bounded_attraction each keep
+    16 MiB of tiles across both threads, as a serial call would. Threads
+    never share them, but the engine is not reentrant: a kernel must not
+    call pair_mean itself. The returned array is always fresh.
     """
     out = np.zeros(np.shape(A_to))
     n, m = len(A_from), len(A_to)
@@ -673,10 +693,11 @@ def coupling_from_kernel(K12):
 
 def kernel_fields(kernels, m, p=2.0):
     """(v, w, F) of the kernels in slots K11, K12, K21, K22, for m leaders:
-    follower field (zero_field without K11), coupling (None without K12)
-    and leader drive; an absent or None slot contributes nothing. Both the
-    mean-field solver and the finite-N simulator step these fields."""
+    follower field (None without K11), coupling (None without K12) and
+    leader drive; an absent or None slot contributes nothing, not even an
+    added zero. Both the mean-field solver and the finite-N simulator step
+    these fields."""
     K11, K12, K21, K22 = (kernels.get(s) for s in ("K11", "K12", "K21", "K22"))
-    v = drift_from_kernel(K11, p=p) if K11 is not None else zero_field(p=p)
+    v = drift_from_kernel(K11, p=p) if K11 is not None else None
     w = coupling_from_kernel(K12) if K12 is not None else None
     return v, w, leader_field_from_kernels(K21, K22, m)

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import (MeasureFlow, gamma_p, moment_p, sup_moment,
-                          young_moment)
+from .phase_space import (MeasureFlow, _agreeing_nodes, gamma_p, moment_p,
+                          sup_moment, young_moment)
 from .sde import generate_brownian, simulate_frozen
 # EXACT_GAP_MAX_N is re-exported: callers read the size switch from here.
 from .wasserstein import (EXACT_GAP_MAX_N, gap_is_exact, paired_bounds,
@@ -154,6 +154,17 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, *, record_gaps=True):
     reproduces its first iterate bitwise on the second pass, so the gap
     hits exactly zero at iteration 2.
 
+    Every drift is non-anticipative: step k reads the frozen flow on the
+    nodes <= k only. So when the last two iterates agree bit for bit on
+    the nodes 0..a - 1, the next iterate agrees with the last one on the
+    nodes 0..a, and it copies them (phase_space._agreeing_nodes compares
+    bits, so -0.0 and 0.0 differ) and steps from node a. Iterate j is
+    therefore final on its first j + 1 nodes: the iteration reaches its
+    discrete fixed point exactly, with gap 0.0, after at most
+    cfg.n_steps + 1 iterates, and a run can fail to converge only when
+    max_iter <= cfg.n_steps. That fixed point is the N-particle
+    interacting system on the same initial ensemble and Brownian paths.
+
     record_gaps=False is for callers that read only the outcome: each
     iterate then decides gap < tol from per-node bounds, solving exact
     transport only where they cannot decide (_gap_below), with the same
@@ -181,7 +192,9 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, *, record_gaps=True):
         def F(t, X, V, frozen=frozen):
             return f.eval_batch(t, frozen, X, V)
 
-        nxt = simulate_frozen(F, init, cfg, paths)
+        agree = 0 if previous is None else _agreeing_nodes(previous, current)
+        nxt = simulate_frozen(F, init, cfg, paths,
+                              _resume=(current, min(agree, cfg.n_steps)))
         iterations += 1
         if record_gaps:
             gaps.append(flow_gap(current, nxt, f.p))

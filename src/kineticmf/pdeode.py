@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .drift import DriftField, kernel_fields
+from .drift import DriftField, kernel_fields, zero_field
 from .meanfield import PicardReport, flow_gap, picard_solve
-from .phase_space import LeaderPath, LeaderState, MeasureFlow
+from .phase_space import LeaderPath, LeaderState, MeasureFlow, _agreeing_nodes
 
 __all__ = [
     "LeaderFollowerModel",
@@ -37,7 +37,9 @@ __all__ = [
 class LeaderFollowerModel:
     """Model bundle: interaction kernels (None entries mean zero), leader
     initial state, i.i.d. initial-law sampler (N, seed) -> ParticleEnsemble,
-    and the Wasserstein order its drift is paired with. The diffusion
+    and the Wasserstein order its drift is paired with. The order rides on
+    the K11 field, so a model without K11, whose coupled drift is paired
+    with p = 2 (combined_drift), refuses another p. The diffusion
     strength is not part of the model: simulations read SimConfig.sigma.
     """
 
@@ -52,6 +54,8 @@ class LeaderFollowerModel:
         unknown = set(self.kernels) - {"K11", "K12", "K21", "K22"}
         if unknown:
             raise ValueError(f"unknown kernel slots: {sorted(unknown)}")
+        if self.kernels.get("K11") is None and self.p != zero_field().p:
+            raise ValueError("a model without K11 is paired with p = 2")
 
     @property
     def m(self):
@@ -64,13 +68,14 @@ class LeaderFollowerModel:
         return ens
 
     def mean_field_fields(self):
-        """(v, w, F): follower self-interaction field, leader coupling field
-        (None when the model has no K12), and the leader drive; absent
-        kernel slots contribute nothing (drift.kernel_fields)."""
+        """(v, w, F): follower self-interaction field (None when the model
+        has no K11), leader coupling field (None when it has no K12), and
+        the leader drive; absent kernel slots contribute nothing
+        (drift.kernel_fields)."""
         return kernel_fields(self.kernels, self.m, p=self.p)
 
 
-def solve_leader_ode(F, u, flow, Y0):
+def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     """Integrate the first-order leader equation dY/dt = F[t, mu](Y) + u(t, mu)
     along a given follower flow.
 
@@ -80,8 +85,13 @@ def solve_leader_ode(F, u, flow, Y0):
     Y; a non-finite Y or right-hand side raises FloatingPointError naming
     the time.
 
-    The scheme is causal, so solving on the full grid subsumes every
-    prefix solve.
+    The scheme is causal: Y at node k + 1 and W at node k read the flow on
+    the nodes <= k only. So solving on the full grid subsumes every prefix
+    solve, and a solve along a flow that agrees with an earlier one on its
+    nodes 0..a - 1 agrees with that solve's path on Y at nodes 0..a and W
+    at nodes 0..a - 1. _resume = (path, a) is for combined_drift and
+    solve_coupled: that earlier path and a, whose nodes are copied
+    instead of solved again.
     """
     times = np.asarray(flow.times, dtype=float)
     m, d = Y0.m, flow.d
@@ -97,15 +107,22 @@ def solve_leader_ode(F, u, flow, Y0):
 
     Y_hist = np.empty((M + 1, m, d))
     W_hist = np.empty((M + 1, m, d))
-    Y = Y0.Y.copy().reshape(m, d)
-    Y_hist[0] = Y
-    for k in range(M):
+    prior, agree = _resume if _resume is not None else (None, 0)
+    start = min(agree, M)
+    if agree:
+        Y_hist[:start], W_hist[:agree] = prior.Y[:start], prior.W[:agree]
+        Y = prior.Y[start].copy()
+    else:
+        Y = Y0.Y.copy().reshape(m, d)
+    Y_hist[start] = Y
+    for k in range(start, M):
         dt = times[k + 1] - times[k]
         slope = rhs(times[k], Y)
         W_hist[k] = slope
         Y = Y + dt * slope
         Y_hist[k + 1] = Y
-    W_hist[M] = rhs(times[M], Y)
+    if agree <= M:
+        W_hist[M] = rhs(times[M], Y)
     return LeaderPath(times, Y_hist, W_hist)
 
 
@@ -115,42 +132,68 @@ def discrete_leader_growth(Y0, F_sup, M_u, T):
     return base + float(T) * (float(F_sup) + float(M_u))
 
 
+def _leaders_along(F, u, Y0):
+    """flow -> solve_leader_ode(F, u, flow, Y0), keeping the last flow read
+    and its path, by identity. A new flow's solve restarts where it first
+    differs from the last flow (phase_space._agreeing_nodes), so one solve
+    per flow costs only the nodes that changed."""
+    last = [None, None]
+
+    def along(flow):
+        seen, path = last
+        if seen is not flow:
+            resume = None if seen is None else (path, _agreeing_nodes(seen, flow))
+            last[:] = flow, solve_leader_ode(F, u, flow, Y0, _resume=resume)
+        return last[1]
+
+    return along
+
+
 def combined_drift(v, w, F, u, Y0, T=1.0):
     """Follower drift of the coupled system: G[t, mu](z) = v[t, mu](z) +
     w[t, S[mu, u]](z), where S[mu, u] is the leader path solved along mu.
 
     The leader path (explicit Euler) of the last flow read is kept, by
-    identity, so one Picard iterate triggers exactly one ODE solve.
+    identity, so one Picard iterate triggers exactly one solve_leader_ode
+    call; it restarts from the node where the new flow first differs from
+    the last one (_leaders_along).
     Declared constants: the sublinearity constant follows the composition rule
     K_G = K_v + K_w (1 + K_F)(1 + C1 + K_F + K_u) with the discrete
     a-priori leader bound C1 = (|Y0| + 1 + T (K_F + K_u)) e^{(K_F + 1) T};
     the dissipativity constant adds the leader-map Lipschitz factor
     C2 = T (L_F + L_u) e^{L_F T}.
 
-    With no coupling (w is None) the field v is returned as-is.
+    With no coupling (w is None) the field v is returned as-is. An absent v
+    (None, a model without K11) adds nothing: G is w's term alone, with
+    zero_field()'s constants and its order p = 2.
     """
+    return _coupled_drift(v, w, F, u, Y0, T, _leaders_along(F, u, Y0))
+
+
+def _coupled_drift(v, w, F, u, Y0, T, leaders_for):
+    """combined_drift with its leader solves taken from leaders_for."""
+    base = v if v is not None else zero_field()
     if w is None:
-        return v
-    last = [None, None]
+        return base
 
-    def leaders_for(flow):
-        if last[0] is not flow:
-            last[:] = flow, solve_leader_ode(F, u, flow, Y0)
-        return last[1]
-
-    def batch(t, flow, X, V):
-        return v.eval_batch(t, flow, X, V) \
-            + w.eval_batch(t, leaders_for(flow), X, V)
+    if v is None:
+        def batch(t, flow, X, V):
+            return w.eval_batch(t, leaders_for(flow), X, V)
+    else:
+        def batch(t, flow, X, V):
+            return v.eval_batch(t, flow, X, V) \
+                + w.eval_batch(t, leaders_for(flow), X, V)
 
     K_u = float(getattr(u, "M_u", 0.0)) if u is not None else 0.0
     L_u = float(getattr(u, "L_u", 0.0)) if u is not None else 0.0
     C1 = (float(np.linalg.norm(Y0.Y)) + 1.0 + T * (F.K_F + K_u)) \
         * math.exp((F.K_F + 1.0) * T)
     C2 = T * (F.L_F + L_u) * math.exp(F.L_F * T)
-    K_G = v.K + w.K_w * (1.0 + F.K_F) * (1.0 + C1 + F.K_F + K_u)
-    return DriftField(batch=batch, K=K_G, beta=v.beta, alpha=v.alpha,
-                      L=v.L + w.L_w, D=v.D + w.L_w * (1.0 + C2), p=v.p,
-                      name=f"{v.name}+{w.name}", unbounded=v.unbounded)
+    K_G = base.K + w.K_w * (1.0 + F.K_F) * (1.0 + C1 + F.K_F + K_u)
+    return DriftField(batch=batch, K=K_G, beta=base.beta, alpha=base.alpha,
+                      L=base.L + w.L_w, D=base.D + w.L_w * (1.0 + C2),
+                      p=base.p, name=f"{base.name}+{w.name}",
+                      unbounded=base.unbounded)
 
 
 @dataclass(frozen=True)
@@ -171,12 +214,15 @@ def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25,
                   *, record_gaps=True):
     """Outer Picard loop on the combined drift; the leader path is re-solved
     inside every iterate (via the drift's cache) and once more along the
-    final flow for the returned trajectory. Non-convergence is reported in
-    the Picard field, not raised. record_gaps goes to picard_solve."""
-    G = combined_drift(v, w, F, u, Y0, T=cfg.T)
+    final flow for the returned trajectory, that last solve restarting from
+    the last iterate's path as well. v may be None (no K11), as w may.
+    Non-convergence is reported in the Picard field, not raised.
+    record_gaps goes to picard_solve."""
+    leaders_for = _leaders_along(F, u, Y0)
+    G = _coupled_drift(v, w, F, u, Y0, cfg.T, leaders_for)
     rep = picard_solve(G, init_followers, cfg, tol=tol, max_iter=max_iter,
                        record_gaps=record_gaps)
-    leaders = solve_leader_ode(F, u, rep.final_flow, Y0)
+    leaders = leaders_for(rep.final_flow)
     return CoupledSolution(flow=rep.final_flow, leaders=leaders, picard=rep)
 
 
@@ -190,6 +236,7 @@ def control_stability(u_seq, u, v, w, F, init, Y0, cfg, tol=1e-6, max_iter=25):
     H = (Y, W), all solves sharing one Brownian realization (the seed lives
     in cfg, and the solver noise is a deterministic function of it).
     Raises naming the offending index if any member fails to converge."""
+    p = v.p if v is not None else zero_field().p
     ref = solve_coupled(v, w, F, u, init, Y0, cfg, tol=tol, max_iter=max_iter)
     if not ref.picard.converged:
         raise RuntimeError("control stability: reference control (index -1) "
@@ -200,7 +247,7 @@ def control_stability(u_seq, u, v, w, F, init, Y0, cfg, tol=1e-6, max_iter=25):
                             max_iter=max_iter)
         if not sol.picard.converged:
             raise RuntimeError(f"control stability: control index {j} did not converge")
-        gaps.append(flow_gap(sol.flow, ref.flow, v.p)
+        gaps.append(flow_gap(sol.flow, ref.flow, p)
                     + _leader_sup_gap(sol.leaders, ref.leaders))
     return gaps
 

@@ -51,6 +51,21 @@ def _index_at(times, t):
     return int(times.searchsorted(t + tol, side="right")) - 1
 
 
+def _agreeing_nodes(flow_a, flow_b):
+    """How many leading nodes two flows share bit for bit in their times,
+    positions and velocities: the index of the first node where they
+    differ, or the shorter length. Bits, not ==, so -0.0 and 0.0 differ.
+    Flows of different N or d share no node."""
+    if flow_a.X.shape[1:] != flow_b.X.shape[1:]:
+        return 0
+    n = min(len(flow_a), len(flow_b))
+    differs = flow_a.times[:n].view(np.int64) != flow_b.times[:n].view(np.int64)
+    for a, b in ((flow_a.X, flow_b.X), (flow_a.V, flow_b.V)):
+        bits = a[:n].view(np.int64) != b[:n].view(np.int64)
+        differs |= bits.reshape(n, -1).any(axis=1)
+    return int(differs.argmax()) if differs.any() else n
+
+
 def _as_locked(a):
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False

@@ -131,14 +131,22 @@ def generate_brownian(cfg):
     return BrownianPaths(increments=inc, seed=cfg.seed)
 
 
-def _euler_maruyama(init, cfg, paths, drift, Y=None):
+def _euler_maruyama(init, cfg, paths, drift, Y=None, resume=None):
     """The one kinetic Euler-Maruyama loop: v' = v + f dt + sqrt(2 sigma) dB,
     x' = x + v' dt, written node by node into the (n_steps + 1, N, d)
-    arrays of the returned flow. f = drift(k, prefix) is an (N, d) array;
-    prefix is the flow on the nodes <= k, locked views of those arrays,
-    whose last node is the current state. Y, when given, is the
+    arrays of the returned flow. f = drift(k, X, V) is an (N, d) array;
+    X and V are locked views of the arrays being filled, valid on the
+    nodes <= k, whose node k is the current state. Y, when given, is the
     (n_steps + 1, m, d) leader history that drift fills one node ahead;
-    Y[k + 1] joins the state check of step k."""
+    Y[k + 1] joins the state check of step k. resume = (flow, a), when
+    given, is a flow that this run is known to agree with on the nodes
+    0..a: those nodes are copied from it, and stepping starts at node a.
+
+    X and V are the two halves of one array, so one check covers the
+    state of a node. f is checked when that check fails: a non-finite f
+    always makes V[k + 1] non-finite (dt > 0 and V[k] is finite), so a
+    non-finite drift raises at the same step, with the same message, as a
+    check of f before the step would."""
     if init.N != cfg.N or init.d != cfg.d:
         raise ValueError("initial ensemble does not match the configuration")
     if paths.n_steps != cfg.n_steps or paths.n_paths < cfg.N or paths.d != cfg.d:
@@ -146,40 +154,52 @@ def _euler_maruyama(init, cfg, paths, drift, Y=None):
     dt = cfg.dt
     noise = math.sqrt(2.0 * cfg.sigma)
     times = cfg.grid()
-    X = np.empty((cfg.n_steps + 1, cfg.N, cfg.d))
-    V = np.empty_like(X)
-    X[0], V[0] = init.X, init.V
-    for k in range(cfg.n_steps):
-        f = drift(k, MeasureFlow._of(times[: k + 1], X[: k + 1], V[: k + 1]))
-        if not np.isfinite(f).all():
-            i = int(np.argwhere(~np.isfinite(f))[0][0])
-            raise FloatingPointError(
-                f"non-finite drift at step {k} (t={times[k]}), particle {i}")
+    state = np.empty((2, cfg.n_steps + 1, cfg.N, cfg.d))
+    X, V = state
+    if resume is None:
+        start = 0
+        X[0], V[0] = init.X, init.V
+    else:
+        base, start = resume
+        X[: start + 1], V[: start + 1] = base.X[: start + 1], base.V[: start + 1]
+    inc = paths.increments[:, : cfg.N]
+    X_read, V_read = _locked(X), _locked(V)
+    for k in range(start, cfg.n_steps):
+        f = drift(k, X_read, V_read)
         # (v + f dt) + sqrt(2 sigma) dB, in that order: the bits depend on it.
-        np.add(V[k] + f * dt, noise * paths.increments[k, : cfg.N], out=V[k + 1])
+        np.add(V[k] + f * dt, noise * inc[k], out=V[k + 1])
         np.add(X[k], V[k + 1] * dt, out=X[k + 1])
-        if not (np.isfinite(X[k + 1]).all() and np.isfinite(V[k + 1]).all()
+        if not (np.isfinite(state[:, k + 1]).all()
                 and (Y is None or np.isfinite(Y[k + 1]).all())):
+            if not np.isfinite(f).all():
+                i = int(np.argwhere(~np.isfinite(f))[0][0])
+                raise FloatingPointError(
+                    f"non-finite drift at step {k} (t={times[k]}), particle {i}")
             raise FloatingPointError(f"non-finite state at step {k + 1}")
     return MeasureFlow._of(times, X, V)
 
 
-def simulate_frozen(F, init, cfg, paths):
+def simulate_frozen(F, init, cfg, paths, *, _resume=None):
     """Euler-Maruyama for dX = V dt, dV = F(t, X, V) dt + sqrt(2 sigma) dB.
 
     F takes (t, X, V) with (N, d) arrays and returns something broadcastable
-    to (N, d). Scheme per step: v' = v + F dt + sqrt(2 sigma) dB, then
-    x' = x + v' dt. Velocity marginals are scheme-exact Gaussians when F
-    has no state dependence.
+    to (N, d); an (N, d) float array is used as it is. Scheme per step:
+    v' = v + F dt + sqrt(2 sigma) dB, then x' = x + v' dt. Velocity
+    marginals are scheme-exact Gaussians when F has no state dependence.
+
+    _resume = (flow, a) is for picard_solve: a flow known to agree with
+    this run on the nodes 0..a, whose nodes are copied instead of stepped.
     """
     times = cfg.grid()
+    shape = (cfg.N, cfg.d)
 
-    def drift(k, prefix):
-        X, V = prefix.X[k], prefix.V[k]
-        return np.broadcast_to(np.asarray(F(times[k], X, V), dtype=float),
-                               X.shape)
+    def drift(k, X, V):
+        f = F(times[k], X[k], V[k])
+        if type(f) is np.ndarray and f.dtype == float and f.shape == shape:
+            return f
+        return np.broadcast_to(np.asarray(f, dtype=float), shape)
 
-    return _euler_maruyama(init, cfg, paths, drift)
+    return _euler_maruyama(init, cfg, paths, drift, resume=_resume)
 
 
 def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
@@ -192,7 +212,8 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     every node, including t = 0 and t = T. Followers feel
     v[t_k, mu^N] + w[t_k, H^N]: the K11 average over all followers (self
     term included; every library kernel vanishes at 0) plus the K12
-    average over the leaders at this node. The leader step is cfg.dt,
+    average over the leaders at this node. An absent K11 or K12 adds
+    nothing, and with neither the drift is zero. The leader step is cfg.dt,
     while solve_leader_ode steps by times[k + 1] - times[k]; the two
     differ in the last bit (on 23 of 25 steps at T = 2 with 25 steps), so
     each level keeps its own step and its outputs.
@@ -214,15 +235,17 @@ def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
     W = np.empty_like(Y)
     Y[0] = init_leaders.Y
 
-    def drift(k, prefix):
+    def drift(k, X_all, V_all):
+        prefix = MeasureFlow._of(times[: k + 1], X_all[: k + 1], V_all[: k + 1])
         W[k] = F.rhs(times[k], prefix, Y[k], u)
         Y[k + 1] = Y[k] + W[k] * cfg.dt
-        X, V = prefix.X[k], prefix.V[k]
-        f = v.eval_batch(times[k], prefix, X, V)
-        if w is None:
-            return f
-        path = LeaderPath._of(times[: k + 1], Y[: k + 1], W[: k + 1])
-        return f + w.eval_batch(times[k], path, X, V)
+        X, V = X_all[k], V_all[k]
+        f = None if v is None else v.eval_batch(times[k], prefix, X, V)
+        if w is not None:
+            path = LeaderPath._of(times[: k + 1], Y[: k + 1], W[: k + 1])
+            g = w.eval_batch(times[k], path, X, V)
+            f = g if f is None else f + g
+        return np.zeros_like(X) if f is None else f
 
     flow = _euler_maruyama(init_followers, cfg, paths, drift, Y)
     W[-1] = F.rhs(times[-1], flow, Y[-1], u)

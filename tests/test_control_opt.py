@@ -506,9 +506,9 @@ class TestCostEvaluation:
         solves, passes = [], []
         real_solve = pdeode.solve_leader_ode
 
-        def counting_solve(*args):
+        def counting_solve(*args, **kwargs):
             solves.append(1)
-            return real_solve(*args)
+            return real_solve(*args, **kwargs)
 
         def counting_fn(X, V):
             if X.ndim == 3:

@@ -951,6 +951,78 @@ class TestElementwiseDeclaration:
                 assert out.tobytes() == fresh, (name, over)
 
 
+class TestDvDeclaration:
+    def test_declared_rows(self):
+        assert [name for name in KERNEL_NAMES
+                if kernel(name, d=2).reads_dv] == [
+            "alignment", "bounded_alignment"]
+        custom = InteractionKernel("custom", lambda dx, dv, out: None, 1.0, 1.0)
+        assert custom.reads_dv
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("component_major", [True, False])
+    def test_rows_that_skip_dv_never_read_it(self, d, component_major):
+        rng = np.random.default_rng(d)
+        dx = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        dv = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        other = _laid_out(_spread(rng, (9, 5, d)), component_major)
+        for name in KERNEL_NAMES:
+            K = kernel(name, d=d, params={"value": -0.25})
+            if K.reads_dv:
+                with pytest.raises(ValueError, match="needs both"):
+                    K(dx)
+                continue
+            fresh = K(dx, dv).tobytes()
+            assert K(dx, other).tobytes() == fresh, name
+            assert K(dx).tobytes() == fresh, name
+
+    @pytest.mark.parametrize("name, d", [("attraction", 1),
+                                         ("bounded_attraction", 1),
+                                         ("bounded_attraction", 2),
+                                         ("bounded_alignment", 2),
+                                         ("constant", 3)])
+    def test_a_kernel_that_reads_only_dx_gets_no_dv(self, name, d):
+        # The spy sees every tile: a dx-only kernel gets dv None, with the
+        # same dx tile (the pairs a tracer counts from dx stay the same),
+        # and the row means keep their bytes.
+        rng = np.random.default_rng(d)
+        A_to, B_to = _spread(rng, (2, 300, d))
+        A_from, B_from = _spread(rng, (2, 257, d))
+        K = kernel(name, d=d, params={"value": 0.5})
+        seen = []
+
+        def spy(dx, dv, out):
+            seen.append((dx.shape, dv is None))
+            K.fn(dx, dv, out)
+
+        spied = InteractionKernel(name, spy, K.L_ker, K.M_ker, K.arity,
+                                  K.elementwise, K.reads_dv)
+        got = pair_mean(spied, A_to, A_from, B_to, B_from)
+        assert got.tobytes() == _untiled_pair_mean(
+            K, A_to, A_from, B_to, B_from).tobytes()
+        assert seen == [((257, 256, d), not K.reads_dv),
+                        ((257, 44, d), not K.reads_dv)]
+
+    def test_a_dx_only_kernel_keeps_two_tiles(self):
+        # bounded_attraction reads dx alone and is not elementwise: its
+        # values go into the dv buffer it does not use, so a first call at
+        # 512 x 512, d = 2 allocates two 2 MiB tiles, not three, plus its
+        # 1 MiB tile of |dx|^2.
+        rng = np.random.default_rng(8)
+        X, V = rng.standard_normal((2, 512, 2))
+        K = kernel("bounded_attraction", d=2)
+
+        def first_call_peak():
+            tracemalloc.start()
+            try:
+                pair_mean(K, X, X, V, V)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _in_fresh_thread(first_call_peak) < 6 * 2**20
+
+
 class TestLeaderFields:
     def test_leader_drive_hand_value(self):
         K21 = kernel("bounded_attraction_position")

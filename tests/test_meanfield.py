@@ -33,12 +33,15 @@ from kineticmf.meanfield import (
 )
 from kineticmf.phase_space import (
     IDENTITY_YOUNG,
+    LeaderState,
     MeasureFlow,
     ParticleEnsemble,
+    _agreeing_nodes,
     holder_ratio,
     time_grid,
 )
-from kineticmf.sde import SimConfig, generate_brownian, simulate_frozen
+from kineticmf.sde import (SimConfig, generate_brownian, simulate_frozen,
+                           simulate_interacting)
 from kineticmf.wasserstein import (wasserstein_exact, wasserstein_gap,
                                    wasserstein_paired_bound)
 
@@ -395,6 +398,111 @@ class TestPicard:
             picard_solve(zero_field(), _spread_init(4, 1), cfg, tol=0.0)
         with pytest.raises(ValueError, match="initial ensemble"):
             picard_solve(zero_field(), _spread_init(5, 1), cfg)
+
+
+def _reference_picard(f, init, cfg, tol, max_iter):
+    """picard_solve's iterates written out with every iterate simulated
+    from node 0: the reference the restarted iterates must reproduce."""
+    paths = generate_brownian(cfg)
+    current = MeasureFlow.constant(init, cfg.grid())
+    gaps = []
+    for _ in range(max_iter):
+        frozen = current
+        nxt = simulate_frozen(
+            lambda t, X, V: f.eval_batch(t, frozen, X, V), init, cfg, paths)
+        gaps.append(flow_gap(current, nxt, f.p))
+        current = nxt
+        if gaps[-1] < tol:
+            break
+    return current, gaps
+
+
+_RESTART_KERNELS = ["bounded_alignment", "bounded_attraction", "alignment",
+                    "attraction"]
+
+
+class TestPicardRestart:
+    """Every drift is non-anticipative, so an iterate agrees with the last
+    one on every node up to the first node where the last two differ:
+    picard_solve copies those nodes and steps from there."""
+
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=8),
+           st.sampled_from(_RESTART_KERNELS),
+           st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=40, deadline=None)
+    def test_n_steps_plus_one_iterates_reach_the_interacting_system(
+            self, seed, N, d, n_steps, name, sigma):
+        # Iterate j is final on its first j + 1 nodes, so n_steps + 1
+        # iterates reach the discrete fixed point with a gap of exactly
+        # 0.0, and with no leaders that fixed point is the N-particle
+        # system on the same ensemble and paths, bit for bit.
+        cfg = _cfg(N=N, d=d, n_steps=n_steps, sigma=sigma, seed=seed)
+        init = _spread_init(N, d, seed=seed, scale=1.0)
+        K = kernel(name, d=d)
+        rep = picard_solve(drift_from_kernel(K), init, cfg, tol=1e-300,
+                           max_iter=n_steps + 1)
+        assert rep.converged
+        assert rep.gaps[-1] == 0.0
+        flow, _ = simulate_interacting({"K11": K}, None, init,
+                                       LeaderState.empty(d), cfg,
+                                       generate_brownian(cfg))
+        assert rep.final_flow.X.tobytes() == flow.X.tobytes()
+        assert rep.final_flow.V.tobytes() == flow.V.tobytes()
+
+    @pytest.mark.parametrize("name", _RESTART_KERNELS)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9])
+    def test_restarted_iterates_equal_the_from_scratch_ones(self, name, tol):
+        cfg = _cfg(N=12, d=2, n_steps=20, sigma=0.1, seed=5)
+        init = _spread_init(12, 2, seed=5)
+        f = drift_from_kernel(kernel(name, d=2))
+        want, gaps = _reference_picard(f, init, cfg, tol, 30)
+        rep = picard_solve(f, init, cfg, tol=tol, max_iter=30)
+        assert rep.converged
+        assert rep.gaps == tuple(gaps)
+        assert rep.final_flow.X.tobytes() == want.X.tobytes()
+        assert rep.final_flow.V.tobytes() == want.V.tobytes()
+
+    def test_the_restart_node_counts_a_signed_zero_as_a_difference(self):
+        # Two frozen flows that differ only in the sign of one zero: a
+        # drift that reads the sign tells them apart, so the restart must
+        # too, or it would copy steps that the new drift changes.
+        cfg = _cfg(N=3, n_steps=6, sigma=0.1)
+        init = ParticleEnsemble(np.zeros((3, 1)), np.zeros((3, 1)))
+        paths = generate_brownian(cfg)
+        plus = np.zeros((7, 3, 1))
+        minus = plus.copy()
+        minus[4, 1, 0] = -0.0
+        times = cfg.grid()
+        flow_plus = MeasureFlow._of(times, plus, plus)
+        flow_minus = MeasureFlow._of(times, plus, minus)
+        assert (flow_plus.V == flow_minus.V).all()
+        assert _agreeing_nodes(flow_plus, flow_minus) == 4
+
+        def sign_of(frozen):
+            return lambda t, X, V: np.copysign(1.0, frozen.at_time(t).V)
+
+        old = simulate_frozen(sign_of(flow_plus), init, cfg, paths)
+        scratch = simulate_frozen(sign_of(flow_minus), init, cfg, paths)
+        resumed = simulate_frozen(sign_of(flow_minus), init, cfg, paths,
+                                  _resume=(old, 4))
+        assert old.V.tobytes() != scratch.V.tobytes()
+        assert resumed.X.tobytes() == scratch.X.tobytes()
+        assert resumed.V.tobytes() == scratch.V.tobytes()
+
+    def test_agreeing_nodes_compares_times_and_shapes(self):
+        ens = _spread_init(4, 2)
+        flow = MeasureFlow.constant(ens, time_grid(1.0, 5))
+        assert _agreeing_nodes(flow, flow) == 6
+        assert _agreeing_nodes(flow, MeasureFlow.constant(
+            ens, time_grid(1.0, 3))) == 1
+        assert _agreeing_nodes(flow, MeasureFlow.constant(
+            ens, time_grid(2.0, 5))) == 1
+        other = _spread_init(3, 2)
+        assert _agreeing_nodes(flow, MeasureFlow.constant(
+            other, time_grid(1.0, 5))) == 0
 
 
 class TestWeakForm:

@@ -1,9 +1,16 @@
 """Leader ODE, combined drift, and coupled-solver tests."""
 
+import hashlib
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from kineticmf import pdeode
+from kineticmf.control_opt import sv_control
 from kineticmf.drift import (
+    InteractionKernel,
     LeaderField,
     constant_field,
     coupling_from_kernel,
@@ -29,9 +36,13 @@ from kineticmf.phase_space import (
     LeaderState,
     MeasureFlow,
     ParticleEnsemble,
+    _agreeing_nodes,
     time_grid,
+    write_flow_csv,
+    write_leader_csv,
 )
-from kineticmf.sde import SimConfig, generate_brownian, simulate_frozen
+from kineticmf.sde import (SimConfig, generate_brownian, simulate_frozen,
+                           simulate_interacting)
 
 
 def _cfg(**kw):
@@ -75,7 +86,7 @@ class TestModelBundle:
         model = LeaderFollowerModel(kernels={}, Y0=LeaderState([[0.0]], [[0.0]]),
                                     sampler=_gauss_sampler(1), d=1)
         v, w, F = model.mean_field_fields()
-        assert v.name == "zero"
+        assert v is None
         assert w is None
         assert model.m == 1
         flow = _const_flow(1.0)
@@ -209,13 +220,19 @@ class TestCombinedDrift:
         # Leader pinned at 2, follower at 1: K12(1) = 0.5.
         np.testing.assert_allclose(out, [[0.5]])
 
-    def test_leader_solve_cached_per_flow_object(self):
-        calls = []
+    def test_leader_solve_cached_per_flow_object(self, monkeypatch):
+        calls, solves = [], []
+        real_solve = pdeode.solve_leader_ode
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args[2])
+            return real_solve(*args, **kwargs)
 
         def counting(t, flow, leaders):
             calls.append(t)
             return np.zeros((1, 1))
 
+        monkeypatch.setattr(pdeode, "solve_leader_ode", counting_solve)
         F = LeaderField(fn=counting, K_F=0.0, L_F=0.0)
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         G = combined_drift(zero_field(), w, F, None,
@@ -225,10 +242,23 @@ class TestCombinedDrift:
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             G.eval_batch(t, flow, X, V)
         # One ODE solve: 4 steps + final-node evaluation = 5 rhs calls.
+        assert solves == [flow]
         assert len(calls) == 5
+        # An equal flow is a new object, so it gets its own solve; that
+        # solve restarts past the last node, with no rhs call left.
         other = _const_flow(0.0, n_steps=4)
-        G.eval_batch(0.0, other, X, V)
-        assert len(calls) == 10
+        for t in (0.0, 0.5, 1.0):
+            G.eval_batch(t, other, X, V)
+        assert solves == [flow, other]
+        assert len(calls) == 5
+        # A flow first differing at node 2 re-solves nodes 2 and 3 and the
+        # final node.
+        X_all = np.zeros((5, 1, 1))
+        X_all[2:] = 0.5
+        moved = MeasureFlow._of(time_grid(1.0, 4), X_all, np.zeros((5, 1, 1)))
+        G.eval_batch(0.0, moved, X, V)
+        assert solves == [flow, other, moved]
+        assert calls[5:] == [0.5, 0.75, 1.0]
 
     def test_composition_constants_dominate_components(self):
         v = drift_from_kernel(kernel("bounded_alignment", d=1))
@@ -302,6 +332,183 @@ class TestSolveCoupled:
         rep = picard_solve(zero_field(), flow.snapshots[0], _cfg(N=1, n_steps=4))
         with pytest.raises(ValueError, match="share the grid"):
             CoupledSolution(flow=flow, leaders=lp, picard=rep)
+
+
+def _sign_leader_field():
+    """A leader drive that reads the sign of follower 0's velocity, zeros
+    included: flows differing only in the sign of a zero drive it apart."""
+    return LeaderField(fn=lambda t, flow, Y: np.copysign(
+        1.0, flow.at_time(t).V[:1]), K_F=1.0, L_F=0.0)
+
+
+class TestLeaderRestart:
+    """A leader solve along a flow that agrees with an earlier one on its
+    nodes 0..a - 1 restarts from the earlier path at node a."""
+
+    @pytest.mark.parametrize("a", range(0, 8))
+    def test_restarted_path_equals_the_from_scratch_one(self, a):
+        times = time_grid(2.0, 6)
+        rng = np.random.default_rng(a)
+        V_old = rng.standard_normal((7, 3, 1))
+        V_new = V_old.copy()
+        V_new[a:] = -V_new[a:]
+        X = np.zeros((7, 3, 1))
+        old = MeasureFlow._of(times, X, V_old)
+        new = MeasureFlow._of(times, X, V_new)
+        assert _agreeing_nodes(old, new) == a
+        F = _sign_leader_field()
+        u = lambda t, flow: flow.at_time(t).V[1:2] ** 2
+        Y0 = LeaderState([[0.5]], [[0.0]])
+        prior = solve_leader_ode(F, u, old, Y0)
+        scratch = solve_leader_ode(F, u, new, Y0)
+        resumed = solve_leader_ode(F, u, new, Y0, _resume=(prior, a))
+        assert resumed.Y.tobytes() == scratch.Y.tobytes()
+        assert resumed.W.tobytes() == scratch.W.tobytes()
+
+    def test_a_signed_zero_is_a_difference(self):
+        times = time_grid(1.0, 4)
+        plus = np.zeros((5, 2, 1))
+        minus = plus.copy()
+        minus[2, 0, 0] = -0.0
+        old = MeasureFlow._of(times, plus, plus)
+        new = MeasureFlow._of(times, plus, minus)
+        F, Y0 = _sign_leader_field(), LeaderState([[0.0]], [[0.0]])
+        prior = solve_leader_ode(F, None, old, Y0)
+        scratch = solve_leader_ode(F, None, new, Y0)
+        assert prior.W.tobytes() != scratch.W.tobytes()
+        resumed = solve_leader_ode(F, None, new, Y0,
+                                   _resume=(prior, _agreeing_nodes(old, new)))
+        assert resumed.Y.tobytes() == scratch.Y.tobytes()
+        assert resumed.W.tobytes() == scratch.W.tobytes()
+
+    def test_every_coupled_solve_equals_the_from_scratch_one(self,
+                                                             monkeypatch):
+        # The drift's leader solves restart from the last flow's path, and
+        # the final one from the last iterate's: each returns the bytes of
+        # a solve along its flow from node 0.
+        cfg = _cfg(N=8, n_steps=12, sigma=0.1, seed=2)
+        init = _gauss_sampler(1)(8, 4)
+        v = drift_from_kernel(kernel("bounded_alignment", d=1))
+        w = coupling_from_kernel(kernel("bounded_attraction"))
+        F = leader_field_from_kernels(kernel("bounded_attraction_position"),
+                                      kernel("bounded_attraction_position"), 2)
+        Y0 = LeaderState([[1.0], [-0.5]], [[0.0], [0.0]])
+        u = sv_control(np.full((2, 2, 3), 0.2), T=1.0, M_h=1.0, m=2, d=1)
+        real_solve = pdeode.solve_leader_ode
+        checked = []
+
+        def checking_solve(F_, u_, flow, Y0_, **kwargs):
+            path = real_solve(F_, u_, flow, Y0_, **kwargs)
+            again = real_solve(F_, u_, flow, Y0_)
+            checked.append((kwargs.get("_resume") is not None,
+                            path.Y.tobytes() == again.Y.tobytes()
+                            and path.W.tobytes() == again.W.tobytes()))
+            return path
+
+        monkeypatch.setattr(pdeode, "solve_leader_ode", checking_solve)
+        sol = solve_coupled(v, w, F, u, init, Y0, cfg, tol=1e-10)
+        assert sol.picard.converged
+        assert len(checked) == sol.picard.iterations + 1
+        assert [resumed for resumed, _ in checked] == \
+            [False] + [True] * sol.picard.iterations
+        assert all(same for _, same in checked)
+
+
+class TestFixedPointAgainstTheParticleSystem:
+    """n_steps + 1 Picard iterates reach the discrete fixed point, which is
+    the N-particle system on the same ensemble and paths. The leaders step
+    by times[k + 1] - times[k] in solve_leader_ode and by cfg.dt in
+    simulate_interacting, which differ in the last bit on most grids."""
+
+    def _both(self, T, n_steps):
+        cfg = _cfg(T=T, N=6, n_steps=n_steps, sigma=0.2, seed=8)
+        model = LeaderFollowerModel(
+            kernels={"K11": kernel("bounded_alignment", d=1),
+                     "K12": kernel("bounded_attraction"),
+                     "K21": kernel("bounded_attraction_position"),
+                     "K22": kernel("bounded_attraction_position")},
+            Y0=LeaderState([[1.0], [-1.0]], [[0.0], [0.0]]),
+            sampler=_gauss_sampler(1), d=1)
+        init = model.initial(cfg.N, 3)
+        v, w, F = model.mean_field_fields()
+        sol = solve_coupled(v, w, F, None, init, model.Y0, cfg, tol=1e-300,
+                            max_iter=n_steps + 1)
+        assert sol.picard.converged and sol.picard.gaps[-1] == 0.0
+        flow, leaders = simulate_interacting(model.kernels, None, init,
+                                             model.Y0, cfg,
+                                             generate_brownian(cfg))
+        return cfg, sol, flow, leaders
+
+    def test_equal_bits_where_the_two_leader_steps_agree(self):
+        # T = 1 with 8 steps: every times[k + 1] - times[k] is cfg.dt.
+        cfg, sol, flow, leaders = self._both(1.0, 8)
+        assert np.all(np.diff(cfg.grid()) == cfg.dt)
+        for a, b in ((sol.flow.X, flow.X), (sol.flow.V, flow.V),
+                     (sol.leaders.Y, leaders.Y), (sol.leaders.W, leaders.W)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_within_rounding_where_they_differ(self):
+        # T = 2 with 25 steps: the steps differ from cfg.dt in the last
+        # bit, so the two levels part by rounding only.
+        cfg, sol, flow, leaders = self._both(2.0, 25)
+        assert np.any(np.diff(cfg.grid()) != cfg.dt)
+        for a, b in ((sol.flow.X, flow.X), (sol.flow.V, flow.V),
+                     (sol.leaders.Y, leaders.Y), (sol.leaders.W, leaders.W)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+class TestAbsentK11:
+    def test_a_model_without_k11_is_paired_with_w2(self):
+        with pytest.raises(ValueError, match="p = 2"):
+            LeaderFollowerModel(kernels={"K12": kernel("bounded_attraction")},
+                                Y0=LeaderState([[0.0]], [[0.0]]),
+                                sampler=_gauss_sampler(1), d=1, p=1.0)
+        G = combined_drift(None, coupling_from_kernel(
+            kernel("bounded_attraction")), _zero_F(), None,
+            LeaderState([[0.0]], [[0.0]]))
+        zero = zero_field()
+        assert (G.beta, G.alpha, G.p, G.unbounded) == (
+            zero.beta, zero.alpha, zero.p, zero.unbounded)
+        assert G.name == "zero+coupling[bounded_attraction]"
+        assert combined_drift(None, None, _zero_F(), None,
+                              LeaderState([[0.0]], [[0.0]])).name == "zero"
+
+    def test_signed_zeros_keep_the_bytes_of_an_added_zero_field(self):
+        # No K11, a K12 whose every value is -0.0 and followers at
+        # velocity -0.0 with sigma = 0, so a zero's sign survives a step.
+        # The K12 average folds from +0.0 and comes out +0.0, as
+        # 0.0 + (-0.0) did when an absent K11 added a zero field; these
+        # SHA-256 digests of the CSVs were recorded with that zero field.
+        def negative_zero(dx, dv, out):
+            out[...] = -0.0
+
+        K12 = InteractionKernel("negative_zero", negative_zero, 0.0, 0.0)
+        init = ParticleEnsemble(np.zeros((6, 1)), np.full((6, 1), -0.0))
+        model = LeaderFollowerModel(kernels={"K12": K12},
+                                    Y0=LeaderState([[1.0]], [[0.0]]),
+                                    sampler=lambda N, seed: init, d=1)
+        cfg = _cfg(N=6, n_steps=5, sigma=0.0, seed=3)
+        paths = generate_brownian(cfg)
+        assert np.any(paths.increments[0, :, 0] < 0)
+        flow, _ = simulate_interacting(model.kernels, None, init, model.Y0,
+                                       cfg, paths)
+        v, w, F = model.mean_field_fields()
+        assert v is None
+        sol = solve_coupled(v, w, F, None, init, model.Y0, cfg)
+        for got in (flow, sol.flow):
+            assert not np.signbit(got.V[1:]).any()
+            assert _csv_digest(write_flow_csv, got) == (
+                "5b271da5406d922e180b48cf696a1b920bcb85e7557496b6e6b51e30180322b9")
+        assert _csv_digest(write_leader_csv, sol.leaders) == (
+            "0c162e466de5a8378a918e531c80596cdfa1474c9056e81cbbddc98e55b5a264")
+
+
+def _csv_digest(write, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write(obj, path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestControlStability:
