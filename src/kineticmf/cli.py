@@ -427,10 +427,13 @@ def _load_h(path, K, md, ell):
             raise ValueError(f"h file '{path}' must start with header "
                              "bin,i,j,value")
         for lineno, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ValueError(f"h file '{path}' line {lineno}: "
+                                 f"{len(row)} fields, expected 4")
             try:
                 b, i, j = int(row[0]), int(row[1]), int(row[2])
                 val = float(row[3])
-            except (ValueError, IndexError) as e:
+            except ValueError as e:
                 raise ValueError(f"h file '{path}' line {lineno}: {e}") from e
             if not (0 <= b < K and 0 <= i < md and 0 <= j < ell):
                 raise ValueError(f"h file '{path}' line {lineno}: index "

@@ -59,8 +59,8 @@ class FeatureMap:
     component bounded by 1 and 1-Lipschitz in W_1 (hence in W_p).
 
     fn(X, V) maps (..., N, d) position and velocity arrays, with any
-    leading node axes, to (..., ell) features: one call covers every node
-    of a flow (stacked), and an ensemble is the one-node case (call).
+    leading node axes, to (..., ell) features: one stacked call covers
+    every node of a flow, and an ensemble is the one-node case.
     """
 
     ell: int
@@ -75,9 +75,6 @@ class FeatureMap:
             raise ValueError(f"feature map returned shape {g.shape}, "
                              f"expected {want}")
         return g
-
-    def __call__(self, ens):
-        return self.stacked(ens.X, ens.V)
 
 
 def default_features(d, R_c=5.0):

@@ -29,12 +29,11 @@ __all__ = [
     "ValidationReport",
     "kernel",
     "KERNEL_NAMES",
-    "kernel_convolution_drift",
-    "leader_coupling_drift",
     "pair_mean",
     "kernel_fields",
+    "leader_field_from_kernels",
+    "coupling_from_kernel",
     "drift_from_kernel",
-    "linear_damping_field",
     "constant_field",
     "zero_field",
     "validate_sublinearity",
@@ -217,15 +216,13 @@ class DriftField:
 class LeaderField:
     """Leader drive F[t, flow](Y) -> (m, d) at the current (m, d) leader
     positions Y, with declared sublinearity constant K_F and Lipschitz
-    constant L_F. Non-anticipative in the flow."""
+    constant L_F. Non-anticipative in the flow; rhs is the one way to
+    call it."""
 
     fn: Callable
     K_F: float = 1.0
     L_F: float = 1.0
     name: str = "custom"
-
-    def eval(self, t, flow, Y):
-        return np.asarray(self.fn(t, flow, Y), dtype=float)
 
     def rhs(self, t, flow, Y, u=None):
         """F[t, flow](Y) + u(t, flow) (u may be None) as a fresh (m, d) array:
@@ -441,18 +438,6 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     return out
 
 
-def kernel_convolution_drift(K, ens, z):
-    """(K * mu)(z) = (1/N) sum_i K(xi_i - x, nu_i - v) for the empirical mu."""
-    if ens.d != z.d:
-        raise ValueError("ensemble and point dimensions differ")
-    return pair_mean(K, z.x[None], ens.X, z.v[None], ens.V)[0]
-
-
-def leader_coupling_drift(K12, leaders, z):
-    """(1/m) sum_i K12(Y_i - x, W_i - v); zero vector when m = 0."""
-    return pair_mean(K12, z.x[None], leaders.Y, z.v[None], leaders.W)[0]
-
-
 def drift_from_kernel(K, p=2.0):
     """Mean-field drift f[t, flow](z) = (K * mu_t)(z) where mu_t is the flow
     snapshot at the largest node <= t.
@@ -470,14 +455,6 @@ def drift_from_kernel(K, p=2.0):
     return DriftField(batch=batch, K=K.M_ker if not K.unbounded else 1.0,
                       beta=0.0, alpha=1.0, L=K.L_ker, D=2.0 * K.L_ker, p=p,
                       name=f"conv[{K.name}]", unbounded=K.unbounded)
-
-
-def linear_damping_field(p=2.0):
-    """f(z) = -v. Linear, hence outside the sublinear class: flagged
-    unbounded and expected to fail validate_sublinearity."""
-    return DriftField(batch=lambda t, flow, X, V: -V,
-                      K=1.0, beta=0.0, alpha=1.0, L=1.0, D=1.0, p=p,
-                      name="linear_damping", unbounded=True)
 
 
 def constant_field(c, p=2.0):

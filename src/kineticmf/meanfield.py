@@ -29,8 +29,6 @@ __all__ = [
     "flow_gap",
     "TestFunction",
     "bump",
-    "x_bump",
-    "constant_test_function",
     "weakform_residual",
     "stability_experiment",
     "MomentCertificate",
@@ -238,14 +236,6 @@ def _bump_gradient(diff, inside, om, val, R2):
     return np.where(inside[:, None], g[:, None] * diff, 0.0)
 
 
-def _zeros_vec(X, V):
-    return np.zeros_like(X)
-
-
-def _zeros_scalar(X, V):
-    return np.zeros(X.shape[0])
-
-
 def bump(center_x, center_v, radius, name="bump"):
     """Compactly supported bump psi(z) = exp(1 - 1/(1 - r^2)) for r < 1,
     r^2 = (|x - cx|^2 + |v - cv|^2) / radius^2, with analytic gradients and
@@ -283,36 +273,6 @@ def bump(center_x, center_v, radius, name="bump"):
 
     return TestFunction(value=value, grad_x=grad_x, grad_v=grad_v, lap_v=lap_v,
                         name=name)
-
-
-def x_bump(center_x, radius, name="x_bump"):
-    """Position-only bump: constant in v, so grad_v and lap_v vanish."""
-    cx = np.atleast_1d(np.asarray(center_x, dtype=float))
-    R2 = float(radius) ** 2
-
-    def parts(X):
-        dx = X - cx
-        return (dx, *_bump_profile(np.sum(dx * dx, axis=1) / R2))
-
-    def value(X, V):
-        return parts(X)[3]
-
-    def grad_x(X, V):
-        return _bump_gradient(*parts(X), R2)
-
-    return TestFunction(value=value, grad_x=grad_x, grad_v=_zeros_vec,
-                        lap_v=_zeros_scalar, name=name)
-
-
-def constant_test_function(c=1.0):
-    """Plateau of a compactly supported function, restricted to the region
-    covering all particles: constant value, vanishing derivatives."""
-
-    def value(X, V):
-        return np.full(X.shape[0], float(c))
-
-    return TestFunction(value=value, grad_x=_zeros_vec, grad_v=_zeros_vec,
-                        lap_v=_zeros_scalar, name="plateau")
 
 
 def weakform_residual(flow, f, sigma, psi, t_index):
@@ -388,7 +348,8 @@ class MomentCertificate:
 
 
 def _gap_holder_ratio(flow, p):
-    """holder_ratio(flow, p, wp) for wp = wasserstein_gap, bit for bit,
+    """Worst quotient wasserstein_gap(mu_t, mu_s) / |t - s|^gamma_p over all
+    node pairs t != s, bit for bit as the full double loop gives it, but
     pruned as flow_gap is: the paired bound over |t - s|^gamma_p dominates
     each quotient, so the pairs are solved in descending order of it. The
     bounds of all later nodes against node i come from one array pass."""
@@ -415,8 +376,8 @@ def moment_certificate(flow, p, Phi):
     """Evaluate sup-in-time p-moment, sup-in-time Young moment, and the
     worst Hoelder quotient at exponent gamma_p = 1/max(2, p). The Hoelder
     distance is the exact/paired switch wasserstein_gap, whose pair solves
-    are pruned by the paired bound (the same value as holder_ratio's full
-    loop, bit for bit)."""
+    are pruned by the paired bound (the same value as the full loop over
+    all pairs, bit for bit)."""
     mbar = sup_moment(flow, p, flow.T)
     ybar = max(young_moment(s, Phi, p) for s in flow.snapshots)
     holder = _gap_holder_ratio(flow, p) if len(flow) >= 2 else 0.0

@@ -29,7 +29,6 @@ __all__ = [
     "solve_coupled",
     "control_stability",
     "leader_flow_sensitivity",
-    "discrete_leader_growth",
 ]
 
 
@@ -83,7 +82,9 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     W stores the right-hand side F.rhs, shared with the finite-N simulator,
     at every node, both ends included. F reads the current (m, d) positions
     Y; a non-finite Y or right-hand side raises FloatingPointError naming
-    the time.
+    the time. Each returned node was checked here or copied from a checked
+    path, so LeaderPath._of takes the arrays without a second copy or
+    check.
 
     The scheme is causal: Y at node k + 1 and W at node k read the flow on
     the nodes <= k only. So solving on the full grid subsumes every prefix
@@ -123,13 +124,7 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
         Y_hist[k + 1] = Y
     if agree <= M:
         W_hist[M] = rhs(times[M], Y)
-    return LeaderPath(times, Y_hist, W_hist)
-
-
-def discrete_leader_growth(Y0, F_sup, M_u, T):
-    """A priori Euler bound sup_t |Y(t)| <= |Y0| + T (sup|F| + M_u)."""
-    base = float(np.linalg.norm(Y0.Y)) if Y0.m else 0.0
-    return base + float(T) * (float(F_sup) + float(M_u))
+    return LeaderPath._of(times, Y_hist, W_hist)
 
 
 def _leaders_along(F, u, Y0):

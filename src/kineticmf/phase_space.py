@@ -27,7 +27,8 @@ __all__ = [
     "moment_p",
     "sup_moment",
     "young_moment",
-    "holder_ratio",
+    "gamma_p",
+    "IDENTITY_YOUNG",
     "write_flow_csv",
     "read_flow_csv",
     "write_leader_csv",
@@ -155,16 +156,6 @@ class ParticleEnsemble:
         ens.X, ens.V = X, V
         return ens
 
-    @classmethod
-    def from_points(cls, points):
-        points = list(points)
-        if not points:
-            raise ValueError("empty measure")
-        d = points[0].d
-        if any(p.d != d for p in points):
-            raise ValueError("all points must share one dimension d")
-        return cls(np.stack([p.x for p in points]), np.stack([p.v for p in points]))
-
     @property
     def N(self):
         return self.X.shape[0]
@@ -172,12 +163,6 @@ class ParticleEnsemble:
     @property
     def d(self):
         return self.X.shape[1]
-
-    def point(self, i):
-        return PhasePoint(self.X[i], self.V[i])
-
-    def points(self):
-        return [self.point(i) for i in range(self.N)]
 
     def Z(self):
         """(N, 2d) array of concatenated states."""
@@ -187,9 +172,6 @@ class ParticleEnsemble:
         """Euclidean norms |z_i| of the concatenated states."""
         return np.sqrt(np.einsum("ij,ij->i", self.X, self.X)
                        + np.einsum("ij,ij->i", self.V, self.V))
-
-    def permuted(self, order):
-        return ParticleEnsemble(self.X[order], self.V[order])
 
     def __repr__(self):
         return f"ParticleEnsemble(N={self.N}, d={self.d})"
@@ -201,8 +183,8 @@ def time_grid(T, n_steps):
     Nodes are integer multiples of the base step (multiplied, never
     accumulated), so pairwise differences carry no summation drift.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("horizon T must be positive and finite")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return np.arange(n_steps + 1) * (T / n_steps)
@@ -318,10 +300,6 @@ class LeaderState:
     def d(self):
         return self.Y.shape[1]
 
-    def flat(self):
-        """(2 m d,) vector (Y then W), the abstract R^{2md} view."""
-        return np.concatenate([self.Y.ravel(), self.W.ravel()])
-
     def __repr__(self):
         return f"LeaderState(m={self.m}, d={self.d})"
 
@@ -363,19 +341,8 @@ class LeaderPath:
     def d(self):
         return self.Y.shape[2]
 
-    def state(self, k):
-        return LeaderState(self.Y[k], self.W[k])
-
     def index_at(self, t):
         return _index_at(self.times, t)
-
-    def at_time(self, t):
-        return self.state(self.index_at(t))
-
-    def prefix(self, t):
-        """Sub-path on the nodes <= t, a view of this path's arrays."""
-        k = self.index_at(t) + 1
-        return LeaderPath._of(self.times[:k], self.Y[:k], self.W[:k])
 
     def sup_norm(self):
         """sup over nodes of |(Y, W)| as a flattened vector per node."""
@@ -450,25 +417,10 @@ def gamma_p(p):
     return 1.0 / max(2.0, float(p))
 
 
-def holder_ratio(flow, p, wp):
-    """Worst Hoelder quotient max_{t != s} wp(mu_t, mu_s) / |t - s|^{gamma_p}.
-
-    wp is a distance callback on ensemble pairs; the exponent is
-    gamma_p = 1/max(2, p). All grid pairs are visited, so the value is
-    invariant under time reversal of the flow.
-    """
-    if len(flow) < 2:
-        raise ValueError("holder_ratio needs a flow with at least 2 snapshots")
-    g = gamma_p(p)
-    snaps = flow.snapshots
-    worst = 0.0
-    for i in range(len(flow)):
-        for j in range(i + 1, len(flow)):
-            dt = float(flow.times[j] - flow.times[i])
-            q = wp(snaps[i], snaps[j]) / dt**g
-            if q > worst:
-                worst = q
-    return worst
+def _header(names, d):
+    index, x, v = names
+    return (["t", index] + [f"{x}{i}" for i in range(d)]
+            + [f"{v}{i}" for i in range(d)])
 
 
 def _write_csv(path, names, times, X, V):
@@ -477,28 +429,31 @@ def _write_csv(path, names, times, X, V):
     byte for byte as csv.writer writes it (comma separated, \r\n line
     ends) with every float as format(x, ".17g"), full round-trip
     precision."""
-    index, x, v = names
     d = X[0].shape[1]
-    header = (["t", index] + [f"{x}{i}" for i in range(d)]
-              + [f"{v}{i}" for i in range(d)])
     row = "%.17g,%d" + ",%.17g" * (2 * d) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(_header(names, d)) + "\r\n")
         for t, Xk, Vk in zip(times.tolist(), X, V):
             rows = np.concatenate([Xk, Vk], axis=1).tolist()
             fh.write("".join([row % (t, i, *z) for i, z in enumerate(rows)]))
 
 
-def _read_csv(path):
-    """Inverse of _write_csv: (times, X, V) with X and V of shape (nodes,
-    rows, d), a node being a run of rows with one t. An empty file, no
-    data rows, or ragged rows or nodes raise ValueError."""
+def _read_csv(path, names):
+    """Inverse of _write_csv for the same names: (times, X, V) with X and V
+    of shape (nodes, rows, d), a node being a run of rows with one t. An
+    empty file, no data rows, a header other than the one _write_csv
+    writes for names and some d >= 1, or ragged rows or nodes raise
+    ValueError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError(f"CSV file '{path}' has no data rows")
     width = len(rows[0])
     d = (width - 2) // 2
+    if d < 1 or rows[0] != _header(names, d):
+        index, x, v = names
+        raise ValueError(f"CSV file '{path}' must start with header "
+                         f"t,{index},{x}0,...,{v}0,...")
     data = np.array([[float(c) for c in r] for r in rows[1:]])
     t = data[:, 0]
     sizes = np.diff(np.r_[0, np.flatnonzero(t[1:] != t[:-1]) + 1, t.size])
@@ -508,24 +463,28 @@ def _read_csv(path):
     return data[:, 0, 0], data[:, :, 2 : 2 + d], data[:, :, 2 + d :]
 
 
+_FLOW_NAMES = ("particle", "x", "v")
+_LEADER_NAMES = ("leader", "y", "w")
+
+
 def write_flow_csv(flow, path):
     """Flow CSV: header t,particle,x0..x{d-1},v0..v{d-1}, one row per
     (time node, particle), full round-trip precision."""
-    _write_csv(path, ("particle", "x", "v"), flow.times, flow.X, flow.V)
+    _write_csv(path, _FLOW_NAMES, flow.times, flow.X, flow.V)
 
 
 def read_flow_csv(path):
     """The flow write_flow_csv wrote; malformed files raise ValueError."""
-    times, X, V = _read_csv(path)
+    times, X, V = _read_csv(path, _FLOW_NAMES)
     return MeasureFlow(times, [ParticleEnsemble(x, v) for x, v in zip(X, V)])
 
 
 def write_leader_csv(lp, path):
     """Leader CSV: header t,leader,y0..y{d-1},w0..w{d-1}."""
-    _write_csv(path, ("leader", "y", "w"), lp.times, lp.Y, lp.W)
+    _write_csv(path, _LEADER_NAMES, lp.times, lp.Y, lp.W)
 
 
 def read_leader_csv(path):
     """The leader path write_leader_csv wrote; malformed files raise
     ValueError."""
-    return LeaderPath(*_read_csv(path))
+    return LeaderPath(*_read_csv(path, _LEADER_NAMES))

@@ -35,6 +35,10 @@ __all__ = [
     "doob_bound",
     "doob_check",
     "path_rng",
+    "STREAM_BROWNIAN",
+    "STREAM_INITIAL",
+    "STREAM_SUBSAMPLE",
+    "STREAM_OPTIMIZER",
 ]
 
 # Stream tags keep independent uses of one user seed from colliding.
@@ -62,16 +66,16 @@ class SimConfig:
     d: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("horizon T must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.sigma < 0:
+        if not 0 <= self.sigma < math.inf:
             # sqrt(2 sigma) in the velocity equation leaves no room for
             # negative diffusion.
-            raise ValueError("sigma must be >= 0")
+            raise ValueError("sigma must be >= 0 and finite")
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
 

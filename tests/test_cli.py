@@ -934,7 +934,12 @@ class TestCommandLine:
         ("a,b\n1,2\n", "must start with header"),
         ("bin,i,j,value\n0,0,x,1.0\n", "line 2"),
         ("bin,i,j,value\n0,0,3,1.0\n", "index (0,0,3) outside (8,1,3)"),
-    ], ids=["header", "row", "index"])
+        ("bin,i,j,value\n0,0,0,0.5,7\n", "line 2: 5 fields, expected 4"),
+        ("bin,i,j,value\n0,0,0\n", "line 2: 3 fields, expected 4"),
+        ("bin,i,j,value\n0,0,0,0.5\n\n0,0,1,1.0\n",
+         "line 3: 0 fields, expected 4"),
+    ], ids=["header", "row", "index", "extra-field", "short-row",
+            "blank-line"])
     def test_validate_rejects_a_bad_h_file(self, tmp_path, capsys, text,
                                            message):
         bad = tmp_path / "h.csv"

@@ -103,12 +103,12 @@ class TestFeatures:
     def test_all_features_vanish_at_origin_dirac(self):
         g = default_features(2)
         ens = ParticleEnsemble(np.zeros((5, 2)), np.zeros((5, 2)))
-        np.testing.assert_array_equal(g(ens), np.zeros(5))
+        np.testing.assert_array_equal(g.stacked(ens.X, ens.V), np.zeros(5))
 
     def test_mean_velocity_feature_cancels_on_symmetric_pair(self):
         g = default_features(1)
         ens = ParticleEnsemble([[0.0], [0.0]], [[1.0], [-1.0]])
-        vals = g(ens)
+        vals = g.stacked(ens.X, ens.V)
         assert vals[0] == 0.0  # mean position
         assert vals[1] == 0.0  # mean velocity
         assert vals[2] > 0.0   # second moment survives
@@ -119,12 +119,12 @@ class TestFeatures:
         for _ in range(10):
             ens = ParticleEnsemble(10 * rng.standard_normal((6, 2)),
                                    10 * rng.standard_normal((6, 2)))
-            assert np.all(np.abs(g(ens)) <= 1.0)
+            assert np.all(np.abs(g.stacked(ens.X, ens.V)) <= 1.0)
 
     def test_shape_mismatch_caught(self):
         g = FeatureMap(ell=2, fn=lambda X, V: np.array([1.0]))
         with pytest.raises(ValueError, match="shape"):
-            g(ParticleEnsemble([[0.0]], [[0.0]]))
+            g.stacked(np.zeros((1, 1)), np.zeros((1, 1)))
 
     def test_clamp_radius_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ class TestFeatures:
             for k, ens in enumerate(fl.snapshots):
                 want = _per_ensemble_features(ens, R_c).tobytes()
                 assert G[k].tobytes() == want
-                assert g(ens).tobytes() == want
+                assert g.stacked(ens.X, ens.V).tobytes() == want
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([1, 8, 9, 64, 129]),

@@ -26,11 +26,8 @@ from kineticmf.drift import (
     cutoff_eta,
     drift_from_kernel,
     kernel,
-    kernel_convolution_drift,
     latin_hypercube_points,
-    leader_coupling_drift,
     leader_field_from_kernels,
-    linear_damping_field,
     pair_mean,
     running_sup_gap,
     validate_dissipativity_v3pp,
@@ -196,21 +193,26 @@ class TestKernelLibrary:
                               arity="diagonal")
 
 
+def _at_point(K, X, V, z):
+    """(1/n) sum_i K(X_i - x, V_i - v) at the one point z = (x, v)."""
+    return pair_mean(K, z.x[None], X, z.v[None], V)[0]
+
+
 class TestConvolution:
     def test_two_particle_hand_value(self):
         # Attraction kernel: (K * mu)(z) = mean_i (x_i - x).
         K = kernel("attraction")
         ens = ParticleEnsemble([[0.0], [2.0]], [[0.0], [0.0]])
-        out = kernel_convolution_drift(K, ens, PhasePoint([1.0], [0.0]))
+        out = _at_point(K, ens.X, ens.V, PhasePoint([1.0], [0.0]))
         np.testing.assert_allclose(out, [0.0])
-        out = kernel_convolution_drift(K, ens, PhasePoint([0.0], [0.0]))
+        out = _at_point(K, ens.X, ens.V, PhasePoint([0.0], [0.0]))
         np.testing.assert_allclose(out, [1.0])
 
     def test_dimension_mismatch_rejected(self):
         K = kernel("zero")
         ens = ParticleEnsemble([[0.0, 0.0]], [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            kernel_convolution_drift(K, ens, PhasePoint([0.0], [0.0]))
+            _at_point(K, ens.X, ens.V, PhasePoint([0.0], [0.0]))
 
     def test_batch_agrees_with_scalar_path(self):
         rng = np.random.default_rng(60)
@@ -220,20 +222,23 @@ class TestConvolution:
         for name in ("bounded_alignment", "bounded_attraction", "zero"):
             f = drift_from_kernel(kernel(name, d=2))
             batch = f.eval_batch(0.5, flow, X, V)
-            rows = np.stack([kernel_convolution_drift(
-                kernel(name, d=2), flow.at_time(0.5), PhasePoint(X[i], V[i]))
-                for i in range(7)])
+            ens = flow.at_time(0.5)
+            rows = np.stack([_at_point(kernel(name, d=2), ens.X, ens.V,
+                                       PhasePoint(X[i], V[i]))
+                             for i in range(7)])
             np.testing.assert_array_equal(batch, rows)
 
     def test_leader_coupling_empty_returns_zero(self):
         K = kernel("bounded_attraction_position")
-        out = leader_coupling_drift(K, LeaderState.empty(3), PhasePoint([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
+        leaders = LeaderState.empty(3)
+        out = _at_point(K, leaders.Y, leaders.W,
+                        PhasePoint([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_leader_coupling_hand_value(self):
         K = kernel("bounded_attraction_position")
         leaders = LeaderState([[2.0]], [[0.0]])
-        out = leader_coupling_drift(K, leaders, PhasePoint([1.0], [0.0]))
+        out = _at_point(K, leaders.Y, leaders.W, PhasePoint([1.0], [0.0]))
         np.testing.assert_allclose(out, [0.5])
 
 
@@ -248,7 +253,6 @@ class TestFieldConstruction:
 
     def test_unbounded_flag_propagates(self):
         assert drift_from_kernel(kernel("alignment")).unbounded
-        assert linear_damping_field().unbounded
 
     def test_constant_field_broadcasts(self):
         f = constant_field([1.0, -2.0])
@@ -1030,7 +1034,7 @@ class TestLeaderFields:
         F = leader_field_from_kernels(K21, K22, m=1)
         ens = ParticleEnsemble([[1.0]], [[0.0]])
         flow = MeasureFlow.constant(ens, time_grid(1.0, 1))
-        out = F.eval(0.0, flow, np.array([[0.0]]))
+        out = F.rhs(0.0, flow, np.array([[0.0]]))
         # Single follower at x = 1, leader at 0: K21(1) = 1/2.
         np.testing.assert_allclose(out, [[0.5]])
 
@@ -1038,7 +1042,7 @@ class TestLeaderFields:
         F = leader_field_from_kernels(kernel("zero_position"),
                                       kernel("zero_position"), m=0)
         flow = _origin_flow(d=2)
-        out = F.eval(0.0, flow, np.zeros((0, 2)))
+        out = F.rhs(0.0, flow, np.zeros((0, 2)))
         assert out.shape == (0, 2)
 
     def test_pairwise_term_sees_all_leaders(self):
@@ -1046,7 +1050,7 @@ class TestLeaderFields:
         K22 = kernel("attraction_position")
         F = leader_field_from_kernels(K21, K22, m=2)
         flow = _origin_flow(d=1)
-        out = F.eval(0.0, flow, np.array([[0.0], [2.0]]))
+        out = F.rhs(0.0, flow, np.array([[0.0], [2.0]]))
         # Leader 0: mean(0 - 0, 2 - 0) = 1; leader 1 mirrors to -1.
         np.testing.assert_allclose(out, [[1.0], [-1.0]])
 
@@ -1060,8 +1064,8 @@ class TestLeaderFields:
         V = rng.standard_normal((5, 1))
         for t, k in ((0.0, 0), (0.7, 0), (1.0, 1)):
             batch = w.eval_batch(t, path, X, V)
-            rows = np.stack([leader_coupling_drift(K12, path.state(k),
-                                                   PhasePoint(X[i], V[i]))
+            rows = np.stack([_at_point(K12, path.Y[k], path.W[k],
+                                       PhasePoint(X[i], V[i]))
                              for i in range(5)])
             np.testing.assert_array_equal(batch, rows)
 

@@ -23,13 +23,11 @@ from kineticmf.meanfield import (
     MomentCertificate,
     PicardReport,
     bump,
-    constant_test_function,
     flow_gap,
     moment_certificate,
     picard_solve,
     stability_experiment,
     weakform_residual,
-    x_bump,
 )
 from kineticmf.phase_space import (
     IDENTITY_YOUNG,
@@ -37,7 +35,7 @@ from kineticmf.phase_space import (
     MeasureFlow,
     ParticleEnsemble,
     _agreeing_nodes,
-    holder_ratio,
+    gamma_p,
     time_grid,
 )
 from kineticmf.sde import (SimConfig, generate_brownian, simulate_frozen,
@@ -119,7 +117,8 @@ class TestFlowGap:
             elif kind == "near":
                 b = ParticleEnsemble(X, V)
             elif kind == "shuffled":
-                b = ParticleEnsemble(X, V).permuted(rng.permutation(N))
+                order = rng.permutation(N)
+                b = ParticleEnsemble(X[order], V[order])
             else:
                 shift = eps * rng.standard_normal(2 * d)
                 b = ParticleEnsemble(a.X + shift[:d], a.V + shift[d:])
@@ -182,11 +181,14 @@ def _node_pair(kind, N, d, eps, rng):
     if kind == "near":
         return a, ParticleEnsemble(a.X + noise_x, a.V + noise_v)
     if kind == "shuffled":
-        return a, ParticleEnsemble(a.X + noise_x, a.V + noise_v).permuted(
-            rng.permutation(N))
-    b = ParticleEnsemble(a.X + shift[:d], a.V + shift[d:])
+        order = rng.permutation(N)
+        return a, ParticleEnsemble((a.X + noise_x)[order],
+                                   (a.V + noise_v)[order])
+    X, V = a.X + shift[:d], a.V + shift[d:]
     if kind == "shuffled_translated":
-        b = b.permuted(rng.permutation(N))
+        order = rng.permutation(N)
+        X, V = X[order], V[order]
+    b = ParticleEnsemble(X, V)
     return a, b
 
 
@@ -514,7 +516,13 @@ class TestWeakForm:
     def test_plateau_gives_exactly_zero(self):
         cfg = _cfg(N=6, n_steps=8)
         flow = self._ballistic(cfg, _spread_init(6, 1))
-        psi = constant_test_function(2.5)
+        # A compactly supported function on the region covering every
+        # particle: constant value, vanishing derivatives.
+        psi = meanfield.TestFunction(
+            value=lambda X, V: np.full(X.shape[0], 2.5),
+            grad_x=lambda X, V: np.zeros_like(X),
+            grad_v=lambda X, V: np.zeros_like(X),
+            lap_v=lambda X, V: np.zeros(X.shape[0]), name="plateau")
         assert weakform_residual(flow, zero_field(), 0.0, psi, 8) == 0.0
 
     def test_residual_halves_with_dt(self):
@@ -526,14 +534,6 @@ class TestWeakForm:
             flow = self._ballistic(cfg, init)
             res.append(weakform_residual(flow, zero_field(), 0.0, psi, n))
         assert res[0] / res[1] == pytest.approx(2.0, abs=0.15)
-
-    def test_x_bump_needs_no_velocity_terms(self):
-        init = _spread_init(16, 1, seed=6, scale=0.3)
-        cfg = _cfg(N=16, n_steps=32)
-        flow = self._ballistic(cfg, init)
-        psi = x_bump([0.0], 3.0)
-        r = weakform_residual(flow, zero_field(), 0.0, psi, 32)
-        assert 0.0 < r < 1e-2
 
     def test_mismatched_drift_detected(self):
         init = _spread_init(32, 1, seed=5, scale=0.4)
@@ -549,8 +549,8 @@ class TestWeakForm:
         cfg = _cfg(N=12, n_steps=8)
         flow = self._ballistic(cfg, _spread_init(12, 1, seed=9))
         perm = rng.permutation(12)
-        shuffled = MeasureFlow(flow.times,
-                               [s.permuted(perm) for s in flow.snapshots])
+        shuffled = MeasureFlow(flow.times, [ParticleEnsemble(s.X[perm], s.V[perm])
+                                            for s in flow.snapshots])
         psi = bump([0.0], [0.0], 2.0)
         f = constant_field([0.3])
         assert (weakform_residual(flow, f, 0.0, psi, 8)
@@ -628,36 +628,26 @@ class TestBumpCalculus:
         assert psi.lap_v(X, V)[0] == 0.0
 
     # First 16 hex digits of the SHA-256 of value, grad_x, grad_v and
-    # lap_v, in that order, per (test function, d), recorded before bump
-    # and x_bump shared their profile.
+    # lap_v, in that order, per d, recorded before bump's profile became a
+    # shared helper.
     _RECORDED_DIGESTS = {
         ("bump", 1): "c985adb26e2b8a33",
         ("bump", 2): "edcc1d551459f7b9",
         ("bump", 3): "080e4e1d3c1860cd",
-        ("x_bump", 1): "47df55534470f66d",
-        ("x_bump", 2): "cfebfa385c65535f",
-        ("x_bump", 3): "a39c39fd79fbc6c4",
-        ("constant", 1): "9556ec76cb037748",
-        ("constant", 2): "679589cfa1eeca34",
-        ("constant", 3): "3e95bfa441901c4d",
     }
 
     @staticmethod
     def _digests(d):
-        """Digest of every callback output per test function at d, on
-        seeded points that fall both inside and outside the supports."""
+        """Digest of every callback output of bump at d, on seeded points
+        that fall both inside and outside the support."""
         rng = np.random.default_rng(100 + d)
         cx, cv = rng.uniform(-0.3, 0.3, (2, d))
         X, V = 0.8 * rng.standard_normal((2, 50, d))
-        funcs = {"bump": bump(cx, cv, 1.5), "x_bump": x_bump(cx, 1.5),
-                 "constant": constant_test_function(-2.5)}
-        out = {}
-        for name, psi in funcs.items():
-            h = hashlib.sha256()
-            for cb in (psi.value, psi.grad_x, psi.grad_v, psi.lap_v):
-                h.update(np.ascontiguousarray(cb(X, V)).tobytes())
-            out[(name, d)] = h.hexdigest()[:16]
-        return out
+        psi = bump(cx, cv, 1.5)
+        h = hashlib.sha256()
+        for cb in (psi.value, psi.grad_x, psi.grad_v, psi.lap_v):
+            h.update(np.ascontiguousarray(cb(X, V)).tobytes())
+        return {("bump", d): h.hexdigest()[:16]}
 
     def test_callbacks_match_the_recorded_digests(self):
         got = {}
@@ -703,6 +693,54 @@ class TestStability:
         with pytest.raises(RuntimeError, match="index -1"):
             stability_experiment([], f, _spread_init(8, 1), cfg, tol=1e-16,
                                  max_iter=3)
+
+
+def holder_ratio(flow, p, wp):
+    """Worst Hoelder quotient max_{t != s} wp(mu_t, mu_s) / |t - s|^{gamma_p}
+    over all grid pairs, gamma_p = 1/max(2, p): the full loop that
+    moment_certificate's pruned quotient must equal bit for bit."""
+    if len(flow) < 2:
+        raise ValueError("holder_ratio needs a flow with at least 2 snapshots")
+    g = gamma_p(p)
+    snaps = flow.snapshots
+    worst = 0.0
+    for i in range(len(flow)):
+        for j in range(i + 1, len(flow)):
+            dt = float(flow.times[j] - flow.times[i])
+            q = wp(snaps[i], snaps[j]) / dt**g
+            if q > worst:
+                worst = q
+    return worst
+
+
+class TestHolderRatio:
+    def test_two_node_hand_value(self):
+        a = ParticleEnsemble([[0.0]], [[0.0]])
+        b = ParticleEnsemble([[1.0]], [[0.0]])
+        flow = MeasureFlow([0.0, 0.25], [a, b])
+
+        def w1(u, w):
+            return float(np.abs(u.X - w.X).mean() + np.abs(u.V - w.V).mean())
+
+        # Distance 1 over dt^0.5 = 0.5, so the quotient is 2.
+        assert holder_ratio(flow, 2.0, w1) == pytest.approx(2.0)
+
+    def test_all_pairs_visited(self):
+        ens = [ParticleEnsemble([[float(k)]], [[0.0]]) for k in (0, 0, 3)]
+        flow = MeasureFlow([0.0, 1.0, 2.0], ens)
+        seen = []
+
+        def spy(u, w):
+            seen.append((float(u.X[0, 0]), float(w.X[0, 0])))
+            return 0.0
+
+        holder_ratio(flow, 2.0, spy)
+        assert len(seen) == 3
+
+    def test_single_node_flow_rejected(self):
+        flow = MeasureFlow.constant(ParticleEnsemble([[0.0]], [[0.0]]), [0.0])
+        with pytest.raises(ValueError):
+            holder_ratio(flow, 2.0, lambda a, b: 0.0)
 
 
 class TestMomentCertificate:
@@ -754,7 +792,8 @@ class TestMomentCertificate:
                 nxt = ParticleEnsemble(prev.X + eps * rng.standard_normal((N, d)),
                                        prev.V + eps * rng.standard_normal((N, d)))
                 if kind == "shuffled":
-                    nxt = nxt.permuted(rng.permutation(N))
+                    order = rng.permutation(N)
+                    nxt = ParticleEnsemble(nxt.X[order], nxt.V[order])
             snaps.append(nxt)
         times = np.cumsum(rng.uniform(0.01, 1.0, len(snaps)))
         flow = MeasureFlow(times, snaps)

@@ -26,7 +26,6 @@ from kineticmf.pdeode import (
     LeaderFollowerModel,
     combined_drift,
     control_stability,
-    discrete_leader_growth,
     leader_flow_sensitivity,
     solve_coupled,
     solve_leader_ode,
@@ -91,7 +90,7 @@ class TestModelBundle:
         assert model.m == 1
         flow = _const_flow(1.0)
         np.testing.assert_array_equal(
-            F.eval(0.0, flow, np.array([[0.5]])), [[0.0]])
+            F.rhs(0.0, flow, np.array([[0.5]])), [[0.0]])
 
     def test_mean_field_fields_wire_the_kernels(self):
         model = LeaderFollowerModel(
@@ -131,8 +130,8 @@ class TestModelBundle:
         flow = simulate_frozen(lambda t, X, V: -X, model.initial(5, 3), cfg,
                                generate_brownian(cfg))
         for t in flow.times:
-            assert F.eval(t, flow, Y0.Y).tobytes() \
-                == ref.eval(t, flow, Y0.Y).tobytes()
+            assert F.rhs(t, flow, Y0.Y).tobytes() \
+                == ref.rhs(t, flow, Y0.Y).tobytes()
         c = rng.standard_normal((m, 2))
         u = lambda t, mu: c * (1.0 + t)
         got = solve_leader_ode(F, u, flow, Y0)
@@ -174,6 +173,20 @@ class TestLeaderOde:
             y += dt * rhs
             assert path.Y[k + 1, 0, 0] == pytest.approx(y, rel=1e-13)
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_returned_path_is_read_only(self, resume):
+        K21 = kernel("bounded_attraction_position")
+        F = leader_field_from_kernels(K21, kernel("zero_position"), 1)
+        flow = _const_flow(1.0, n_steps=4)
+        Y0 = LeaderState([[0.5]], [[0.0]])
+        path = solve_leader_ode(F, None, flow, Y0)
+        if resume:
+            path = solve_leader_ode(F, None, flow, Y0, _resume=(path, 2))
+        for a in (path.times, path.Y, path.W):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
     def test_nonfinite_rhs_raises_with_time(self):
         flow = _const_flow(0.0)
         bad = lambda t, mu: np.array([[np.inf if t > 0.4 else 0.0]])
@@ -196,13 +209,9 @@ class TestLeaderOde:
         Y0 = LeaderState([[1.0]], [[0.0]])
         M_u = 0.3
         path = solve_leader_ode(F, lambda t, mu: np.array([[M_u]]), flow, Y0)
-        bound = discrete_leader_growth(Y0, F.K_F, M_u, T=1.0)
+        # The a priori Euler bound |Y0| + T (K_F + M_u).
+        bound = float(np.linalg.norm(Y0.Y)) + 1.0 * (F.K_F + M_u)
         assert float(np.max(np.abs(path.Y))) <= bound + 1e-12
-
-    def test_growth_bound_hand_value(self):
-        # |Y0| = 5 for the (3, 4) stack, plus 0.5 * (2 + 1).
-        Y0 = LeaderState([[3.0], [4.0]], [[0.0], [0.0]])
-        assert discrete_leader_growth(Y0, F_sup=2.0, M_u=1.0, T=0.5) == 6.5
 
 
 class TestCombinedDrift:

@@ -17,7 +17,6 @@ from kineticmf.phase_space import (
     PhasePoint,
     YoungFunction,
     gamma_p,
-    holder_ratio,
     moment_p,
     read_flow_csv,
     read_leader_csv,
@@ -96,22 +95,6 @@ class TestParticleEnsemble:
         ens = ParticleEnsemble([[3.0]], [[4.0]])
         np.testing.assert_allclose(ens.radii(), [5.0], rtol=0, atol=0)
 
-    def test_from_points_round_trip(self):
-        ens = _gaussian_ensemble(5, 2, seed=7)
-        again = ParticleEnsemble.from_points(ens.points())
-        np.testing.assert_array_equal(again.X, ens.X)
-        np.testing.assert_array_equal(again.V, ens.V)
-
-    def test_from_points_mixed_dimension_rejected(self):
-        pts = [PhasePoint([0.0], [0.0]), PhasePoint([0.0, 0.0], [0.0, 0.0])]
-        with pytest.raises(ValueError):
-            ParticleEnsemble.from_points(pts)
-
-    def test_permuted_reorders_rows(self):
-        ens = _gaussian_ensemble(4, 1, seed=3)
-        out = ens.permuted([3, 2, 1, 0])
-        np.testing.assert_array_equal(out.X, ens.X[::-1])
-
     def test_Z_stacks_x_then_v(self):
         ens = ParticleEnsemble([[1.0, 2.0]], [[3.0, 4.0]])
         np.testing.assert_array_equal(ens.Z(), [[1.0, 2.0, 3.0, 4.0]])
@@ -133,6 +116,9 @@ class TestTimeGrid:
             time_grid(0.0, 4)
         with pytest.raises(ValueError):
             time_grid(1.0, 0)
+        for T in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                time_grid(T, 4)
 
 
 def _same(a, b):
@@ -263,7 +249,6 @@ class TestLocking:
         self._assert_flow_locked(flow)
         _assert_locked(leaders.Y)
         _assert_locked(leaders.W)
-        _assert_locked(leaders.prefix(0.5).Y)
 
 
 class TestLeaders:
@@ -271,26 +256,22 @@ class TestLeaders:
         s = LeaderState.empty(3)
         assert s.m == 0
         assert s.d == 3
-        assert s.flat().size == 0
+        assert s.Y.shape == s.W.shape == (0, 3)
 
-    def test_flat_orders_y_before_w(self):
-        s = LeaderState([[1.0, 2.0]], [[3.0, 4.0]])
-        np.testing.assert_array_equal(s.flat(), [1.0, 2.0, 3.0, 4.0])
-
-    def test_path_state_lookup(self):
+    def test_path_index_lookup(self):
         times = time_grid(1.0, 2)
         Y = np.arange(6, dtype=float).reshape(3, 1, 2)
         W = np.zeros_like(Y)
         lp = LeaderPath(times, Y, W)
-        np.testing.assert_array_equal(lp.at_time(0.5).Y, [[2.0, 3.0]])
-        np.testing.assert_array_equal(lp.prefix(0.5).Y, Y[:2])
+        assert lp.index_at(0.5) == 1
+        assert lp.index_at(0.75) == 1
+        np.testing.assert_array_equal(lp.Y[lp.index_at(0.5)], [[2.0, 3.0]])
 
-    @pytest.mark.parametrize("lookup", ["index_at", "at_time"])
-    def test_path_nan_time_rejected(self, lookup):
+    def test_path_nan_time_rejected(self):
         Y = np.arange(6, dtype=float).reshape(3, 1, 2)
         lp = LeaderPath(time_grid(1.0, 2), Y, np.zeros_like(Y))
         with pytest.raises(ValueError, match="outside grid"):
-            getattr(lp, lookup)(float("nan"))
+            lp.index_at(float("nan"))
 
     def test_path_grid_must_increase(self):
         # A decreasing node once made index_at(0.25) answer 0.
@@ -373,7 +354,8 @@ class TestMoments:
         ens = ParticleEnsemble(rng.standard_normal((17, 2)),
                                rng.standard_normal((17, 2)))
         perm = rng.permutation(17)
-        assert moment_p(ens, p) == moment_p(ens.permuted(perm), p)
+        shuffled = ParticleEnsemble(ens.X[perm], ens.V[perm])
+        assert moment_p(ens, p) == moment_p(shuffled, p)
 
     def test_young_moment_with_identity_matches_moment_p(self):
         ens = _gaussian_ensemble(11, 3, seed=5)
@@ -401,34 +383,6 @@ class TestHolderRatio:
         assert gamma_p(2.0) == 0.5
         assert gamma_p(3.0) == pytest.approx(1.0 / 3.0)
         assert gamma_p(4.0) == 0.25
-
-    def test_two_node_hand_value(self):
-        a = ParticleEnsemble([[0.0]], [[0.0]])
-        b = ParticleEnsemble([[1.0]], [[0.0]])
-        flow = MeasureFlow([0.0, 0.25], [a, b])
-
-        def w1(u, w):
-            return float(np.abs(u.X - w.X).mean() + np.abs(u.V - w.V).mean())
-
-        # Distance 1 over dt^0.5 = 0.5, so the quotient is 2.
-        assert holder_ratio(flow, 2.0, w1) == pytest.approx(2.0)
-
-    def test_all_pairs_visited(self):
-        ens = [ParticleEnsemble([[float(k)]], [[0.0]]) for k in (0, 0, 3)]
-        flow = MeasureFlow([0.0, 1.0, 2.0], ens)
-        seen = []
-
-        def spy(u, w):
-            seen.append((float(u.X[0, 0]), float(w.X[0, 0])))
-            return 0.0
-
-        holder_ratio(flow, 2.0, spy)
-        assert len(seen) == 3
-
-    def test_single_node_flow_rejected(self):
-        flow = MeasureFlow.constant(ParticleEnsemble([[0.0]], [[0.0]]), [0.0])
-        with pytest.raises(ValueError):
-            holder_ratio(flow, 2.0, lambda a, b: 0.0)
 
 
 class TestCsvRoundTrips:
@@ -486,6 +440,34 @@ class TestCsvRoundTrips:
         path.write_text("")
         with pytest.raises(ValueError, match="no data rows"):
             reader(path)
+
+    def test_each_reader_refuses_the_other_format(self, tmp_path):
+        flow = MeasureFlow.constant(_gaussian_ensemble(3, 1, seed=2),
+                                    time_grid(1.0, 2))
+        lp = LeaderPath(time_grid(1.0, 2), np.ones((3, 3, 1)),
+                        np.zeros((3, 3, 1)))
+        write_flow_csv(flow, tmp_path / "flow.csv")
+        write_leader_csv(lp, tmp_path / "leaders.csv")
+        with pytest.raises(ValueError, match="must start with header "
+                           r"t,leader,y0,\.\.\.,w0,\.\.\."):
+            read_leader_csv(tmp_path / "flow.csv")
+        with pytest.raises(ValueError, match="must start with header "
+                           r"t,particle,x0,\.\.\.,v0,\.\.\."):
+            read_flow_csv(tmp_path / "leaders.csv")
+
+    @pytest.mark.parametrize("header", [
+        "t,particle,x0,v0,v1",
+        "t,particle,x0,x1,v1,v0",
+        "t,particle",
+        "time,particle,x0,v0",
+    ], ids=["odd-width", "components-out-of-order", "no-components",
+            "renamed-time"])
+    def test_flow_reader_refuses_a_wrong_header(self, tmp_path, header):
+        path = tmp_path / "flow.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\r\n" + ",".join(["0"] * width) + "\r\n")
+        with pytest.raises(ValueError, match="must start with header"):
+            read_flow_csv(path)
 
     def test_leader_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)

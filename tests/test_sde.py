@@ -93,8 +93,13 @@ class TestConfig:
         assert cfg.dt == 0.5
         np.testing.assert_array_equal(cfg.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    # NaN passes an ordered comparison, and T = inf gives a grid of
+    # [nan, inf, ...]: both bounds are checked.
     @pytest.mark.parametrize("kw", [dict(T=0.0), dict(n_steps=0), dict(N=0),
-                                    dict(sigma=-0.1), dict(d=0)])
+                                    dict(sigma=-0.1), dict(d=0),
+                                    dict(T=math.nan), dict(T=math.inf),
+                                    dict(sigma=math.nan),
+                                    dict(sigma=math.inf)])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
@@ -283,9 +288,9 @@ class TestInteracting:
         ks = {"K11": kernel("bounded_alignment", d=1)}
         base, _ = simulate_interacting(ks, None, init, LeaderState.empty(1),
                                        cfg, paths)
-        swapped, _ = simulate_interacting(ks, None, init.permuted(perm),
-                                          LeaderState.empty(1), cfg,
-                                          permuted_paths)
+        swapped, _ = simulate_interacting(
+            ks, None, ParticleEnsemble(init.X[perm], init.V[perm]),
+            LeaderState.empty(1), cfg, permuted_paths)
         np.testing.assert_allclose(swapped.snapshots[-1].X,
                                    base.snapshots[-1].X[perm], atol=1e-13)
 
@@ -363,7 +368,7 @@ class TestInteracting:
                                         generate_brownian(cfg))
         mu = MeasureFlow.constant(init, cfg.grid())
         np.testing.assert_array_equal(
-            lp.W[0], leader_field_from_kernels(K21, K22, 2).eval(0.0, mu, Y0.Y))
+            lp.W[0], leader_field_from_kernels(K21, K22, 2).rhs(0.0, mu, Y0.Y))
         drift = drift_from_kernel(K11).eval_batch(0.0, mu, init.X, init.V) \
             + coupling_from_kernel(K12).eval_batch(0.0, lp, init.X, init.V)
         np.testing.assert_array_equal(flow.snapshots[1].V,

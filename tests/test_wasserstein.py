@@ -236,7 +236,9 @@ class TestMetricProperties:
         rng = np.random.default_rng(77)
         a, b = _random_ens(rng, 8, 2), _random_ens(rng, 8, 2)
         base = wasserstein_exact(a, b, 2.0)[0]
-        shuffled = wasserstein_exact(a.permuted(rng.permutation(8)), b, 2.0)[0]
+        order = rng.permutation(8)
+        shuffled = wasserstein_exact(ParticleEnsemble(a.X[order], a.V[order]),
+                                     b, 2.0)[0]
         assert shuffled == pytest.approx(base, rel=1e-12)
 
     def test_translation_invariance(self):
