@@ -1,7 +1,8 @@
 """Mean-field solver by Picard iteration on measure flows, plus the
 diagnostics that make the existence theory observable: weak-form residuals
 against smooth compactly supported test functions, stability under drift
-perturbation, and moment / time-regularity certificates.
+perturbation (whose fixed points each come from one forward sweep, the
+exact discrete fixed point), and moment / time-regularity certificates.
 
 The iteration freezes the drift along the previous iterate and re-runs the
 SDE with ONE fixed Brownian realization (common random numbers). At the
@@ -16,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import (MeasureFlow, _agreeing_nodes, gamma_p, moment_p,
-                          sup_moment, young_moment)
-from .sde import generate_brownian, simulate_frozen
+from .drift import kernel_fields
+from .phase_space import (LeaderState, MeasureFlow, _agreeing_nodes, gamma_p,
+                          moment_p, sup_moment, young_moment)
+from .sde import _sweep_fields, generate_brownian, simulate_frozen
 # EXACT_GAP_MAX_N is re-exported: callers read the size switch from here.
 from .wasserstein import (EXACT_GAP_MAX_N, gap_is_exact, paired_bounds,
                           wasserstein_gap)
@@ -312,26 +314,21 @@ def weakform_residual(flow, f, sigma, psi, t_index):
     return abs(total)
 
 
-def stability_experiment(f_seq, f, init, cfg, tol=1e-6, max_iter=25):
-    """Distances of the perturbed fixed points to the reference one.
+def stability_experiment(f_seq, f, init, cfg):
+    """flow_gap of the fixed point of each field in f_seq to that of f, all
+    under one Brownian realization and one initial ensemble. A fixed point
+    is one sweep (sde._sweep_fields): the exact discrete fixed point that
+    picard_solve reaches after at most n_steps + 1 iterates, so no
+    tolerance enters. A non-finite state raises FloatingPointError."""
+    paths, no_leaders = generate_brownian(cfg), LeaderState.empty(cfg.d)
+    drive = kernel_fields({}, 0)[2]
 
-    Solves the mean-field problem for every member of f_seq and for f,
-    all under one Brownian realization and one initial ensemble, and
-    returns the sup-in-time coupling distance of each perturbed flow to
-    the reference flow. Raises if any member fails to converge, naming
-    its index (-1 for the reference field).
-    """
-    ref = picard_solve(f, init, cfg, tol=tol, max_iter=max_iter)
-    if not ref.converged:
-        raise RuntimeError("stability experiment: reference drift (index -1) "
-                           "did not converge")
-    gaps = []
-    for j, fj in enumerate(f_seq):
-        rep = picard_solve(fj, init, cfg, tol=tol, max_iter=max_iter)
-        if not rep.converged:
-            raise RuntimeError(f"stability experiment: drift index {j} did not converge")
-        gaps.append(flow_gap(rep.final_flow, ref.final_flow, f.p))
-    return gaps
+    def fixed_point(g):
+        return _sweep_fields(g, None, drive, None, init, no_leaders, cfg,
+                             paths)[0]
+
+    ref = fixed_point(f)
+    return [flow_gap(fixed_point(g), ref, f.p) for g in f_seq]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The followers obey a McKean-Vlasov equation whose drift splits into a
 follower-follower part v and a leader coupling w; the leaders solve a
 first-order ODE driven by the follower flow and a control. Composing the
 two gives one drift field on flows (the leader solve is the inner map),
-so the coupled system reduces to the Picard machinery of meanfield.
+so the coupled system reduces to the Picard machinery of meanfield;
+control_stability takes its fixed points from one sweep instead.
 
 LeaderFollowerModel packages the kernel quartet, the leader initial state
 and the initial-law sampler, so experiments and cost evaluations can be
@@ -20,6 +21,7 @@ import numpy as np
 from .drift import DriftField, kernel_fields, zero_field
 from .meanfield import PicardReport, flow_gap, picard_solve
 from .phase_space import LeaderPath, LeaderState, MeasureFlow, _agreeing_nodes
+from .sde import _sweep_fields, generate_brownian
 
 __all__ = [
     "LeaderFollowerModel",
@@ -221,29 +223,22 @@ def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25,
     return CoupledSolution(flow=rep.final_flow, leaders=leaders, picard=rep)
 
 
-def _leader_sup_gap(a, b):
-    """sup_t |H_a(t) - H_b(t)| for H = (Y, W) on a shared grid."""
-    return LeaderPath._of(a.times, a.Y - b.Y, a.W - b.W).sup_norm()
-
-
-def control_stability(u_seq, u, v, w, F, init, Y0, cfg, tol=1e-6, max_iter=25):
+def control_stability(u_seq, u, v, w, F, init, Y0, cfg):
     """Per-control gaps sup_t W_p(mu^j_t, mu_t) + sup_t |H^j(t) - H(t)|,
-    H = (Y, W), all solves sharing one Brownian realization (the seed lives
-    in cfg, and the solver noise is a deterministic function of it).
-    Raises naming the offending index if any member fails to converge."""
+    H = (Y, W), of the fixed point under each control in u_seq to the one
+    under u, all sharing one Brownian realization and one initial ensemble.
+    A fixed point is one sweep (sde._sweep_fields); solve_coupled's differs
+    from it by the rounding of its leader step. A non-finite state raises
+    FloatingPointError."""
     p = v.p if v is not None else zero_field().p
-    ref = solve_coupled(v, w, F, u, init, Y0, cfg, tol=tol, max_iter=max_iter)
-    if not ref.picard.converged:
-        raise RuntimeError("control stability: reference control (index -1) "
-                           "did not converge")
+    paths = generate_brownian(cfg)
+    flow, leaders = _sweep_fields(v, w, F, u, init, Y0, cfg, paths)
     gaps = []
-    for j, uj in enumerate(u_seq):
-        sol = solve_coupled(v, w, F, uj, init, Y0, cfg, tol=tol,
-                            max_iter=max_iter)
-        if not sol.picard.converged:
-            raise RuntimeError(f"control stability: control index {j} did not converge")
-        gaps.append(flow_gap(sol.flow, ref.flow, p)
-                    + _leader_sup_gap(sol.leaders, ref.leaders))
+    for uj in u_seq:
+        flow_j, lead_j = _sweep_fields(v, w, F, uj, init, Y0, cfg, paths)
+        diff = LeaderPath._of(flow.times, lead_j.Y - leaders.Y,
+                              lead_j.W - leaders.W)
+        gaps.append(flow_gap(flow_j, flow, p) + diff.sup_norm())
     return gaps
 
 

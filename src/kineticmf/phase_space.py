@@ -13,6 +13,7 @@ locked ParticleEnsemble views of those arrays.
 
 import csv
 import math
+import operator
 
 import numpy as np
 
@@ -185,7 +186,7 @@ def time_grid(T, n_steps):
     """
     if not 0 < T < math.inf:
         raise ValueError("horizon T must be positive and finite")
-    if n_steps < 1:
+    if operator.index(n_steps) < 1:  # TypeError for 2.5 and 2.0 alike
         raise ValueError("n_steps must be >= 1")
     return np.arange(n_steps + 1) * (T / n_steps)
 
@@ -442,7 +443,8 @@ def _read_csv(path, names):
     """Inverse of _write_csv for the same names: (times, X, V) with X and V
     of shape (nodes, rows, d), a node being a run of rows with one t. An
     empty file, no data rows, a header other than the one _write_csv
-    writes for names and some d >= 1, or ragged rows or nodes raise
+    writes for names and some d >= 1, ragged nodes, or a row of another
+    width or whose index is not its place in its node (0..rows - 1) raise
     ValueError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -450,16 +452,24 @@ def _read_csv(path, names):
         raise ValueError(f"CSV file '{path}' has no data rows")
     width = len(rows[0])
     d = (width - 2) // 2
+    index, x, v = names
     if d < 1 or rows[0] != _header(names, d):
-        index, x, v = names
         raise ValueError(f"CSV file '{path}' must start with header "
                          f"t,{index},{x}0,...,{v}0,...")
+    for line, r in enumerate(rows, start=1):
+        if len(r) != width:
+            raise ValueError(f"CSV file '{path}' line {line} has {len(r)} "
+                             f"fields, not {width}")
     data = np.array([[float(c) for c in r] for r in rows[1:]])
     t = data[:, 0]
     sizes = np.diff(np.r_[0, np.flatnonzero(t[1:] != t[:-1]) + 1, t.size])
     if np.any(sizes != sizes[0]):
         raise ValueError(f"CSV file '{path}' has ragged time nodes")
     data = data.reshape(sizes.size, sizes[0], width)
+    bad = np.flatnonzero(data[:, :, 1] != np.arange(sizes[0]))
+    if bad.size:
+        raise ValueError(f"CSV file '{path}' line {bad[0] + 2}: the {index} "
+                         f"column must read 0..{sizes[0] - 1} at every node")
     return data[:, 0, 0], data[:, :, 2 : 2 + d], data[:, :, 2 + d :]
 
 

@@ -9,7 +9,8 @@ tests assume.
 
 Both simulators run one stepping loop. A finite-N step is the mean-field
 fields (drift.kernel_fields) evaluated on the running empirical flow, so
-the particle system and the mean-field solver share one engine.
+the particle system and the mean-field solver share one engine. One such
+sweep is the exact discrete fixed point that Picard iteration reaches.
 
 Randomness is counter-based per path: path i draws from a Philox stream
 keyed by (seed, stream tag, i). Results are therefore independent of the
@@ -18,6 +19,7 @@ paths that already existed.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,17 +68,15 @@ class SimConfig:
     d: int
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:
-            raise ValueError("horizon T must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.N < 1:
+        self.grid()  # refuses a bad horizon or step count
+        operator.index(self.seed)  # refuses 2.5 and 2.0, passes numpy ints
+        if operator.index(self.N) < 1:
             raise ValueError("N must be >= 1")
         if not 0 <= self.sigma < math.inf:
             # sqrt(2 sigma) in the velocity equation leaves no room for
             # negative diffusion.
             raise ValueError("sigma must be >= 0 and finite")
-        if self.d < 1:
+        if operator.index(self.d) < 1:
             raise ValueError("dimension d must be >= 1")
 
     @property
@@ -207,32 +207,28 @@ def simulate_frozen(F, init, cfg, paths, *, _resume=None):
 
 
 def simulate_interacting(kernels, u, init_followers, init_leaders, cfg, paths):
-    """Finite-N leader-follower system: a step is the mean-field fields
-    (v, w, F) = drift.kernel_fields(kernels, m) on the running empirical
-    flow mu^N (the follower snapshots so far) and leader path H^N.
+    """Finite-N leader-follower system: _sweep_fields over the fields
+    drift.kernel_fields(kernels, m) of slots K11, K12, K21 and K22, an
+    absent or None slot adding nothing. The K11 average over all followers
+    includes the self term (every library kernel vanishes at 0)."""
+    return _sweep_fields(*kernel_fields(kernels, init_leaders.m), u,
+                         init_followers, init_leaders, cfg, paths)
 
-    Leaders: Y' = Y + (F[t_k, mu^N](Y) + u(t_k, mu^N)) dt, the right-hand
-    side LeaderField.rhs that solve_leader_ode uses too; W stores it at
-    every node, including t = 0 and t = T. Followers feel
-    v[t_k, mu^N] + w[t_k, H^N]: the K11 average over all followers (self
-    term included; every library kernel vanishes at 0) plus the K12
-    average over the leaders at this node. An absent K11 or K12 adds
-    nothing, and with neither the drift is zero. The leader step is cfg.dt,
-    while solve_leader_ode steps by times[k + 1] - times[k]; the two
-    differ in the last bit (on 23 of 25 steps at T = 2 with 25 steps), so
-    each level keeps its own step and its outputs.
 
-    The running flow and leader path a step reads are locked views of the
-    arrays the simulation fills, so a step copies and re-checks no earlier
-    node. A non-finite state or final leader right-hand side raises
-    FloatingPointError.
-
-    kernels maps K11, K12, K21, K22 to kernels (an absent or None slot
-    contributes nothing); u is a callable (t, flow prefix) -> (m, d) or
-    None. Returns (follower MeasureFlow, LeaderPath).
-    """
+def _sweep_fields(v, w, F, u, init_followers, init_leaders, cfg, paths):
+    """One forward sweep of the fields (v, w, F) along the running empirical
+    flow mu^N and leader path H^N, returned as (MeasureFlow, LeaderPath):
+    the exact discrete fixed point, which picard_solve and solve_coupled
+    reach after at most n_steps + 1 iterates since every drift is
+    non-anticipative. Followers feel v[t_k, mu^N] + w[t_k, H^N], a None v
+    or w adding nothing. Leaders step Y' = Y + W dt, W = F.rhs(t_k, mu^N,
+    Y, u) stored at every node, u being (t, flow prefix) -> (m, d) or None.
+    The step is cfg.dt, while solve_leader_ode steps by times[k + 1] -
+    times[k]; the two differ in the last bit (on 23 of 25 steps at T = 2
+    with 25 steps), so each level keeps its own. No leaders: pass
+    LeaderState.empty(d) and the F of kernel_fields({}, 0). A non-finite
+    state or final W raises FloatingPointError."""
     m = init_leaders.m
-    v, w, F = kernel_fields(kernels, m)
     u = u if m > 0 else None
     times = cfg.grid()
     Y = np.empty((cfg.n_steps + 1, m, cfg.d))

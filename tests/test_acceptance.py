@@ -287,7 +287,7 @@ def test_07_drift_perturbation_stability():
         cfg = SimConfig(T=0.5, n_steps=20, N=128, sigma=0.1, seed=seed, d=1)
         members = [_perturbed(f, g, 1.0 / j) for j in (1, 2, 4, 8)]
         all_gaps.append(stability_experiment(members, f, _gauss(128, seed),
-                                             cfg, tol=1e-6))
+                                             cfg))
     med = np.median(np.array(all_gaps), axis=0)
     ok = all(med[i + 1] < med[i] for i in range(len(med) - 1))
     _report(7, "drift perturbation stability", ok,
@@ -324,7 +324,7 @@ def test_08_coupled_leader_system():
         u_seq = [sv_control(hstar + delta / j, T=0.5, M_h=2.0, m=1, d=1)
                  for j in (1, 2, 4, 8)]
         all_gaps.append(control_stability(u_seq, u_ref, v, w, F,
-                                          _gauss(64, seed), Y0, c, tol=1e-6))
+                                          _gauss(64, seed), Y0, c))
     med = np.median(np.array(all_gaps), axis=0)
     control_ok = all(med[i + 1] < med[i] for i in range(len(med) - 1))
 

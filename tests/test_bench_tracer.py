@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kineticmf import control_opt
+from kineticmf import control_opt, sde
 from kineticmf.control_opt import (evaluate_cost_meanfield, make_cost,
                                    sv_control)
 from kineticmf.drift import kernel
@@ -23,7 +23,7 @@ from kineticmf.experiments import chaos_experiment
 from kineticmf.meanfield import flow_gap
 from kineticmf.pdeode import LeaderFollowerModel, solve_coupled
 from kineticmf.phase_space import LeaderState, MeasureFlow, ParticleEnsemble
-from kineticmf.sde import SimConfig
+from kineticmf.sde import SimConfig, generate_brownian
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -58,6 +58,29 @@ def test_tracer_installs_and_counts_every_chaos_cell():
     metrics = tracing.summarize(tracer)
     assert metrics["experiments.cells.count"] == len(N_list) * len(seeds)
     assert metrics["drift.kernel.count"] > 0
+
+
+def test_traced_simulation_counts_steps_and_its_allocation_peak():
+    # The tracer reads cfg at position 4 of simulate_interacting and takes
+    # the tracemalloc peak around that name, so the name must still run
+    # the whole simulation.
+    cfg = SimConfig(T=0.5, n_steps=5, N=6, sigma=0.2, seed=3, d=2)
+    rng = np.random.default_rng(1)
+    init = ParticleEnsemble(rng.standard_normal((6, 2)),
+                            rng.standard_normal((6, 2)))
+    args = ({"K11": kernel("bounded_alignment", d=2)}, None, init,
+            LeaderState.empty(2), cfg, generate_brownian(cfg))
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        installed = tracing.install(tracer)
+        flow, _ = sde.simulate_interacting(*args)
+    finally:
+        tracer.restore()
+    assert "kineticmf.sde.simulate_interacting" in installed
+    assert len(flow) == cfg.n_steps + 1
+    assert tracer.counters()["sde.particle_steps"] == cfg.N * cfg.n_steps
+    assert tracer.maxima()["sde.simulate_interacting.peak_alloc_bytes"] > 0
 
 
 def _steering_problem():

@@ -678,21 +678,34 @@ class TestStability:
                                     init, cfg)
         assert gaps[0] > gaps[1] > 0.0
 
-    def test_nonconvergent_member_named(self):
-        # The constant reference closes in two passes at any tolerance;
-        # the interacting member cannot make 1e-16 in three.
-        cfg = _cfg(N=8, sigma=0.1)
-        member = drift_from_kernel(kernel("bounded_alignment", d=1))
-        with pytest.raises(RuntimeError, match="index 0"):
-            stability_experiment([member], constant_field([0.1]),
-                                 _spread_init(8, 1), cfg, tol=1e-16, max_iter=3)
+    @pytest.mark.parametrize("name", _RESTART_KERNELS)
+    @pytest.mark.parametrize("n_steps,sigma", [(1, 0.0), (6, 0.1), (16, 0.05)])
+    def test_gaps_are_those_of_the_picard_fixed_points(self, name, n_steps,
+                                                       sigma):
+        # One sweep is the discrete fixed point that n_steps + 1 Picard
+        # iterates reach, so the gaps are the same bits.
+        cfg = _cfg(N=12, d=2, n_steps=n_steps, sigma=sigma, seed=4)
+        init = _spread_init(12, 2, seed=4, scale=1.0)
+        base = drift_from_kernel(kernel(name, d=2))
 
-    def test_nonconvergent_reference_named(self):
-        cfg = _cfg(N=8, sigma=0.1)
-        f = drift_from_kernel(kernel("bounded_alignment", d=1))
-        with pytest.raises(RuntimeError, match="index -1"):
-            stability_experiment([], f, _spread_init(8, 1), cfg, tol=1e-16,
-                                 max_iter=3)
+        def perturbed(eps):
+            def batch(t, flow, X, V, eps=eps):
+                return base.eval_batch(t, flow, X, V) * (1.0 + eps)
+            return DriftField(batch=batch, K=base.K * (1.0 + eps), L=base.L,
+                              D=base.D, p=base.p, name=f"pert[{eps}]")
+
+        members = [perturbed(0.5), perturbed(-0.25), base]
+
+        def fixed_point(f):
+            rep = picard_solve(f, init, cfg, tol=1e-300,
+                               max_iter=cfg.n_steps + 1)
+            assert rep.converged and rep.gaps[-1] == 0.0
+            return rep.final_flow
+
+        ref = fixed_point(base)
+        want = [flow_gap(fixed_point(f), ref, base.p) for f in members]
+        assert stability_experiment(members, base, init, cfg) == want
+        assert want[-1] == 0.0 and want[0] > want[1] > 0.0
 
 
 def holder_ratio(flow, p, wp):

@@ -20,7 +20,7 @@ from kineticmf.drift import (
     pair_mean,
     zero_field,
 )
-from kineticmf.meanfield import picard_solve
+from kineticmf.meanfield import flow_gap, picard_solve
 from kineticmf.pdeode import (
     CoupledSolution,
     LeaderFollowerModel,
@@ -549,13 +549,45 @@ class TestControlStability:
                                  init, Y0, cfg)
         assert gaps[0] > gaps[1] > 0.0
 
-    def test_nonconvergent_reference_named(self):
-        cfg = _cfg(N=6, sigma=0.1)
-        v, w, F, init, Y0 = self._setup(cfg)
-        u = lambda t, mu: np.array([[0.0]])
-        with pytest.raises(RuntimeError, match="index -1"):
-            control_stability([], u, v, w, F, init, Y0, cfg, tol=1e-16,
-                              max_iter=2)
+    def _against_picard(self, T, n_steps):
+        """control_stability's gaps and those of the Picard fixed points,
+        n_steps + 1 iterates of solve_coupled, on three controls."""
+        cfg = _cfg(T=T, N=6, n_steps=n_steps, sigma=0.2, seed=8)
+        v, w, _, init, Y0 = self._setup(cfg)
+        F = leader_field_from_kernels(kernel("bounded_attraction_position"),
+                                      kernel("zero_position"), 1)
+        base = lambda t, mu: np.array([[0.1]])
+        u_seq = [base] + [
+            lambda t, mu, eps=eps: np.array([[0.1 + eps * np.sin(3.0 * t)]])
+            for eps in (0.5, 0.125)]
+
+        def fixed_point(u):
+            sol = solve_coupled(v, w, F, u, init, Y0, cfg, tol=1e-300,
+                                max_iter=n_steps + 1)
+            assert sol.picard.converged and sol.picard.gaps[-1] == 0.0
+            return sol
+
+        ref = fixed_point(base)
+        want = [flow_gap(sol.flow, ref.flow, v.p)
+                + LeaderPath._of(ref.flow.times, sol.leaders.Y - ref.leaders.Y,
+                                 sol.leaders.W - ref.leaders.W).sup_norm()
+                for sol in map(fixed_point, u_seq)]
+        got = control_stability(u_seq, base, v, w, F, init, Y0, cfg)
+        assert got[0] == want[0] == 0.0 and got[1] > got[2] > 0.0
+        return cfg, got, want
+
+    def test_equal_to_the_picard_fixed_points_where_the_leader_steps_agree(self):
+        # T = 1 with 8 steps: every times[k + 1] - times[k] is cfg.dt.
+        cfg, got, want = self._against_picard(1.0, 8)
+        assert np.all(np.diff(cfg.grid()) == cfg.dt)
+        assert got == want
+
+    def test_within_rounding_of_the_picard_fixed_points_elsewhere(self):
+        # T = 2 with 25 steps: the sweep's leader step cfg.dt differs from
+        # solve_leader_ode's in the last bit, so the gaps part by rounding.
+        cfg, got, want = self._against_picard(2.0, 25)
+        assert np.any(np.diff(cfg.grid()) != cfg.dt)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestLeaderSensitivity:

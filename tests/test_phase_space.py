@@ -120,6 +120,14 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="positive and finite"):
                 time_grid(T, 4)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 2.0, "2"])
+    def test_non_integral_step_count_refused(self, n_steps):
+        # 2.5 steps once gave [0, 0.4, 0.8, 1.2], a grid past T.
+        with pytest.raises(TypeError, match="cannot be interpreted as an "
+                           "integer"):
+            time_grid(1.0, n_steps)
+        assert time_grid(1.0, np.int64(2)).tolist() == [0.0, 0.5, 1.0]
+
 
 def _same(a, b):
     """Two ensembles hold the same bytes."""
@@ -468,6 +476,39 @@ class TestCsvRoundTrips:
         path.write_text(header + "\r\n" + ",".join(["0"] * width) + "\r\n")
         with pytest.raises(ValueError, match="must start with header"):
             read_flow_csv(path)
+
+    @pytest.mark.parametrize("reader,header", [
+        (read_flow_csv, "t,particle,x0,v0"),
+        (read_leader_csv, "t,leader,y0,w0"),
+    ])
+    @pytest.mark.parametrize("row", ["0,1,1,2,5", "0,1,1", ""],
+                             ids=["wide", "narrow", "blank"])
+    def test_a_row_of_the_wrong_width_names_its_line(self, tmp_path, reader,
+                                                     header, row):
+        path = tmp_path / "out.csv"
+        path.write_text(header + "\r\n0,0,1,2\r\n" + row + "\r\n")
+        with pytest.raises(ValueError, match=r"out\.csv' line 3 has \d fields, "
+                           "not 4"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader,header,index", [
+        (read_flow_csv, "t,particle,x0,v0", "particle"),
+        (read_leader_csv, "t,leader,y0,w0", "leader"),
+    ])
+    @pytest.mark.parametrize("column,line", [
+        ((0, 3, 7, 0), 3),  # once read as a 2-node flow, re-pairing rows
+        ((1, 0, 0, 1), 2),
+        ((0, 1, 0, 0), 5),
+        ((0, 0.5, 0, 1), 3),
+    ])
+    def test_an_index_column_out_of_place_names_its_line(
+            self, tmp_path, reader, header, index, column, line):
+        path = tmp_path / "out.csv"
+        rows = [f"{t},{i},{t + i},0" for t, i in zip((0, 0, 1, 1), column)]
+        path.write_text("\r\n".join([header] + rows) + "\r\n")
+        with pytest.raises(ValueError, match=rf"out\.csv' line {line}: the "
+                           rf"{index} column must read 0\.\.1 at every node"):
+            reader(path)
 
     def test_leader_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)

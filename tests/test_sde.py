@@ -104,6 +104,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(**kw)
 
+    @pytest.mark.parametrize("name", ["n_steps", "N", "seed", "d"])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_non_integral_counts_rejected(self, name, value):
+        with pytest.raises(TypeError, match="cannot be interpreted as an "
+                           "integer"):
+            _cfg(**{name: value})
+        assert getattr(_cfg(**{name: np.int64(2)}), name) == 2
+
 
 class TestRandomness:
     def test_path_rng_reproducible(self):
