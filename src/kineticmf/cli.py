@@ -621,8 +621,7 @@ def _scenario_gamma(rc, model, cfg, out, progress):
     cost = _build_cost(rc)
     progress.phase("reference", N=cfg.N)
     table = gamma_convergence_experiment(u, model, cost, rc.N_list, cfg,
-                                         rc.seeds, tol=rc.tol,
-                                         max_iter=rc.max_iter)
+                                         rc.seeds)
     progress.phase("table", rows=len(table.rows))
     table_to_csv(table, out / "table.csv")
     write_gnuplot(table, out / "table.dat", out / "table.gp", title="gamma")

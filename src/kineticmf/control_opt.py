@@ -399,14 +399,14 @@ def _pathwise_cost(cost, u, flow, leaders):
 
 
 def evaluate_cost_meanfield(u, model, cost, cfg, tol=1e-6, max_iter=25):
-    """F[u]: solve the coupled mean-field system for this control, then
-    integrate the running and control costs with the trapezoid rule.
-
-    Only the cost is read, so the Picard loop decides each gap < tol from
-    bounds (record_gaps=False) instead of computing every gap: the same
-    iterates and cost, with exact transport solved only where the bounds
-    cannot decide. A solve that does not converge raises RuntimeError
-    naming the exact last gap."""
+    """F[u]: solve the coupled mean-field system for this control to tol,
+    then integrate the running and control costs with the trapezoid rule;
+    the optimize scenario's cost. The experiments take F[u] from one sweep
+    (evaluate_cost_N at cfg.N over [cfg.seed], the exact discrete fixed
+    point, which this meets up to tol). Only the cost is read, so the
+    Picard loop decides each gap < tol from bounds (record_gaps=False):
+    the same iterates and cost. A solve that does not converge raises
+    RuntimeError naming the exact last gap."""
     v, w, F = model.mean_field_fields()
     init = model.initial(cfg.N, cfg.seed)
     sol = solve_coupled(v, w, F, u, init, model.Y0, cfg, tol=tol,
@@ -430,8 +430,6 @@ def evaluate_cost_N(u, model, cost, N, cfg, seeds):
     """F^N[u]: Monte Carlo mean and standard error (mean_stderr) of the
     pathwise cost of the finite-N system over the given seeds (one i.i.d.
     initial draw and noise realization per seed)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if not seeds:
         raise ValueError("at least one seed is required")
     vals = []

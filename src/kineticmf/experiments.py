@@ -3,10 +3,10 @@ against a high-N reference), convergence of the finite-N cost functionals
 to the mean-field cost, and convergence of optimized minima.
 
 The mean-field law has no closed form, so a high-N run at its own fixed
-seed stands in for it; its sampling error is part of the measured metric
-and is acknowledged in the table metadata rather than subtracted. Results
-are monotone-trend material, not rate fits: no convergence exponent is
-asserted anywhere.
+seed stands in for it, and the mean-field cost is the cost of one sweep
+at cfg.N and cfg.seed (the exact discrete fixed point). Sampling error is
+part of the measured metric, not subtracted. Results are monotone-trend
+material, not rate fits: no convergence exponent is asserted anywhere.
 """
 
 import os
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control_opt import (evaluate_cost_N, evaluate_cost_meanfield,
-                          mean_stderr, optimize, sv_zero)
+from .control_opt import evaluate_cost_N, mean_stderr, optimize, sv_zero
 from .phase_space import ParticleEnsemble
 from .sde import STREAM_SUBSAMPLE, generate_brownian, path_rng, simulate_interacting
 from .wasserstein import EXACT_SIZE_CAP, wasserstein_distance
@@ -153,20 +152,19 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, min_ref_factor=4):
     })
 
 
-def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds,
-                                 tol=1e-6, max_iter=25):
-    """|F^N[u] - F[u]| per N, mean and stderr over seeds, against the
-    mean-field cost computed once at cfg.N (the Picard reference size)."""
+def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds):
+    """|F^N[u] - F[u]| per N, mean and stderr over seeds. F[u] is the cost
+    of one more cell, (cfg.N, cfg.seed): one sweep of the N-particle
+    system, which is the exact discrete mean-field fixed point (leaders
+    stepped by cfg.dt), so no Picard loop runs."""
     N_list = _sweep_sizes(N_list, seeds)
-    F_ref = evaluate_cost_meanfield(u, model, cost, cfg, tol=tol,
-                                    max_iter=max_iter)
 
-    def cell_gap(cell):
+    def cell_cost(cell):
         N, s = cell
-        val, _ = evaluate_cost_N(u, model, cost, N, cfg, [int(s)])
-        return abs(val - F_ref)
+        return evaluate_cost_N(u, model, cost, N, cfg, [int(s)])[0]
 
-    raw, rows = _sweep(cell_gap, N_list, seeds)
+    F_ref = cell_cost((cfg.N, cfg.seed))
+    raw, rows = _sweep(lambda c: abs(cell_cost(c) - F_ref), N_list, seeds)
     return ConvergenceTable(rows=rows, metadata={
         "experiment": "gamma",
         "model": model.name,
@@ -180,33 +178,25 @@ def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds,
 
 
 def minima_convergence_experiment(model, cost, N_list, budget, cfg, seeds,
-                                  u0=None, step0=0.5, K=4, M_h=1.0,
-                                  tol=1e-6, max_iter=25):
-    """|min_u F^N[u] - min_u F[u]| per N with both minima found by the same
-    derivative-free search. Heuristic by nature (local minima, finite
-    budget): the table is flagged as indicative in its metadata and should
-    never be read as ground truth for the true minima."""
+                                  u0=None, step0=0.5, K=4, M_h=1.0):
+    """|min_u F^N[u] - min_u F[u]| per N, both minima found by the same
+    derivative-free search, F as in gamma_convergence_experiment. Heuristic
+    by nature (local minima, finite budget): the table is flagged as
+    indicative in its metadata, never ground truth for the true minima."""
     N_list = _sweep_sizes(N_list, seeds)
     if u0 is None:
         u0 = sv_zero(model.m, model.d, cfg.T, K=K, M_h=M_h)
 
-    def mf_cost(u):
-        return evaluate_cost_meanfield(u, model, cost, cfg, tol=tol,
-                                       max_iter=max_iter)
+    def best_cost(N, runs):
+        _, hist = optimize(
+            u0, lambda u: evaluate_cost_N(u, model, cost, N, cfg, runs)[0],
+            budget, step0=step0, seed=cfg.seed)
+        return hist[-1][2]
 
-    _, hist_ref = optimize(u0, mf_cost, budget, step0=step0, seed=cfg.seed)
-    min_ref = hist_ref[-1][2]
-    rows = []
-    raw = {}
-    for N in N_list:
-        def n_cost(u, N=N):
-            return evaluate_cost_N(u, model, cost, N, cfg, seeds)[0]
-
-        _, hist = optimize(u0, n_cost, budget, step0=step0, seed=cfg.seed)
-        gap = abs(hist[-1][2] - min_ref)
-        rows.append((N, gap, 0.0, len(seeds)))
-        raw[N] = [gap]
-    return ConvergenceTable(rows=tuple(rows), metadata={
+    min_ref = best_cost(cfg.N, [cfg.seed])
+    raw = {N: [abs(best_cost(N, seeds) - min_ref)] for N in N_list}
+    rows = tuple((N, raw[N][0], 0.0, len(seeds)) for N in N_list)
+    return ConvergenceTable(rows=rows, metadata={
         "experiment": "minima",
         "model": model.name,
         "metric": "|optimized finite-N cost - optimized mean-field cost|",

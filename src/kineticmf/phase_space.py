@@ -442,10 +442,10 @@ def _write_csv(path, names, times, X, V):
 def _read_csv(path, names):
     """Inverse of _write_csv for the same names: (times, X, V) with X and V
     of shape (nodes, rows, d), a node being a run of rows with one t. An
-    empty file, no data rows, a header other than the one _write_csv
-    writes for names and some d >= 1, ragged nodes, or a row of another
-    width or whose index is not its place in its node (0..rows - 1) raise
-    ValueError."""
+    empty file, no data rows, a wrong header (_write_csv's for names and
+    some d >= 1), ragged nodes, or, naming its line, a row of another
+    width, a non-finite or non-numeric field, a t below the row above's or
+    an index other than the row's place in its node raise ValueError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
@@ -456,12 +456,23 @@ def _read_csv(path, names):
     if d < 1 or rows[0] != _header(names, d):
         raise ValueError(f"CSV file '{path}' must start with header "
                          f"t,{index},{x}0,...,{v}0,...")
-    for line, r in enumerate(rows, start=1):
+    data = np.empty((len(rows) - 1, width))
+    for line, r in enumerate(rows[1:], start=2):
         if len(r) != width:
             raise ValueError(f"CSV file '{path}' line {line} has {len(r)} "
                              f"fields, not {width}")
-    data = np.array([[float(c) for c in r] for r in rows[1:]])
+        try:
+            data[line - 2] = [float(c) for c in r]
+        except ValueError as e:
+            raise ValueError(f"CSV file '{path}' line {line}: {e}") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"CSV file '{path}' line {bad[0] + 2}: not finite")
     t = data[:, 0]
+    bad = np.flatnonzero(t[1:] < t[:-1])
+    if bad.size:
+        raise ValueError(f"CSV file '{path}' line {bad[0] + 3}: node times "
+                         "must be strictly increasing")
     sizes = np.diff(np.r_[0, np.flatnonzero(t[1:] != t[:-1]) + 1, t.size])
     if np.any(sizes != sizes[0]):
         raise ValueError(f"CSV file '{path}' has ragged time nodes")

@@ -69,7 +69,8 @@ class SimConfig:
 
     def __post_init__(self):
         self.grid()  # refuses a bad horizon or step count
-        operator.index(self.seed)  # refuses 2.5 and 2.0, passes numpy ints
+        if operator.index(self.seed) < 0:  # refuses 2.5, passes numpy ints
+            raise ValueError("seed must be >= 0")
         if operator.index(self.N) < 1:
             raise ValueError("N must be >= 1")
         if not 0 <= self.sigma < math.inf:

@@ -5,7 +5,9 @@ experiments._map_cells with a (fn, cells, threads) signature. A renamed
 target or a changed call makes install() or a traced run fail here, in the
 tier-1 suite, rather than only in the benchmark's traced pass. The tracer
 counts Picard iterates from the reports of picard_solve, so a cost
-evaluation must still reach it, and solve_coupled, by those names.
+evaluation must still reach it, and solve_coupled, by those names; the
+cost experiments take their mean-field cost from one sweep and reach
+neither.
 """
 
 import importlib.util
@@ -19,7 +21,8 @@ from kineticmf import control_opt, sde
 from kineticmf.control_opt import (evaluate_cost_meanfield, make_cost,
                                    sv_control)
 from kineticmf.drift import kernel
-from kineticmf.experiments import chaos_experiment
+from kineticmf.experiments import (chaos_experiment,
+                                   gamma_convergence_experiment)
 from kineticmf.meanfield import flow_gap
 from kineticmf.pdeode import LeaderFollowerModel, solve_coupled
 from kineticmf.phase_space import LeaderState, MeasureFlow, ParticleEnsemble
@@ -129,6 +132,25 @@ def test_traced_cost_evaluation_counts_the_untraced_iterations():
     exact = solve_coupled(v, w, F, u, model.initial(cfg.N, cfg.seed),
                           model.Y0, cfg, tol=1e-4, max_iter=30)
     assert exact.picard.iterations == report.iterations
+
+
+def test_traced_gamma_experiment_runs_no_picard_iterate():
+    # The reference cost is one more evaluate_cost_N call, at cfg.N.
+    model, cfg, u, cost = _steering_problem()
+    N_list, seeds = [2, 4], [1, 2, 3]
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds)
+    finally:
+        tracer.restore()
+    metrics = tracing.summarize(tracer)
+    cells = len(N_list) * len(seeds)
+    assert metrics["experiments.cells.count"] == cells
+    assert metrics["meanfield.picard.iterations"] == 0
+    assert metrics["pdeode.solve_coupled.count"] == 0
+    assert metrics["control_opt.cost_eval.count"] == cells + 1
 
 
 def test_non_convergence_names_the_exact_last_gap():

@@ -597,6 +597,25 @@ class TestRunScenarios:
         rows = (out / "table.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    def test_gamma_table_does_not_read_the_picard_settings(self, tmp_path):
+        # The reference cost is one sweep, so tol and max_iter, which no
+        # Picard solve could meet here, leave the table as it is.
+        text = ("[run]\nscenario = gamma\nseed = 2\n"
+                "[model]\nsigma = 0.1\nn_particles = 16\n"
+                "k11 = bounded_alignment\n"
+                "[grid]\nt = 0.5\nn_steps = 4\n"
+                "[cost]\nlagrangian = track_mean_x\ntarget = 0.5\n"
+                "[experiment]\nn_list = 2,4\nseeds = 1,2\n{picard}")
+        tables = []
+        for name, picard in (("default", ""),
+                             ("strict", "tol = 1e-300\nmax_iter = 1\n")):
+            cfg = _write(tmp_path, text.format(picard=picard), f"{name}.ini")
+            out = tmp_path / name
+            assert main(["run", cfg, "--output-dir", str(out)]) == 0
+            tables.append((out / "table.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 3
+
     def test_optimize_writes_history_and_control(self, tmp_path):
         text = ("[run]\nscenario = optimize\nseed = 2\n"
                 "[model]\nsigma = 0.0\nn_particles = 4\nn_leaders = 1\n"

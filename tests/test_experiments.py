@@ -1,5 +1,6 @@
 """Convergence-sweep drivers and their table plumbing."""
 
+import inspect
 import threading
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from kineticmf.control_opt import (
     CostSpec,
+    evaluate_cost_N,
+    evaluate_cost_meanfield,
     lagrangian_constant,
     lagrangian_track_mean_x,
     lagrangian_zero,
@@ -168,7 +171,7 @@ class TestChaosExperiment:
             raise AssertionError("a simulation ran")
 
         monkeypatch.setattr(experiments, "simulate_interacting", no_run)
-        monkeypatch.setattr(experiments, "evaluate_cost_meanfield", no_run)
+        monkeypatch.setattr(experiments, "evaluate_cost_N", no_run)
         model = _free_model(_point_sampler())
         cost = CostSpec(lagrangian=lagrangian_zero(), psi=None, dim=1)
         with pytest.raises(ValueError, match=message):
@@ -206,6 +209,64 @@ class TestGammaExperiment:
         assert means[1] < means[0]
         assert table.metadata["experiment"] == "gamma"
         assert table.metadata["reference_N"] == 512
+
+
+def _steered_problem(N=64, seed=2):
+    """A test_10-style problem, smaller: aligning followers, one leader
+    attracting them, an sv control with nonzero gains."""
+    model = LeaderFollowerModel(
+        kernels={"K11": kernel("bounded_alignment", d=1),
+                 "K12": kernel("bounded_attraction", d=1)},
+        Y0=LeaderState(np.full((1, 1), 1.0), np.zeros((1, 1))),
+        sampler=_gauss_sampler(), d=1)
+    u = sv_control(np.full((2, 1, 3), 0.2), T=0.5, M_h=1.0, m=1, d=1)
+    cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.5),
+                    psi=psi_quadratic(0.1), dim=1)
+    return model, u, cost, _cfg(n_steps=10, N=N, sigma=0.1, seed=seed)
+
+
+class TestMeanFieldReference:
+    """Both cost experiments take the mean-field cost from one N-particle
+    sweep at (cfg.N, cfg.seed): the exact discrete fixed point."""
+
+    @pytest.mark.parametrize("N, seed", [(64, 2), (16, 5)])
+    def test_reference_is_the_sweep_cost_bit_for_bit(self, N, seed):
+        model, u, cost, cfg = _steered_problem(N, seed)
+        table = gamma_convergence_experiment(u, model, cost, [4], cfg, [1])
+        sweep = evaluate_cost_N(u, model, cost, cfg.N, cfg, [cfg.seed])[0]
+        assert table.metadata["reference_cost"] == sweep
+
+    @pytest.mark.parametrize("N, seed", [(64, 2), (16, 5)])
+    def test_reference_meets_the_picard_cost(self, N, seed):
+        # Leaders step by cfg.dt in the sweep and by times[k + 1] -
+        # times[k] in the Picard solve, so the two agree to rounding.
+        model, u, cost, cfg = _steered_problem(N, seed)
+        table = gamma_convergence_experiment(u, model, cost, [4], cfg, [1])
+        picard = evaluate_cost_meanfield(u, model, cost, cfg, tol=1e-6)
+        assert table.metadata["reference_cost"] == pytest.approx(picard,
+                                                                 rel=1e-8)
+
+    @pytest.mark.parametrize("experiment", [gamma_convergence_experiment,
+                                            minima_convergence_experiment])
+    def test_no_picard_settings_are_taken(self, experiment):
+        params = inspect.signature(experiment).parameters
+        assert "tol" not in params and "max_iter" not in params
+
+    def test_minima_reference_is_the_sweep_minimum(self, monkeypatch):
+        model, _, cost, cfg = _steered_problem(16, 3)
+        calls = []
+        real = experiments.evaluate_cost_N
+
+        def recording(u, model, cost, N, cfg, seeds):
+            value = real(u, model, cost, N, cfg, seeds)
+            calls.append((N, list(seeds), value[0]))
+            return value
+
+        monkeypatch.setattr(experiments, "evaluate_cost_N", recording)
+        table = minima_convergence_experiment(model, cost, [4], budget=3,
+                                              cfg=cfg, seeds=[1], K=1)
+        assert [c[:2] for c in calls] == [(16, [3])] * 3 + [(4, [1])] * 3
+        assert table.metadata["reference_min"] == min(c[2] for c in calls[:3])
 
 
 class TestMinimaExperiment:

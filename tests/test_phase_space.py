@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -508,6 +509,28 @@ class TestCsvRoundTrips:
         path.write_text("\r\n".join([header] + rows) + "\r\n")
         with pytest.raises(ValueError, match=rf"out\.csv' line {line}: the "
                            rf"{index} column must read 0\.\.1 at every node"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader,header", [
+        (read_flow_csv, "t,particle,x0,v0"),
+        (read_leader_csv, "t,leader,y0,w0"),
+    ])
+    @pytest.mark.parametrize("rows,line,message", [
+        (["0,0,1,x"], 3, "could not convert string to float: 'x'"),
+        (["0,0,1,nan"], 3, "not finite"),
+        (["1,0,-inf,2"], 3, "not finite"),
+        (["nan,0,1,2"], 3, "not finite"),
+        (["-1,0,1,2"], 3, "node times must be strictly increasing"),
+        (["0,1,1,2", "1,0,1,2", "1,1,1,2", "0.5,0,1,2", "0.5,1,1,2"], 6,
+         "node times must be strictly increasing"),
+    ], ids=["not-a-number", "nan", "inf", "nan-time", "decreasing-time",
+            "decreasing-node"])
+    def test_a_bad_value_names_its_line(self, tmp_path, reader, header, rows,
+                                        line, message):
+        path = tmp_path / "out.csv"
+        path.write_text("\r\n".join([header, "0,0,1,2"] + rows) + "\r\n")
+        with pytest.raises(ValueError, match=rf"out\.csv' line {line}: "
+                           + re.escape(message)):
             reader(path)
 
     def test_leader_round_trip_is_exact(self, tmp_path):

@@ -104,6 +104,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(**kw)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_rejected_by_name(self, seed):
+        # numpy's own refusal, in generate_brownian, names no field.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            _cfg(seed=seed)
+        assert _cfg(seed=np.int64(0)).seed == 0
+
     @pytest.mark.parametrize("name", ["n_steps", "N", "seed", "d"])
     @pytest.mark.parametrize("value", [2.5, 2.0])
     def test_non_integral_counts_rejected(self, name, value):
