@@ -406,11 +406,8 @@ def _build_model(rc):
                else kernel(name, d=rc.d, params={"value": rc.constant_value})
                for slot, name in names.items()}
     m = rc.n_leaders
-    if m == 0:
-        Y0 = LeaderState.empty(rc.d)
-    else:
-        Y = np.tile(rc.leader_x, (m, 1))
-        Y0 = LeaderState(Y, np.zeros_like(Y))
+    Y0 = LeaderState.empty(rc.d) if m == 0 \
+        else LeaderState(np.tile(rc.leader_x, (m, 1)))
     return LeaderFollowerModel(
         kernels=kernels, Y0=Y0,
         sampler=lambda N, seed: initial_law_sampler(rc.initial, N, seed),

@@ -209,12 +209,18 @@ def minima_convergence_experiment(model, cost, N_list, budget, cfg, seeds,
     })
 
 
+def _sweep_text(sweep):
+    """A sweep value as the tables write it: an integral one in full, so
+    N = 1234567 is not 1.23457e+06, and any other with :g."""
+    return str(int(sweep)) if float(sweep).is_integer() else f"{sweep:g}"
+
+
 def table_to_csv(table, path):
     """CSV with header `N,mean,stderr,n_seeds`, full float precision."""
     with open(path, "w", newline="") as fh:
         fh.write("N,mean,stderr,n_seeds\n")
         for sweep, mean, stderr, n in table.rows:
-            fh.write(f"{sweep:g},{mean:.17g},{stderr:.17g},{n}\n")
+            fh.write(f"{_sweep_text(sweep)},{mean:.17g},{stderr:.17g},{n}\n")
 
 
 def write_gnuplot(table, dat_path, gp_path, title=None):
@@ -224,7 +230,7 @@ def write_gnuplot(table, dat_path, gp_path, title=None):
     with open(dat_path, "w") as fh:
         fh.write("# N mean stderr n_seeds\n")
         for sweep, mean, stderr, n in table.rows:
-            fh.write(f"{sweep:g} {mean:.17g} {stderr:.17g} {n}\n")
+            fh.write(f"{_sweep_text(sweep)} {mean:.17g} {stderr:.17g} {n}\n")
     with open(gp_path, "w") as fh:
         fh.write("set logscale xy\n"
                  "set xlabel 'N'\n"

@@ -48,10 +48,6 @@ __all__ = [
 _PRUNE_RTOL = 1e-9
 
 
-def _descending(bounds):
-    return sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)
-
-
 def _pruned_max(bounds, solve):
     """max(0, solve(k) over k) where bounds[k] dominates solve(k): the k
     are solved in descending bound order, and the rest skipped once
@@ -59,7 +55,7 @@ def _pruned_max(bounds, solve):
     tolerance covers the rounding between a bound and its solve, so the
     result is the full max bit for bit."""
     best = 0.0
-    for k in _descending(bounds):
+    for k in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[k] * (1.0 + _PRUNE_RTOL) <= best:
             break
         best = max(best, solve(k))
@@ -77,32 +73,26 @@ def _mean_gaps(flow_a, flow_b):
 
 
 def _gap_below(flow_a, flow_b, p, tol):
-    """flow_gap(flow_a, flow_b, p) < tol for tol > 0, with exact transport
-    solved only where the bounds cannot decide.
+    """flow_gap(flow_a, flow_b, p) < tol for tol > 0, deciding from the
+    bounds where they can.
 
     Each node's gap lies between its mean-displacement bound (_mean_gaps)
-    and its paired bound. The answer is yes when every paired bound times
-    (1 + _PRUNE_RTOL) is below tol, and no when some mean bound, less
-    _PRUNE_RTOL times its paired bound, is at or above tol. Otherwise the
-    nodes whose paired bound can reach tol are solved in descending bound
-    order, stopping at the first solve at or above tol. Above
-    EXACT_GAP_MAX_N the gap is the largest paired bound itself. The margins
-    cover the rounding of the computed bounds against the computed exact
-    values, so the answer is the comparison of the computed gap, bit for
-    bit."""
+    and its paired bound. Above EXACT_GAP_MAX_N the gap is the largest
+    paired bound itself. Otherwise the answer is yes when every paired
+    bound times (1 + _PRUNE_RTOL) is below tol, no when some mean bound,
+    less _PRUNE_RTOL times its paired bound, is at or above tol, and else
+    the comparison of flow_gap with tol. The margins cover the rounding of
+    the computed bounds against the computed exact values, so the answer
+    is the comparison of the computed gap, bit for bit."""
     upper = paired_bounds(flow_a.X, flow_a.V, flow_b.X, flow_b.V, p)
     if not gap_is_exact(flow_a.N):
         return max(upper) < tol
+    if all(up * (1.0 + _PRUNE_RTOL) < tol for up in upper):
+        return True
     lower = _mean_gaps(flow_a, flow_b)
     if any(lo - _PRUNE_RTOL * up >= tol for lo, up in zip(lower, upper)):
         return False
-    snaps_a, snaps_b = flow_a.snapshots, flow_b.snapshots
-    for k in _descending(upper):
-        if upper[k] * (1.0 + _PRUNE_RTOL) < tol:
-            break
-        if wasserstein_gap(snaps_a[k], snaps_b[k], p) >= tol:
-            return False
-    return True
+    return flow_gap(flow_a, flow_b, p) < tol
 
 
 def flow_gap(flow_a, flow_b, p):

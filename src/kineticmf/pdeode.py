@@ -37,7 +37,7 @@ __all__ = [
 @dataclass(frozen=True)
 class LeaderFollowerModel:
     """Model bundle: interaction kernels (None entries mean zero), leader
-    initial state, i.i.d. initial-law sampler (N, seed) -> ParticleEnsemble,
+    start positions, i.i.d. initial-law sampler (N, seed) -> ParticleEnsemble,
     and the Wasserstein order its drift is paired with. The order rides on
     the K11 field, so a model without K11, whose coupled drift is paired
     with p = 2 (combined_drift), refuses another p. The diffusion

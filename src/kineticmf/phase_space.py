@@ -272,26 +272,22 @@ class MeasureFlow:
 
 
 class LeaderState:
-    """Positions Y and velocities W of the m leaders; m = 0 is legal."""
+    """Initial positions Y of the m leaders, a finite (m, d) array with
+    d >= 1; m = 0 is legal. The leader equation is first order, so this is
+    the whole initial datum: the solvers compute W from the right-hand
+    side at every node, W[0] included."""
 
-    __slots__ = ("Y", "W")
+    __slots__ = ("Y",)
 
-    def __init__(self, Y, W):
-        Y = np.asarray(Y, dtype=float)
-        W = np.asarray(W, dtype=float)
-        if Y.size == 0:
-            Y = Y.reshape(0, W.shape[1] if W.ndim == 2 and W.shape[1] else 1)
-            W = W.reshape(Y.shape)
-        self.Y = _as_locked(np.atleast_2d(Y))
-        self.W = _as_locked(np.atleast_2d(W))
-        if self.Y.shape != self.W.shape:
-            raise ValueError("Y and W must share shape (m, d)")
+    def __init__(self, Y):
+        self.Y = _as_locked(Y)
+        if self.Y.ndim != 2 or self.Y.shape[1] < 1:
+            raise ValueError("Y must have shape (m, d) with d >= 1")
         _require_finite("Y", self.Y)
-        _require_finite("W", self.W)
 
     @classmethod
     def empty(cls, d):
-        return cls(np.zeros((0, d)), np.zeros((0, d)))
+        return cls(np.zeros((0, d)))
 
     @property
     def m(self):
@@ -501,7 +497,11 @@ def read_flow_csv(path):
 
 
 def write_leader_csv(lp, path):
-    """Leader CSV: header t,leader,y0..y{d-1},w0..w{d-1}."""
+    """Leader CSV: header t,leader,y0..y{d-1},w0..w{d-1}. A leaderless
+    path (m = 0) has no rows to hold its grid, so it raises ValueError
+    before the file is opened."""
+    if lp.m == 0:
+        raise ValueError("a leader CSV needs at least one leader")
     _write_csv(path, _LEADER_NAMES, lp.times, lp.Y, lp.W)
 
 

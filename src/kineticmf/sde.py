@@ -29,7 +29,6 @@ from .phase_space import LeaderPath, MeasureFlow, _locked, time_grid
 
 __all__ = [
     "SimConfig",
-    "BrownianPaths",
     "generate_brownian",
     "simulate_frozen",
     "simulate_interacting",
@@ -88,43 +87,9 @@ class SimConfig:
         return time_grid(self.T, self.n_steps)
 
 
-@dataclass(frozen=True)
-class BrownianPaths:
-    """Increment array (n_steps, n_paths, d), already scaled by sqrt(dt),
-    held as a read-only view: a float array is not copied, and the caller's
-    array stays writeable."""
-
-    increments: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        inc = _locked(np.asarray(self.increments, dtype=float))
-        if inc.ndim != 3:
-            raise ValueError("increments must have shape (n_steps, n_paths, d)")
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def n_steps(self):
-        return self.increments.shape[0]
-
-    @property
-    def n_paths(self):
-        return self.increments.shape[1]
-
-    @property
-    def d(self):
-        return self.increments.shape[2]
-
-    def cumulative(self):
-        """B(t_k) per path: zeros at k = 0, then summed increments."""
-        n, N, d = self.increments.shape
-        out = np.zeros((n + 1, N, d))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
-
 def generate_brownian(cfg):
-    """Brownian increments for cfg: path i is drawn from its own keyed
+    """Brownian increments for cfg, one read-only (n_steps, N, d) float
+    array already scaled by sqrt(dt): path i is drawn from its own keyed
     stream, so the array is reproducible bit for bit and extending N keeps
     the existing paths unchanged."""
     scale = math.sqrt(cfg.dt)
@@ -133,7 +98,8 @@ def generate_brownian(cfg):
         rng = path_rng(cfg.seed, STREAM_BROWNIAN, i)
         inc[:, i, :] = rng.standard_normal((cfg.n_steps, cfg.d))
     inc *= scale
-    return BrownianPaths(increments=inc, seed=cfg.seed)
+    inc.flags.writeable = False
+    return inc
 
 
 def _euler_maruyama(init, cfg, paths, drift, Y=None, resume=None):
@@ -154,7 +120,8 @@ def _euler_maruyama(init, cfg, paths, drift, Y=None, resume=None):
     check of f before the step would."""
     if init.N != cfg.N or init.d != cfg.d:
         raise ValueError("initial ensemble does not match the configuration")
-    if paths.n_steps != cfg.n_steps or paths.n_paths < cfg.N or paths.d != cfg.d:
+    if (paths.ndim != 3 or paths.shape[0] != cfg.n_steps
+            or paths.shape[1] < cfg.N or paths.shape[2] != cfg.d):
         raise ValueError("Brownian paths are not shaped for this configuration")
     dt = cfg.dt
     noise = math.sqrt(2.0 * cfg.sigma)
@@ -167,7 +134,7 @@ def _euler_maruyama(init, cfg, paths, drift, Y=None, resume=None):
     else:
         base, start = resume
         X[: start + 1], V[: start + 1] = base.X[: start + 1], base.V[: start + 1]
-    inc = paths.increments[:, : cfg.N]
+    inc = paths[:, : cfg.N]
     X_read, V_read = _locked(X), _locked(V)
     for k in range(start, cfg.n_steps):
         f = drift(k, X_read, V_read)
@@ -283,7 +250,9 @@ def doob_check(p, T, n_paths, n_steps, seed):
     one, so the bound must hold a fortiori."""
     bound = doob_bound(p, T)
     cfg = SimConfig(T=T, n_steps=n_steps, N=n_paths, sigma=0.0, seed=seed, d=1)
-    B = generate_brownian(cfg).cumulative()[:, :, 0]
+    # B(t_k) per path: zeros at k = 0, then the summed increments.
+    B = np.zeros((n_steps + 1, n_paths))
+    np.cumsum(generate_brownian(cfg)[:, :, 0], axis=0, out=B[1:])
     sup_p = np.max(np.abs(B), axis=0) ** p
     est = float(np.mean(sup_p))
     return DoobCheck(estimate=est, bound=bound, passed=est <= bound, p=p, T=T,

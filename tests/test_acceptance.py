@@ -300,7 +300,7 @@ def test_08_coupled_leader_system():
     w = coupling_from_kernel(kernel("bounded_attraction", d=1))
     F = leader_field_from_kernels(kernel("zero_position"),
                                   kernel("zero_position"), 1)
-    Y0 = LeaderState(np.zeros((1, 1)), np.zeros((1, 1)))
+    Y0 = LeaderState(np.zeros((1, 1)))
     cfg = SimConfig(T=0.5, n_steps=16, N=64, sigma=0.1, seed=2, d=1)
     init = _gauss(64, 2)
 
@@ -376,7 +376,7 @@ def test_10_cost_convergence():
     model = LeaderFollowerModel(
         kernels={"K11": kernel("bounded_alignment", d=1),
                  "K12": kernel("bounded_attraction", d=1)},
-        Y0=LeaderState(np.full((1, 1), 1.0), np.zeros((1, 1))),
+        Y0=LeaderState(np.full((1, 1), 1.0)),
         sampler=_gauss, d=1, name="steered")
     u = sv_control(np.full((4, 1, 3), 0.2), T=0.5, M_h=1.0, m=1, d=1)
     assert validate_control(u).passed
@@ -395,7 +395,7 @@ def test_11_steering_optimization():
     """The optimizer beats the zero control on every seed, admissibly."""
     model = LeaderFollowerModel(
         kernels={"K12": kernel("bounded_attraction", d=1)},
-        Y0=LeaderState(np.zeros((1, 1)), np.zeros((1, 1))),
+        Y0=LeaderState(np.zeros((1, 1))),
         sampler=lambda N, seed: _gauss(N, seed, std=0.5),
         d=1, name="steering")
     cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.5),

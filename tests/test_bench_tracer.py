@@ -91,7 +91,7 @@ def _steering_problem():
     scenario: K12 attraction, an sv control with nonzero gains."""
     model = LeaderFollowerModel(
         kernels={"K12": kernel("bounded_attraction", d=1)},
-        Y0=LeaderState([[0.0]], [[0.0]]), sampler=_sampler, d=1)
+        Y0=LeaderState([[0.0]]), sampler=_sampler, d=1)
     cfg = SimConfig(T=1.0, n_steps=10, N=16, sigma=0.05, seed=5, d=1)
     u = sv_control(np.full((1, 1, 3), 0.4), cfg.T, 2.0, 1, 1)
     cost = make_cost("track_mean_x", "quadratic", 1,

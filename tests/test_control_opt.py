@@ -90,7 +90,7 @@ def _point_sampler(d, x=0.0, v=0.0):
 
 def _free_model(d=1, m=0, sampler=None):
     Y0 = LeaderState.empty(d) if m == 0 \
-        else LeaderState(np.zeros((m, d)), np.zeros((m, d)))
+        else LeaderState(np.zeros((m, d)))
     return LeaderFollowerModel(kernels={}, Y0=Y0,
                                sampler=sampler or _point_sampler(d), d=d)
 
@@ -530,7 +530,7 @@ class TestCostEvaluation:
             kernels={"K11": kernel("bounded_alignment", d=1),
                      "K12": kernel("bounded_attraction"),
                      "K21": kernel("bounded_attraction_position")},
-            Y0=LeaderState([[1.0]], [[0.0]]), sampler=sampler, d=1)
+            Y0=LeaderState([[1.0]]), sampler=sampler, d=1)
         cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.0),
                         psi=psi_quadratic(1.0), dim=1)
         evaluate_cost_meanfield(u, model, cost, _cfg(N=6, sigma=0.2),

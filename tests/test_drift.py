@@ -231,14 +231,15 @@ class TestConvolution:
     def test_leader_coupling_empty_returns_zero(self):
         K = kernel("bounded_attraction_position")
         leaders = LeaderState.empty(3)
-        out = _at_point(K, leaders.Y, leaders.W,
+        out = _at_point(K, leaders.Y, np.zeros_like(leaders.Y),
                         PhasePoint([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_leader_coupling_hand_value(self):
         K = kernel("bounded_attraction_position")
-        leaders = LeaderState([[2.0]], [[0.0]])
-        out = _at_point(K, leaders.Y, leaders.W, PhasePoint([1.0], [0.0]))
+        leaders = LeaderState([[2.0]])
+        out = _at_point(K, leaders.Y, np.zeros_like(leaders.Y),
+                        PhasePoint([1.0], [0.0]))
         np.testing.assert_allclose(out, [0.5])
 
 

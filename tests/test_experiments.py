@@ -57,7 +57,7 @@ def _gauss_sampler(d=1):
 
 def _free_model(sampler, d=1, m=0):
     Y0 = LeaderState.empty(d) if m == 0 \
-        else LeaderState(np.zeros((m, d)), np.zeros((m, d)))
+        else LeaderState(np.zeros((m, d)))
     return LeaderFollowerModel(kernels={}, Y0=Y0, sampler=sampler, d=d)
 
 
@@ -217,7 +217,7 @@ def _steered_problem(N=64, seed=2):
     model = LeaderFollowerModel(
         kernels={"K11": kernel("bounded_alignment", d=1),
                  "K12": kernel("bounded_attraction", d=1)},
-        Y0=LeaderState(np.full((1, 1), 1.0), np.zeros((1, 1))),
+        Y0=LeaderState(np.full((1, 1), 1.0)),
         sampler=_gauss_sampler(), d=1)
     u = sv_control(np.full((2, 1, 3), 0.2), T=0.5, M_h=1.0, m=1, d=1)
     cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.5),
@@ -309,6 +309,16 @@ class TestTableOutput:
         assert float(first[1]) == 1.0 / 3.0
         assert lines[2].split(",")[1] == "2.0000000000000001e-17"
         assert lines[1].endswith(",5")
+
+    @pytest.mark.parametrize("N", [1234567, np.int64(1234567), 1234567.0])
+    def test_large_integral_sizes_written_in_full(self, tmp_path, N):
+        table = ConvergenceTable(rows=((N, 0.5, 0.25, 3),))
+        table_to_csv(table, tmp_path / "table.csv")
+        write_gnuplot(table, tmp_path / "table.dat", tmp_path / "table.gp")
+        csv_rows = (tmp_path / "table.csv").read_text().splitlines()
+        dat_rows = (tmp_path / "table.dat").read_text().splitlines()
+        assert csv_rows[1] == "1234567,0.5,0.25,3"
+        assert dat_rows[1] == "1234567 0.5 0.25 3"
 
     def test_gnuplot_pair(self, tmp_path):
         table = ConvergenceTable(rows=((2, 0.5, 0.25, 3), (4, 0.25, 0.125, 3)),

@@ -82,7 +82,7 @@ class TestModelBundle:
             model.initial(4, seed=0)
 
     def test_mean_field_fields_fill_missing_slots(self):
-        model = LeaderFollowerModel(kernels={}, Y0=LeaderState([[0.0]], [[0.0]]),
+        model = LeaderFollowerModel(kernels={}, Y0=LeaderState([[0.0]]),
                                     sampler=_gauss_sampler(1), d=1)
         v, w, F = model.mean_field_fields()
         assert v is None
@@ -96,7 +96,7 @@ class TestModelBundle:
         model = LeaderFollowerModel(
             kernels={"K11": kernel("bounded_alignment", d=1),
                      "K12": kernel("bounded_attraction_position")},
-            Y0=LeaderState([[2.0]], [[0.0]]),
+            Y0=LeaderState([[2.0]]),
             sampler=_gauss_sampler(1), d=1)
         v, w, F = model.mean_field_fields()
         assert v.name == "conv[bounded_alignment]"
@@ -114,7 +114,7 @@ class TestModelBundle:
         for slot in absent:
             del kernels[slot]
         rng = np.random.default_rng(m)
-        Y0 = LeaderState(rng.standard_normal((m, 2)), np.zeros((m, 2)))
+        Y0 = LeaderState(rng.standard_normal((m, 2)))
         model = LeaderFollowerModel(kernels=kernels, Y0=Y0,
                                     sampler=_gauss_sampler(2), d=2)
         _, _, F = model.mean_field_fields()
@@ -144,7 +144,7 @@ class TestLeaderOde:
     def test_no_drive_keeps_leaders_put(self):
         flow = _const_flow(0.0)
         path = solve_leader_ode(_zero_F(), None, flow,
-                                LeaderState([[1.5]], [[0.0]]))
+                                LeaderState([[1.5]]))
         np.testing.assert_array_equal(path.Y, np.full((11, 1, 1), 1.5))
         np.testing.assert_array_equal(path.W, np.zeros((11, 1, 1)))
 
@@ -152,7 +152,7 @@ class TestLeaderOde:
         flow = _const_flow(0.0, n_steps=8)
         c = np.array([[0.6]])
         path = solve_leader_ode(_zero_F(), lambda t, mu: c, flow,
-                                LeaderState([[0.0]], [[0.0]]))
+                                LeaderState([[0.0]]))
         np.testing.assert_allclose(path.Y[:, 0, 0], 0.6 * path.times, atol=1e-14)
         # W carries the evaluated right-hand side at every node.
         np.testing.assert_array_equal(path.W, np.full((9, 1, 1), 0.6))
@@ -163,7 +163,7 @@ class TestLeaderOde:
         F = leader_field_from_kernels(K21, kernel("zero_position"), 1)
         ens = ParticleEnsemble([[1.0], [3.0]], [[0.0], [0.0]])
         flow = MeasureFlow.constant(ens, time_grid(1.0, 20))
-        path = solve_leader_ode(F, None, flow, LeaderState([[0.0]], [[0.0]]))
+        path = solve_leader_ode(F, None, flow, LeaderState([[0.0]]))
         y = 0.0
         dt = 0.05
         for k in range(20):
@@ -178,7 +178,7 @@ class TestLeaderOde:
         K21 = kernel("bounded_attraction_position")
         F = leader_field_from_kernels(K21, kernel("zero_position"), 1)
         flow = _const_flow(1.0, n_steps=4)
-        Y0 = LeaderState([[0.5]], [[0.0]])
+        Y0 = LeaderState([[0.5]])
         path = solve_leader_ode(F, None, flow, Y0)
         if resume:
             path = solve_leader_ode(F, None, flow, Y0, _resume=(path, 2))
@@ -192,7 +192,7 @@ class TestLeaderOde:
         bad = lambda t, mu: np.array([[np.inf if t > 0.4 else 0.0]])
         with pytest.raises(FloatingPointError, match="t=0.5"):
             solve_leader_ode(_zero_F(), bad, flow,
-                             LeaderState([[0.0]], [[0.0]]))
+                             LeaderState([[0.0]]))
 
     def test_state_overflow_raises_with_time(self):
         # A finite drive of 1e308 with dt = 2 overflows Y in one step.
@@ -200,13 +200,13 @@ class TestLeaderOde:
         flow = _const_flow(0.0, n_steps=2, T=4.0)
         with pytest.raises(FloatingPointError,
                            match="non-finite leader state at t=2.0"):
-            solve_leader_ode(F, None, flow, LeaderState([[0.0]], [[0.0]]))
+            solve_leader_ode(F, None, flow, LeaderState([[0.0]]))
 
     def test_growth_bound_holds_for_bounded_drives(self):
         K21 = kernel("bounded_attraction_position")
         F = leader_field_from_kernels(K21, kernel("zero_position"), 1)
         flow = _const_flow(5.0, n_steps=30)
-        Y0 = LeaderState([[1.0]], [[0.0]])
+        Y0 = LeaderState([[1.0]])
         M_u = 0.3
         path = solve_leader_ode(F, lambda t, mu: np.array([[M_u]]), flow, Y0)
         # The a priori Euler bound |Y0| + T (K_F + M_u).
@@ -223,7 +223,7 @@ class TestCombinedDrift:
     def test_static_leader_coupling_hand_value(self):
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         G = combined_drift(zero_field(), w, _zero_F(), None,
-                           LeaderState([[2.0]], [[0.0]]))
+                           LeaderState([[2.0]]))
         flow = _const_flow(1.0)
         out = G.eval_batch(0.5, flow, np.array([[1.0]]), np.array([[0.0]]))
         # Leader pinned at 2, follower at 1: K12(1) = 0.5.
@@ -245,7 +245,7 @@ class TestCombinedDrift:
         F = LeaderField(fn=counting, K_F=0.0, L_F=0.0)
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         G = combined_drift(zero_field(), w, F, None,
-                           LeaderState([[0.0]], [[0.0]]))
+                           LeaderState([[0.0]]))
         flow = _const_flow(0.0, n_steps=4)
         X, V = np.zeros((2, 1)), np.zeros((2, 1))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -274,7 +274,7 @@ class TestCombinedDrift:
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         F = leader_field_from_kernels(kernel("bounded_attraction_position"),
                                       kernel("zero_position"), 1)
-        G = combined_drift(v, w, F, None, LeaderState([[1.0]], [[0.0]]), T=1.0)
+        G = combined_drift(v, w, F, None, LeaderState([[1.0]]), T=1.0)
         assert G.K >= v.K
         assert G.D >= v.D
         assert G.L == v.L + w.L_w
@@ -288,10 +288,10 @@ class TestSolveCoupled:
         init = _gauss_sampler(1)(6, 0)
         v = drift_from_kernel(kernel("bounded_alignment", d=1))
         sol_a = solve_coupled(v, None, _zero_F(), None, init,
-                              LeaderState([[5.0]], [[0.0]]), cfg)
+                              LeaderState([[5.0]]), cfg)
         sol_b = solve_coupled(v, None, _zero_F(),
                               lambda t, mu: np.array([[1.0]]), init,
-                              LeaderState([[-5.0]], [[0.0]]), cfg)
+                              LeaderState([[-5.0]]), cfg)
         direct = picard_solve(v, init, cfg)
         for a, b, c in zip(sol_a.flow.snapshots, sol_b.flow.snapshots,
                            direct.final_flow.snapshots):
@@ -305,7 +305,7 @@ class TestSolveCoupled:
         init = _gauss_sampler(1)(4, 3)
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         sol = solve_coupled(constant_field([0.1]), w, _zero_F(), None, init,
-                            LeaderState([[2.0]], [[0.0]]), cfg)
+                            LeaderState([[2.0]]), cfg)
         assert sol.picard.iterations == 2
         assert sol.picard.gaps[1] == 0.0
         assert sol.picard.converged
@@ -317,11 +317,11 @@ class TestSolveCoupled:
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         F = leader_field_from_kernels(kernel("bounded_attraction_position"),
                                       kernel("zero_position"), 1)
-        sol = solve_coupled(v, w, F, None, init, LeaderState([[2.0]], [[0.0]]),
+        sol = solve_coupled(v, w, F, None, init, LeaderState([[2.0]]),
                             cfg)
         assert sol.picard.converged
         again = solve_leader_ode(F, None, sol.flow,
-                                 LeaderState([[2.0]], [[0.0]]))
+                                 LeaderState([[2.0]]))
         np.testing.assert_array_equal(sol.leaders.Y, again.Y)
         np.testing.assert_array_equal(sol.leaders.W, again.W)
 
@@ -330,7 +330,7 @@ class TestSolveCoupled:
         init = ParticleEnsemble(np.zeros((4, 1)), np.zeros((4, 1)))
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         sol = solve_coupled(zero_field(), w, _zero_F(), None, init,
-                            LeaderState([[2.0]], [[0.0]]), cfg)
+                            LeaderState([[2.0]]), cfg)
         assert sol.picard.converged
         assert float(sol.flow.snapshots[-1].X.mean()) > 0.05
 
@@ -367,7 +367,7 @@ class TestLeaderRestart:
         assert _agreeing_nodes(old, new) == a
         F = _sign_leader_field()
         u = lambda t, flow: flow.at_time(t).V[1:2] ** 2
-        Y0 = LeaderState([[0.5]], [[0.0]])
+        Y0 = LeaderState([[0.5]])
         prior = solve_leader_ode(F, u, old, Y0)
         scratch = solve_leader_ode(F, u, new, Y0)
         resumed = solve_leader_ode(F, u, new, Y0, _resume=(prior, a))
@@ -381,7 +381,7 @@ class TestLeaderRestart:
         minus[2, 0, 0] = -0.0
         old = MeasureFlow._of(times, plus, plus)
         new = MeasureFlow._of(times, plus, minus)
-        F, Y0 = _sign_leader_field(), LeaderState([[0.0]], [[0.0]])
+        F, Y0 = _sign_leader_field(), LeaderState([[0.0]])
         prior = solve_leader_ode(F, None, old, Y0)
         scratch = solve_leader_ode(F, None, new, Y0)
         assert prior.W.tobytes() != scratch.W.tobytes()
@@ -401,7 +401,7 @@ class TestLeaderRestart:
         w = coupling_from_kernel(kernel("bounded_attraction"))
         F = leader_field_from_kernels(kernel("bounded_attraction_position"),
                                       kernel("bounded_attraction_position"), 2)
-        Y0 = LeaderState([[1.0], [-0.5]], [[0.0], [0.0]])
+        Y0 = LeaderState([[1.0], [-0.5]])
         u = sv_control(np.full((2, 2, 3), 0.2), T=1.0, M_h=1.0, m=2, d=1)
         real_solve = pdeode.solve_leader_ode
         checked = []
@@ -436,7 +436,7 @@ class TestFixedPointAgainstTheParticleSystem:
                      "K12": kernel("bounded_attraction"),
                      "K21": kernel("bounded_attraction_position"),
                      "K22": kernel("bounded_attraction_position")},
-            Y0=LeaderState([[1.0], [-1.0]], [[0.0], [0.0]]),
+            Y0=LeaderState([[1.0], [-1.0]]),
             sampler=_gauss_sampler(1), d=1)
         init = model.initial(cfg.N, 3)
         v, w, F = model.mean_field_fields()
@@ -470,17 +470,17 @@ class TestAbsentK11:
     def test_a_model_without_k11_is_paired_with_w2(self):
         with pytest.raises(ValueError, match="p = 2"):
             LeaderFollowerModel(kernels={"K12": kernel("bounded_attraction")},
-                                Y0=LeaderState([[0.0]], [[0.0]]),
+                                Y0=LeaderState([[0.0]]),
                                 sampler=_gauss_sampler(1), d=1, p=1.0)
         G = combined_drift(None, coupling_from_kernel(
             kernel("bounded_attraction")), _zero_F(), None,
-            LeaderState([[0.0]], [[0.0]]))
+            LeaderState([[0.0]]))
         zero = zero_field()
         assert (G.beta, G.alpha, G.p, G.unbounded) == (
             zero.beta, zero.alpha, zero.p, zero.unbounded)
         assert G.name == "zero+coupling[bounded_attraction]"
         assert combined_drift(None, None, _zero_F(), None,
-                              LeaderState([[0.0]], [[0.0]])).name == "zero"
+                              LeaderState([[0.0]])).name == "zero"
 
     def test_signed_zeros_keep_the_bytes_of_an_added_zero_field(self):
         # No K11, a K12 whose every value is -0.0 and followers at
@@ -494,11 +494,11 @@ class TestAbsentK11:
         K12 = InteractionKernel("negative_zero", negative_zero, 0.0, 0.0)
         init = ParticleEnsemble(np.zeros((6, 1)), np.full((6, 1), -0.0))
         model = LeaderFollowerModel(kernels={"K12": K12},
-                                    Y0=LeaderState([[1.0]], [[0.0]]),
+                                    Y0=LeaderState([[1.0]]),
                                     sampler=lambda N, seed: init, d=1)
         cfg = _cfg(N=6, n_steps=5, sigma=0.0, seed=3)
         paths = generate_brownian(cfg)
-        assert np.any(paths.increments[0, :, 0] < 0)
+        assert np.any(paths[0, :, 0] < 0)
         flow, _ = simulate_interacting(model.kernels, None, init, model.Y0,
                                        cfg, paths)
         v, w, F = model.mean_field_fields()
@@ -527,7 +527,7 @@ class TestControlStability:
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         F = _zero_F()
         init = _gauss_sampler(1)(cfg.N, 13)
-        Y0 = LeaderState([[1.0]], [[0.0]])
+        Y0 = LeaderState([[1.0]])
         return v, w, F, init, Y0
 
     def test_identical_controls_have_zero_gap(self):
@@ -594,7 +594,7 @@ class TestLeaderSensitivity:
     def test_zero_distance_pairs_skipped(self):
         flow = _const_flow(1.0)
         out = leader_flow_sensitivity(_zero_F(), None, [(flow, flow)],
-                                      LeaderState([[0.0]], [[0.0]]), p=2.0)
+                                      LeaderState([[0.0]]), p=2.0)
         assert out == []
 
     def test_ratio_for_attractive_drive(self):
@@ -603,7 +603,7 @@ class TestLeaderSensitivity:
         mu = _const_flow(1.0, n_steps=20)
         nu = _const_flow(1.5, n_steps=20)
         ratios = leader_flow_sensitivity(F, None, [(mu, nu)],
-                                         LeaderState([[0.0]], [[0.0]]), p=2.0)
+                                         LeaderState([[0.0]]), p=2.0)
         assert len(ratios) == 1
         assert 0.0 < ratios[0] < 1.0
 
@@ -611,5 +611,5 @@ class TestLeaderSensitivity:
         mu = _const_flow(0.0)
         nu = _const_flow(4.0)
         ratios = leader_flow_sensitivity(_zero_F(), None, [(mu, nu)],
-                                         LeaderState([[1.0]], [[0.0]]), p=2.0)
+                                         LeaderState([[1.0]]), p=2.0)
         assert ratios == [0.0]

@@ -252,7 +252,7 @@ class TestLocking:
         kernels = {"K11": kernel("bounded_alignment", d=2),
                    "K12": kernel("bounded_attraction")}
         flow, leaders = simulate_interacting(
-            kernels, u, init, LeaderState(np.ones((1, 2)), np.zeros((1, 2))),
+            kernels, u, init, LeaderState(np.ones((1, 2))),
             cfg, paths)
         assert seen == [1, 2, 3, 4]
         self._assert_flow_locked(flow)
@@ -265,7 +265,24 @@ class TestLeaders:
         s = LeaderState.empty(3)
         assert s.m == 0
         assert s.d == 3
-        assert s.Y.shape == s.W.shape == (0, 3)
+        assert s.Y.shape == (0, 3)
+
+    @pytest.mark.parametrize("Y", [np.zeros((2, 1, 3)), np.zeros((2, 0)),
+                                   np.zeros(2), 0.5],
+                             ids=["3-D", "d=0", "1-D", "scalar"])
+    def test_leader_state_needs_an_m_by_d_array(self, Y):
+        with pytest.raises(ValueError, match=r"shape \(m, d\) with d >= 1"):
+            LeaderState(Y)
+
+    def test_leader_state_positions_must_be_finite(self):
+        with pytest.raises(ValueError, match="Y must contain only finite"):
+            LeaderState([[0.0], [np.nan]])
+
+    def test_leader_state_is_its_positions(self):
+        s = LeaderState([[0.5, -1.0]])
+        assert not hasattr(s, "W")
+        np.testing.assert_array_equal(s.Y, [[0.5, -1.0]])
+        assert not s.Y.flags.writeable
 
     def test_path_index_lookup(self):
         times = time_grid(1.0, 2)
@@ -432,7 +449,7 @@ class TestCsvRoundTrips:
         _reference_csv(tmp_path / "ref.csv", header, times, X, V)
         assert (tmp_path / "flow.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("m", [1, 3])
     def test_leader_csv_matches_the_csv_writer_reference(self, tmp_path, m):
         d = 2
         Y = np.resize(_AWKWARD, 4 * m * d).reshape(4, m, d)
@@ -442,6 +459,14 @@ class TestCsvRoundTrips:
         write_leader_csv(lp, tmp_path / "leaders.csv")
         _reference_csv(tmp_path / "ref.csv", header, lp.times, Y, W)
         assert (tmp_path / "leaders.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_leaderless_path_refused_before_the_file_opens(self, tmp_path):
+        # Header-only rows would lose the grid, and the reader refuses them.
+        lp = LeaderPath(time_grid(1.0, 2), np.zeros((3, 0, 1)),
+                        np.zeros((3, 0, 1)))
+        with pytest.raises(ValueError, match="at least one leader"):
+            write_leader_csv(lp, tmp_path / "leaders.csv")
+        assert not (tmp_path / "leaders.csv").exists()
 
     @pytest.mark.parametrize("reader", [read_flow_csv, read_leader_csv])
     def test_empty_file_rejected(self, tmp_path, reader):

@@ -21,7 +21,6 @@ from kineticmf.phase_space import (LeaderPath, LeaderState, MeasureFlow,
 from kineticmf.sde import (
     STREAM_BROWNIAN,
     STREAM_INITIAL,
-    BrownianPaths,
     SimConfig,
     doob_bound,
     doob_check,
@@ -78,7 +77,7 @@ def _hand_built_interacting(kernels, u, init_followers, init_leaders, cfg,
             drift += pair_mean(K11, X, X, V, V)
         if K12 is not None:
             drift += pair_mean(K12, X, Y, V, rhs)
-        V = V + drift * dt + noise * paths.increments[k, : cfg.N]
+        V = V + drift * dt + noise * paths[k, : cfg.N]
         X = X + V * dt
         Y = Y + rhs * dt
         snapshots.append(ParticleEnsemble(X, V))
@@ -146,47 +145,28 @@ class TestRandomness:
         small = generate_brownian(_cfg(N=N_small, sigma=1.0, seed=seed, d=d))
         large = generate_brownian(_cfg(N=N_small + extra, sigma=1.0,
                                        seed=seed, d=d))
-        np.testing.assert_array_equal(large.increments[:, :N_small, :],
-                                      small.increments)
+        np.testing.assert_array_equal(large[:, :N_small, :], small)
 
     def test_increments_scaled_by_sqrt_dt(self):
         cfg = _cfg(N=2000, n_steps=2, sigma=1.0)
-        inc = generate_brownian(cfg).increments
+        inc = generate_brownian(cfg)
         # Var of one increment is dt; loose MC window, tight enough to
         # catch a missing or squared scale factor.
         assert np.var(inc) == pytest.approx(cfg.dt, rel=0.1)
 
-    def test_cumulative_starts_at_zero_and_sums(self):
-        cfg = _cfg(N=3, n_steps=5, sigma=1.0)
-        paths = generate_brownian(cfg)
-        B = paths.cumulative()
-        np.testing.assert_array_equal(B[0], np.zeros((3, 1)))
-        np.testing.assert_allclose(B[-1], paths.increments.sum(axis=0),
-                                   rtol=0, atol=0)
-
-    def test_increments_are_read_only(self):
+    def test_increments_are_a_read_only_float_array(self):
         paths = generate_brownian(_cfg(sigma=1.0))
+        assert type(paths) is np.ndarray and paths.dtype == float
+        assert paths.shape == (8, 4, 1)
         with pytest.raises(ValueError):
-            paths.increments[0, 0, 0] = 1.0
+            paths[0, 0, 0] = 1.0
 
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            BrownianPaths(increments=np.zeros((3, 4)), seed=0)
-
-    def test_caller_increments_stay_writeable(self):
-        # The paths hold a locked view: no copy, and no lock on the caller.
-        inc = np.zeros((3, 4, 1))
-        paths = BrownianPaths(increments=inc, seed=0)
-        inc[0, 0, 0] = 1.0
-        assert np.shares_memory(paths.increments, inc)
-        with pytest.raises(ValueError):
-            paths.increments[0, 0, 0] = 1.0
-
-    def test_nested_list_increments_become_an_array(self):
-        paths = BrownianPaths(increments=[[[0.5]], [[-0.5]]], seed=0)
-        assert (paths.n_steps, paths.n_paths, paths.d) == (2, 1, 1)
-        assert paths.increments.dtype == float
-        assert not paths.increments.flags.writeable
+    def test_two_dimensional_increments_refused(self):
+        cfg = _cfg(N=4, n_steps=3)
+        with pytest.raises(ValueError, match="Brownian paths are not shaped "
+                                             "for this configuration"):
+            simulate_interacting({}, None, _point_init(4, 1),
+                                 LeaderState.empty(1), cfg, np.zeros((3, 4)))
 
 
 class TestFrozenDrift:
@@ -232,7 +212,7 @@ class TestFrozenDrift:
         expect = init.V.copy()
         noise = math.sqrt(2.0 * cfg.sigma)
         for k in range(cfg.n_steps):
-            expect = expect + noise * paths.increments[k]
+            expect = expect + noise * paths[k]
             np.testing.assert_array_equal(flow.snapshots[k + 1].V, expect)
 
     def test_nonfinite_drift_names_step_and_particle(self):
@@ -298,8 +278,7 @@ class TestInteracting:
         init = ParticleEnsemble(rng.standard_normal((6, 1)),
                                 rng.standard_normal((6, 1)))
         perm = rng.permutation(6)
-        permuted_paths = BrownianPaths(
-            increments=paths.increments[:, perm, :].copy(), seed=cfg.seed)
+        permuted_paths = paths[:, perm, :]
         ks = {"K11": kernel("bounded_alignment", d=1)}
         base, _ = simulate_interacting(ks, None, init, LeaderState.empty(1),
                                        cfg, paths)
@@ -312,7 +291,7 @@ class TestInteracting:
     def test_leaders_static_without_drive(self):
         cfg = _cfg(N=2, n_steps=4)
         flow, lp = simulate_interacting({}, None, _point_init(2, 1),
-                                        LeaderState([[2.0]], [[0.0]]), cfg,
+                                        LeaderState([[2.0]]), cfg,
                                         generate_brownian(cfg))
         np.testing.assert_array_equal(lp.Y, np.full((5, 1, 1), 2.0))
         np.testing.assert_array_equal(lp.W, np.zeros((5, 1, 1)))
@@ -322,7 +301,7 @@ class TestInteracting:
         ks = {"K12": kernel("bounded_attraction_position")}
         init = _point_init(1, 1, x=1.0, v=0.0)
         flow, lp = simulate_interacting(ks, None, init,
-                                        LeaderState([[2.0]], [[0.0]]), cfg,
+                                        LeaderState([[2.0]]), cfg,
                                         generate_brownian(cfg))
         # drift = K12(2 - 1) = 0.5; v1 = 0.25, x1 = 1 + 0.25 * 0.5.
         assert flow.snapshots[1].V[0, 0] == pytest.approx(0.25)
@@ -332,7 +311,7 @@ class TestInteracting:
         cfg = _cfg(N=2, n_steps=10)
         c = np.array([[0.8]])
         flow, lp = simulate_interacting({}, lambda t, pre: c, _point_init(2, 1),
-                                        LeaderState([[0.0]], [[0.0]]), cfg,
+                                        LeaderState([[0.0]]), cfg,
                                         generate_brownian(cfg))
         np.testing.assert_allclose(lp.Y[:, 0, 0], 0.8 * lp.times, atol=1e-12)
         # W is the evaluated right-hand side at every node, endpoints too.
@@ -347,7 +326,7 @@ class TestInteracting:
             return np.zeros((1, 1))
 
         simulate_interacting({}, spy, _point_init(2, 1),
-                             LeaderState([[0.0]], [[0.0]]), cfg,
+                             LeaderState([[0.0]]), cfg,
                              generate_brownian(cfg))
         # One call per step plus the final-node evaluation for W.
         assert len(seen) == 6
@@ -360,7 +339,7 @@ class TestInteracting:
         ks = {"K21": kernel("bounded_attraction_position")}
         init = _point_init(2, 1, x=1.0)
         _, lp = simulate_interacting(ks, None, init,
-                                     LeaderState([[0.0]], [[0.0]]), cfg,
+                                     LeaderState([[0.0]]), cfg,
                                      generate_brownian(cfg))
         # rhs = K21(1 - 0) = 0.5, one Euler step of size 0.5.
         assert lp.Y[1, 0, 0] == pytest.approx(0.25)
@@ -373,7 +352,7 @@ class TestInteracting:
         rng = np.random.default_rng(12)
         init = ParticleEnsemble(rng.standard_normal((300, 2)),
                                 rng.standard_normal((300, 2)))
-        Y0 = LeaderState(rng.standard_normal((2, 2)), np.zeros((2, 2)))
+        Y0 = LeaderState(rng.standard_normal((2, 2)))
         K11 = kernel("bounded_attraction")
         K12 = kernel("bounded_alignment", d=2)
         K21 = kernel("bounded_attraction_position")
@@ -403,7 +382,7 @@ class TestInteracting:
         rng = np.random.default_rng(10 * d + m)
         init = ParticleEnsemble(rng.standard_normal((5, d)),
                                 rng.standard_normal((5, d)))
-        Y0 = LeaderState(rng.standard_normal((m, d)), np.zeros((m, d)))
+        Y0 = LeaderState(rng.standard_normal((m, d)))
         ctl = sv_control(0.5 * rng.standard_normal((3, m * d, 2 * d + 1)),
                          cfg.T, 5.0, m, d)
         for n in range(len(slots) + 1):
@@ -430,7 +409,7 @@ class TestInteracting:
 
         with pytest.raises(FloatingPointError, match="right-hand side"):
             simulate_interacting({}, bad, _point_init(2, 1),
-                                 LeaderState([[0.0]], [[0.0]]), cfg,
+                                 LeaderState([[0.0]]), cfg,
                                  generate_brownian(cfg))
 
     def test_nonfinite_leader_state_detected(self):
@@ -438,7 +417,7 @@ class TestInteracting:
         bad = lambda t, pre: np.array([[np.inf]])
         with pytest.raises(FloatingPointError, match="non-finite state"):
             simulate_interacting({}, bad, _point_init(2, 1),
-                                 LeaderState([[0.0]], [[0.0]]), cfg,
+                                 LeaderState([[0.0]]), cfg,
                                  generate_brownian(cfg))
 
 
@@ -459,6 +438,18 @@ class TestDoob:
         # E sup |B|^2 is at least E |B(T)|^2 = T; guards against a
         # degenerate estimator that returns 0.
         assert chk.estimate > 0.5
+
+    def test_estimate_is_the_mean_sup_of_the_running_sums(self):
+        # B(t_k) summed one increment at a time, as cumsum adds a column.
+        n_paths, n_steps, p = 30, 12, 2.0
+        cfg = _cfg(T=1.0, n_steps=n_steps, N=n_paths, sigma=0.0, seed=4)
+        B = np.zeros(n_paths)
+        sup = np.zeros(n_paths)
+        for inc in generate_brownian(cfg)[:, :, 0]:
+            B = B + inc
+            sup = np.maximum(sup, np.abs(B))
+        chk = doob_check(p, 1.0, n_paths=n_paths, n_steps=n_steps, seed=4)
+        assert chk.estimate == float(np.mean(sup ** p))
 
     def test_check_is_deterministic(self):
         a = doob_check(2.0, 1.0, n_paths=100, n_steps=20, seed=9)
