@@ -73,30 +73,57 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _parse_floats(raw):
+    return tuple(float(p) for p in str(raw).split(",") if p.strip())
+
+
+def _parse_ints(raw):
+    return tuple(int(p) for p in str(raw).split(",") if p.strip())
+
+
+def _key(section, key, conv, default, desc, rule=None):
+    """A RunConfig or InitialLaw field read from `[section] key`. conv
+    parses the raw string; the default is a string, so the resolved config
+    in the manifest is uniform (None: the key is required); desc names the
+    value in messages. A rule is a bound from _BOUNDS, which the value (every
+    element of a list) must meet, or the tuple of allowed names; None checks
+    nothing. Every float value (every element of a float list) must also be
+    finite, and a float list is broadcast to a d-vector."""
+    return field(metadata={"key": (section, key),
+                           "row": (conv, default, desc, rule)})
+
+
 @dataclass(frozen=True)
 class InitialLaw:
     """i.i.d. initial law: point mass, diagonal gaussian, uniform box, or a
-    two-component gaussian mixture."""
+    two-component gaussian mixture. Each field but d is read from its
+    [model] key; the mixture's second component may be None for another
+    kind."""
 
-    kind: str
+    kind: str = _key("model", "initial", str, "gaussian", "initial law",
+                     INITIAL_KINDS)
     d: int
-    mean_x: np.ndarray
-    mean_v: np.ndarray
-    std: np.ndarray
-    box: np.ndarray
-    mix_weight: float = 0.5
-    mean_x2: np.ndarray | None = None
-    mean_v2: np.ndarray | None = None
-    std2: np.ndarray | None = None
+    mean_x: np.ndarray = _key("model", "initial_x", _parse_floats, "0.0",
+                              "initial mean position")
+    mean_v: np.ndarray = _key("model", "initial_v", _parse_floats, "0.0",
+                              "initial mean velocity")
+    std: np.ndarray = _key("model", "initial_std", _parse_floats, "1.0",
+                           "gaussian std", ">= 0")
+    box: np.ndarray = _key("model", "initial_box", _parse_floats, "1.0",
+                           "uniform half-width", ">= 0")
+    mix_weight: float = _key("model", "mix_weight", float, "0.5",
+                             "first mixture weight", "in [0, 1]")
+    mean_x2: np.ndarray | None = _key("model", "initial_x2", _parse_floats,
+                                      "0.0", "second component mean position")
+    mean_v2: np.ndarray | None = _key("model", "initial_v2", _parse_floats,
+                                      "0.0", "second component mean velocity")
+    std2: np.ndarray | None = _key("model", "initial_std2", _parse_floats,
+                                   "1.0", "second component std", ">= 0")
 
     def __post_init__(self):
-        if self.kind not in INITIAL_KINDS:
-            raise ValueError(f"unknown initial law '{self.kind}'")
-        if any(np.any(a < 0) for a in (self.std, self.box, self.std2)
-               if a is not None):
-            raise ValueError("initial std and box widths must be >= 0")
-        if not (0.0 <= self.mix_weight <= 1.0):
-            raise ValueError("mixture weight must lie in [0, 1]")
+        errors = list(_key_errors(_keys(InitialLaw), vars(self)))
+        if errors:
+            raise ValueError("; ".join(errors))
         if self.kind == "mixture" and (self.mean_x2 is None
                                        or self.mean_v2 is None
                                        or self.std2 is None):
@@ -141,30 +168,10 @@ def initial_law_sampler(spec, N, seed):
     return ParticleEnsemble(X, V)
 
 
-def _parse_floats(raw):
-    return tuple(float(p) for p in str(raw).split(",") if p.strip())
-
-
-def _parse_ints(raw):
-    return tuple(int(p) for p in str(raw).split(",") if p.strip())
-
-
-def _key(section, key, conv, default, desc, rule=None):
-    """A RunConfig field read from `[section] key`. conv parses the raw
-    string; the default is a string, so the resolved config in the manifest
-    is uniform (None: the key is required); desc names the value in
-    messages. A rule is a bound from _BOUNDS, which the value (every
-    element of a list) must meet, or the tuple of allowed names; None checks
-    nothing. Every float value (every element of a float list) must also be
-    finite, and a float list is broadcast to a d-vector."""
-    return field(metadata={"key": (section, key),
-                           "row": (conv, default, desc, rule)})
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config: one field per config key, declared with its row,
-    then the initial law built from the [model] initial_* keys."""
+    """A parsed config: one field per config key, declared with its row;
+    the initial field holds the InitialLaw built from its keys."""
 
     scenario: str = _key("run", "scenario", str, None, "scenario to run",
                          SCENARIOS)
@@ -188,24 +195,7 @@ class RunConfig:
                                  "value for 'constant' kernels")
     leader_x: np.ndarray = _key("model", "leader_x", _parse_floats, "1.0",
                                 "initial leader position(s)")
-    initial_kind: str = _key("model", "initial", str, "gaussian",
-                             "initial law", INITIAL_KINDS)
-    initial_x: np.ndarray = _key("model", "initial_x", _parse_floats, "0.0",
-                                 "initial mean position")
-    initial_v: np.ndarray = _key("model", "initial_v", _parse_floats, "0.0",
-                                 "initial mean velocity")
-    initial_std: np.ndarray = _key("model", "initial_std", _parse_floats,
-                                   "1.0", "gaussian std", ">= 0")
-    initial_box: np.ndarray = _key("model", "initial_box", _parse_floats,
-                                   "1.0", "uniform half-width", ">= 0")
-    mix_weight: float = _key("model", "mix_weight", float, "0.5",
-                             "first mixture weight", "in [0, 1]")
-    initial_x2: np.ndarray = _key("model", "initial_x2", _parse_floats, "0.0",
-                                  "second component mean position")
-    initial_v2: np.ndarray = _key("model", "initial_v2", _parse_floats, "0.0",
-                                  "second component mean velocity")
-    initial_std2: np.ndarray = _key("model", "initial_std2", _parse_floats,
-                                    "1.0", "second component std", ">= 0")
+    initial: InitialLaw
     T: float = _key("grid", "t", float, "1.0", "horizon", "> 0")
     n_steps: int = _key("grid", "n_steps", int, "50", "time steps", ">= 1")
     control_class: str = _key("control", "class", str, "zero",
@@ -242,13 +232,22 @@ class RunConfig:
     step0: float = _key("experiment", "step0", float, "0.5",
                         "optimizer initial step", "> 0")
     output_dir: str = _key("io", "output_dir", str, "out", "output directory")
-    initial: InitialLaw
     resolved: dict = field(default_factory=dict, compare=False)
 
 
-# (field name, section, key, row) of every config key, in field order.
-_KEYS = tuple((f.name, *f.metadata["key"], f.metadata["row"])
-              for f in fields(RunConfig) if f.metadata)
+def _keys(cls):
+    """(field name, section, key, row) of every config key declared on cls,
+    in field order; a field holding an InitialLaw stands for its keys."""
+    keys = []
+    for f in fields(cls):
+        if f.type is InitialLaw:
+            keys += _keys(InitialLaw)
+        elif f.metadata:
+            keys.append((f.name, *f.metadata["key"], f.metadata["row"]))
+    return keys
+
+
+_KEYS = tuple(_keys(RunConfig))
 
 
 def _schema():
@@ -274,23 +273,30 @@ def _reference_size(n_ref, n_list):
     return n_ref if n_ref else 8 * max(n_list)
 
 
-def _check_ranges(values, errors):
-    """Each key's rule, then finiteness of its float values, then the rules
-    that span keys. values holds the parsed value of each field by name."""
-    bad = errors.append
-    for name, section, key, (conv, _, _, rule) in _KEYS:
+def _key_errors(keys, values):
+    """The messages of each key's rule, then of finiteness of its float
+    values; keys are _keys rows, values holds the value of each field by
+    name (None is not checked)."""
+    for name, section, key, (conv, _, _, rule) in keys:
         value = values[name]
         if value is None:
             continue
-        parts = value if isinstance(value, tuple) else (value,)
+        parts = value if isinstance(value, (tuple, np.ndarray)) else (value,)
         if isinstance(rule, tuple):
             if value not in rule:
-                bad(f"[{section}] unknown {key} '{value}'"
-                    + _suggest(value, rule))
+                yield (f"[{section}] unknown {key} '{value}'"
+                       + _suggest(value, rule))
         elif rule is not None and not all(map(_BOUNDS[rule], parts)):
-            bad(f"[{section}] {key} must be {rule}")
+            yield f"[{section}] {key} must be {rule}"
         elif conv in (float, _parse_floats) and not np.isfinite(value).all():
-            bad(f"[{section}] {key} must be finite")
+            yield f"[{section}] {key} must be finite"
+
+
+def _check_ranges(values, errors):
+    """Each key's rule (_key_errors), then the rules that span keys. values
+    holds the parsed value of each field by name."""
+    errors.extend(_key_errors(_KEYS, values))
+    bad = errors.append
 
     scenario = values["scenario"]
     if scenario is None:
@@ -391,13 +397,9 @@ def parse_config(path):
                 errors.append(str(e))
     if errors:
         raise ConfigError(errors)
-    initial = InitialLaw(
-        kind=values["initial_kind"], d=d, mean_x=values["initial_x"],
-        mean_v=values["initial_v"], std=values["initial_std"],
-        box=values["initial_box"], mix_weight=values["mix_weight"],
-        mean_x2=values["initial_x2"], mean_v2=values["initial_v2"],
-        std2=values["initial_std2"])
-    return RunConfig(**values, initial=initial, resolved=resolved)
+    law = {name: values.pop(name) for name, *_ in _keys(InitialLaw)}
+    return RunConfig(**values, initial=InitialLaw(d=d, **law),
+                     resolved=resolved)
 
 
 def _build_model(rc):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .drift import ValidationReport, running_sup_gap
 from .pdeode import solve_coupled
+from .phase_space import _TIME_TOL
 from .sde import STREAM_OPTIMIZER, generate_brownian, path_rng, simulate_interacting
 
 __all__ = [
@@ -192,7 +193,7 @@ class SVControl:
         return self.m * self.d * self.M_h * self.L_g
 
     def bin_index(self, t):
-        tol = 1e-9 * max(1.0, self.T)
+        tol = _TIME_TOL * max(1.0, self.T)
         if t < -tol or t > self.T + tol:
             raise ValueError(f"time {t} outside [0, {self.T}]")
         return min(int(max(t, 0.0) * self.K / self.T), self.K - 1)

@@ -80,13 +80,16 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     """Integrate the first-order leader equation dY/dt = F[t, mu](Y) + u(t, mu)
     along a given follower flow.
 
-    Explicit Euler on the flow's grid, with steps times[k + 1] - times[k].
-    W stores the right-hand side F.rhs, shared with the finite-N simulator,
-    at every node, both ends included. F reads the current (m, d) positions
-    Y; a non-finite Y or right-hand side raises FloatingPointError naming
-    the time. Each returned node was checked here or copied from a checked
-    path, so LeaderPath._of takes the arrays without a second copy or
-    check.
+    Explicit Euler on the flow's grid, written node by node into the
+    arrays of the returned path: W[k] = F.rhs(times[k], flow, Y[k], u),
+    shared with the finite-N simulator, then Y[k + 1] = Y[k] +
+    (times[k + 1] - times[k]) W[k]; W[M] ends the path. A non-finite Y or
+    right-hand side raises FloatingPointError naming the time. Y[k + 1] is
+    checked once, and W[k] only when that check fails: a non-finite W[k]
+    always makes Y[k + 1] non-finite (the step is > 0, Y[k] is finite), so
+    it raises at the same time, with the same message, as a check of W[k]
+    would. Y[k] needs no check: it is Y0, a node copied from a checked
+    path or the node checked one step earlier.
 
     The scheme is causal: Y at node k + 1 and W at node k read the flow on
     the nodes <= k only. So solving on the full grid subsumes every prefix
@@ -96,37 +99,32 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     solve_coupled: that earlier path and a, whose nodes are copied
     instead of solved again.
     """
-    times = np.asarray(flow.times, dtype=float)
+    times = flow.times
     m, d = Y0.m, flow.d
     M = times.size - 1
-
-    def rhs(t, Y):
-        if not np.isfinite(Y).all():
-            raise FloatingPointError(f"non-finite leader state at t={t}")
-        out = F.rhs(t, flow, Y, u)
-        if not np.isfinite(out).all():
-            raise FloatingPointError(f"non-finite leader right-hand side at t={t}")
-        return out
-
-    Y_hist = np.empty((M + 1, m, d))
-    W_hist = np.empty((M + 1, m, d))
+    Y, W = np.empty((2, M + 1, m, d))
     prior, agree = _resume if _resume is not None else (None, 0)
     start = min(agree, M)
     if agree:
-        Y_hist[:start], W_hist[:agree] = prior.Y[:start], prior.W[:agree]
-        Y = prior.Y[start].copy()
+        Y[: start + 1], W[:agree] = prior.Y[: start + 1], prior.W[:agree]
     else:
-        Y = Y0.Y.copy().reshape(m, d)
-    Y_hist[start] = Y
+        # The reshape refuses leaders whose d is not the flow's.
+        Y[0] = Y0.Y.reshape(m, d)
     for k in range(start, M):
-        dt = times[k + 1] - times[k]
-        slope = rhs(times[k], Y)
-        W_hist[k] = slope
-        Y = Y + dt * slope
-        Y_hist[k + 1] = Y
+        W[k] = F.rhs(times[k], flow, Y[k], u)
+        Y[k + 1] = Y[k] + (times[k + 1] - times[k]) * W[k]
+        if not np.isfinite(Y[k + 1]).all():
+            if not np.isfinite(W[k]).all():
+                raise FloatingPointError(
+                    f"non-finite leader right-hand side at t={times[k]}")
+            raise FloatingPointError(
+                f"non-finite leader state at t={times[k + 1]}")
     if agree <= M:
-        W_hist[M] = rhs(times[M], Y)
-    return LeaderPath._of(times, Y_hist, W_hist)
+        W[M] = F.rhs(times[M], flow, Y[M], u)
+        if not np.isfinite(W[M]).all():
+            raise FloatingPointError(
+                f"non-finite leader right-hand side at t={times[M]}")
+    return LeaderPath._of(times, Y, W)
 
 
 def _leaders_along(F, u, Y0):
@@ -173,13 +171,10 @@ def _coupled_drift(v, w, F, u, Y0, T, leaders_for):
     if w is None:
         return base
 
-    if v is None:
-        def batch(t, flow, X, V):
-            return w.eval_batch(t, leaders_for(flow), X, V)
-    else:
-        def batch(t, flow, X, V):
-            return v.eval_batch(t, flow, X, V) \
-                + w.eval_batch(t, leaders_for(flow), X, V)
+    def batch(t, flow, X, V):
+        f = None if v is None else v.eval_batch(t, flow, X, V)
+        g = w.eval_batch(t, leaders_for(flow), X, V)
+        return g if f is None else f + g
 
     K_u = float(getattr(u, "M_u", 0.0)) if u is not None else 0.0
     L_u = float(getattr(u, "L_u", 0.0)) if u is not None else 0.0
@@ -254,8 +249,8 @@ def leader_flow_sensitivity(F, u, flow_pairs, Y0, p):
             continue
         pa = solve_leader_ode(F, u, mu, Y0)
         pb = solve_leader_ode(F, u, nu, Y0)
+        diff = pa.Y - pb.Y
         num = float(np.max(np.linalg.norm(
-            pa.Y.reshape(len(pa.times), -1) - pb.Y.reshape(len(pb.times), -1),
-            axis=1)))
+            diff.reshape(len(diff), -1), axis=1)))
         ratios.append(num / den)
     return ratios

@@ -164,7 +164,8 @@ PINNED_ATTRS = (
 def _law(kind="gaussian", d=1, **kw):
     base = dict(kind=kind, d=d,
                 mean_x=np.zeros(d), mean_v=np.zeros(d),
-                std=np.ones(d), box=np.ones(d))
+                std=np.ones(d), box=np.ones(d), mix_weight=0.5,
+                mean_x2=None, mean_v2=None, std2=None)
     base.update(kw)
     return InitialLaw(**base)
 
@@ -448,7 +449,7 @@ class TestInitialLaw:
             initial_law_sampler(second, 8, 0).X, np.full((8, 1), 5.0))
 
     def test_law_validation(self):
-        with pytest.raises(ValueError, match="unknown initial law"):
+        with pytest.raises(ValueError, match="unknown initial 'lognormal'"):
             _law("lognormal")
         with pytest.raises(ValueError, match=">= 0"):
             _law("gaussian", std=np.array([-1.0]))
@@ -460,8 +461,23 @@ class TestInitialLaw:
         with pytest.raises(ValueError, match="weight"):
             _law("gaussian", mix_weight=1.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, key", [("mean_x", "initial_x"),
+                                            ("mean_v", "initial_v"),
+                                            ("mean_x2", "initial_x2")])
+    def test_non_finite_mean_refused(self, field, key, value):
+        kw = dict(mean_x2=np.zeros(1), mean_v2=np.zeros(1), std2=np.ones(1))
+        kw[field] = np.array([value])
+        with pytest.raises(ValueError,
+                           match=rf"\[model\] {key} must be finite"):
+            _law("mixture", **kw)
+
 
 class TestRunScenarios:
+    def test_every_scenario_name_has_its_function(self):
+        # A name parse_config accepts must be one run can dispatch.
+        assert cli.SCENARIOS == tuple(cli._SCENARIO_FNS)
+
     def test_simulate_writes_flow_and_manifest(self, tmp_path, capsys):
         cfg = _write(tmp_path, SIMULATE)
         out = tmp_path / "out"

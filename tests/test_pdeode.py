@@ -390,6 +390,33 @@ class TestLeaderRestart:
         assert resumed.Y.tobytes() == scratch.Y.tobytes()
         assert resumed.W.tobytes() == scratch.W.tobytes()
 
+    # (a, control value once follower 0 moves, failure node, message): a
+    # right-hand side of inf fails at the node it is read on, a finite
+    # 1e308 overflows Y one step of 2 later.
+    BLOWUPS = [(a, np.inf, a, "non-finite leader right-hand side")
+               for a in range(5)] \
+        + [(a, 1e308, a + 1, "non-finite leader state") for a in range(4)]
+
+    @pytest.mark.parametrize("a, value, node, message", BLOWUPS)
+    def test_restarted_failure_equals_the_from_scratch_one(self, a, value,
+                                                           node, message):
+        times = time_grid(8.0, 4)
+        V_new = np.zeros((5, 1, 1))
+        V_new[a:] = 1.0
+        old = MeasureFlow._of(times, np.zeros((5, 1, 1)), np.zeros((5, 1, 1)))
+        new = MeasureFlow._of(times, np.zeros((5, 1, 1)), V_new)
+        assert _agreeing_nodes(old, new) == a
+        u = lambda t, flow: np.array(
+            [[value if flow.at_time(t).V[0, 0] else 0.5]])
+        F, Y0 = _zero_F(), LeaderState([[0.0]])
+        prior = solve_leader_ode(F, u, old, Y0)
+        want = f"{message} at t={times[node]}"
+        with pytest.raises(FloatingPointError) as scratch:
+            solve_leader_ode(F, u, new, Y0)
+        with pytest.raises(FloatingPointError) as resumed:
+            solve_leader_ode(F, u, new, Y0, _resume=(prior, a))
+        assert str(scratch.value) == str(resumed.value) == want
+
     def test_every_coupled_solve_equals_the_from_scratch_one(self,
                                                              monkeypatch):
         # The drift's leader solves restart from the last flow's path, and
