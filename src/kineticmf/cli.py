@@ -121,7 +121,9 @@ class InitialLaw:
                                    "1.0", "second component std", ">= 0")
 
     def __post_init__(self):
-        errors = list(_key_errors(_keys(InitialLaw), vars(self)))
+        keys = _keys(InitialLaw)
+        errors = list(_key_errors(keys, vars(self)))
+        _broadcast_keys(keys, dict(vars(self)), self.d, errors)
         if errors:
             raise ValueError("; ".join(errors))
         if self.kind == "mixture" and (self.mean_x2 is None
@@ -139,6 +141,18 @@ def _broadcast(vals, d, label):
         need = f"1 or {d} components" if d > 1 else "1 component"
         raise ValueError(f"{label} needs {need}, got {arr.size}")
     return arr
+
+
+def _broadcast_keys(keys, values, d, errors):
+    """Broadcast each float list of values (keys are _keys rows) to a
+    d-vector in place, appending _broadcast's message for one of another
+    length; None is left as it is."""
+    for name, section, key, (conv, *_) in keys:
+        if conv is _parse_floats and values[name] is not None:
+            try:
+                values[name] = _broadcast(values[name], d, f"[{section}] {key}")
+            except ValueError as e:
+                errors.append(str(e))
 
 
 def initial_law_sampler(spec, N, seed):
@@ -388,13 +402,8 @@ def parse_config(path):
 
     # Float lists become d-vectors once every key has passed its rule.
     d = values["d"]
-    for name, section, key, (conv, *_) in () if errors else _KEYS:
-        if conv is _parse_floats:
-            try:
-                values[name] = _broadcast(values[name], d,
-                                          f"[{section}] {key}")
-            except ValueError as e:
-                errors.append(str(e))
+    if not errors:
+        _broadcast_keys(_KEYS, values, d, errors)
     if errors:
         raise ConfigError(errors)
     law = {name: values.pop(name) for name, *_ in _keys(InitialLaw)}

@@ -194,7 +194,7 @@ class SVControl:
 
     def bin_index(self, t):
         tol = _TIME_TOL * max(1.0, self.T)
-        if t < -tol or t > self.T + tol:
+        if not -tol <= t <= self.T + tol:
             raise ValueError(f"time {t} outside [0, {self.T}]")
         return min(int(max(t, 0.0) * self.K / self.T), self.K - 1)
 
@@ -219,7 +219,8 @@ def zero_control(m, d):
 
 def ev_control(fn, m, d, M_u, L_u, name="ev"):
     """Wrap a marginal-only callback fn(t, ensemble) -> (m, d). The declared
-    constants are the caller's promise; validate_control samples them."""
+    constants are the caller's promise; validate_control samples them. Only
+    tests call it; inlined, its lines would move into them, not go."""
     return ControlSpec(fn=lambda t, flow: fn(t, flow.at_time(t)), m=m, d=d,
                        M_u=M_u, L_u=L_u, name=name)
 

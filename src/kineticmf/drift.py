@@ -603,7 +603,8 @@ def validate_dissipativity_v3pp(f, flows, samples):
 def cutoff_eta(r, cap):
     """C^1 cubic cutoff: 1 on [0, cap], 0 from cap + 1 on, with
     eta(r) = 1 - 3 s^2 + 2 s^3 for s = clamp(r - cap, 0, 1). Pinned to this
-    exact polynomial so truncation is reproducible bit for bit."""
+    exact polynomial so truncation is reproducible bit for bit. Kept as
+    clamp_drift's cutoff."""
     s = min(max(float(r) - float(cap), 0.0), 1.0)
     return min(max(1.0 - 3.0 * s * s + 2.0 * s * s * s, 0.0), 1.0)
 
@@ -612,7 +613,8 @@ def clamp_drift(f, N_cap):
     """Truncated field f_N[t, flow](z) = f[t, flow](z) * eta(Mbar_p(t, flow)).
 
     Never increases the field norm pointwise; equals f wherever the running
-    moment stays at or below N_cap.
+    moment stays at or below N_cap. Kept as the paper's moment truncation,
+    which picard_solve's docstring points to.
     """
     if N_cap <= 0:
         raise ValueError("truncation cap must be positive")

@@ -182,7 +182,8 @@ def minima_convergence_experiment(model, cost, N_list, budget, cfg, seeds,
     """|min_u F^N[u] - min_u F[u]| per N, both minima found by the same
     derivative-free search, F as in gamma_convergence_experiment. Heuristic
     by nature (local minima, finite budget): the table is flagged as
-    indicative in its metadata, never ground truth for the true minima."""
+    indicative in its metadata, never ground truth for the true minima.
+    No scenario calls it; it is the README's third experiment."""
     N_list = _sweep_sizes(N_list, seeds)
     if u0 is None:
         u0 = sv_zero(model.m, model.d, cfg.T, K=K, M_h=M_h)

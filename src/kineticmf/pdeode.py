@@ -27,7 +27,6 @@ __all__ = [
     "LeaderFollowerModel",
     "CoupledSolution",
     "solve_leader_ode",
-    "combined_drift",
     "solve_coupled",
     "control_stability",
     "leader_flow_sensitivity",
@@ -40,7 +39,7 @@ class LeaderFollowerModel:
     start positions, i.i.d. initial-law sampler (N, seed) -> ParticleEnsemble,
     and the Wasserstein order its drift is paired with. The order rides on
     the K11 field, so a model without K11, whose coupled drift is paired
-    with p = 2 (combined_drift), refuses another p. The diffusion
+    with p = 2 (solve_coupled), refuses another p. The diffusion
     strength is not part of the model: simulations read SimConfig.sigma.
     """
 
@@ -95,12 +94,14 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     the nodes <= k only. So solving on the full grid subsumes every prefix
     solve, and a solve along a flow that agrees with an earlier one on its
     nodes 0..a - 1 agrees with that solve's path on Y at nodes 0..a and W
-    at nodes 0..a - 1. _resume = (path, a) is for combined_drift and
-    solve_coupled: that earlier path and a, whose nodes are copied
-    instead of solved again.
+    at nodes 0..a - 1. _resume = (path, a) is for _leaders_along: that
+    earlier path and a, whose nodes are copied instead of solved again.
+    Leaders whose d is not the flow's raise ValueError.
     """
     times = flow.times
     m, d = Y0.m, flow.d
+    if Y0.d != d:
+        raise ValueError(f"leaders have d={Y0.d}, the followers d={d}")
     M = times.size - 1
     Y, W = np.empty((2, M + 1, m, d))
     prior, agree = _resume if _resume is not None else (None, 0)
@@ -108,8 +109,7 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     if agree:
         Y[: start + 1], W[:agree] = prior.Y[: start + 1], prior.W[:agree]
     else:
-        # The reshape refuses leaders whose d is not the flow's.
-        Y[0] = Y0.Y.reshape(m, d)
+        Y[0] = Y0.Y
     for k in range(start, M):
         W[k] = F.rhs(times[k], flow, Y[k], u)
         Y[k + 1] = Y[k] + (times[k + 1] - times[k]) * W[k]
@@ -144,32 +144,27 @@ def _leaders_along(F, u, Y0):
     return along
 
 
-def combined_drift(v, w, F, u, Y0, T=1.0):
-    """Follower drift of the coupled system: G[t, mu](z) = v[t, mu](z) +
-    w[t, S[mu, u]](z), where S[mu, u] is the leader path solved along mu.
-
-    The leader path (explicit Euler) of the last flow read is kept, by
-    identity, so one Picard iterate triggers exactly one solve_leader_ode
-    call; it restarts from the node where the new flow first differs from
-    the last one (_leaders_along).
+def _coupled_drift(v, w, F, u, Y0, T):
+    """(G, leaders_for): the coupled follower drift G[t, mu](z) =
+    v[t, mu](z) + w[t, S[mu, u]](z), where S[mu, u] = leaders_for(mu) is
+    the leader path (explicit Euler) solved along mu. leaders_for
+    (_leaders_along) keeps the path of the last flow read, by identity, so
+    one Picard iterate triggers exactly one solve_leader_ode call; it
+    restarts from the node where the new flow first differs from the last.
     Declared constants: the sublinearity constant follows the composition rule
     K_G = K_v + K_w (1 + K_F)(1 + C1 + K_F + K_u) with the discrete
     a-priori leader bound C1 = (|Y0| + 1 + T (K_F + K_u)) e^{(K_F + 1) T};
     the dissipativity constant adds the leader-map Lipschitz factor
     C2 = T (L_F + L_u) e^{L_F T}.
 
-    With no coupling (w is None) the field v is returned as-is. An absent v
+    With no coupling (w is None) G is the field v as-is. An absent v
     (None, a model without K11) adds nothing: G is w's term alone, with
     zero_field()'s constants and its order p = 2.
     """
-    return _coupled_drift(v, w, F, u, Y0, T, _leaders_along(F, u, Y0))
-
-
-def _coupled_drift(v, w, F, u, Y0, T, leaders_for):
-    """combined_drift with its leader solves taken from leaders_for."""
+    leaders_for = _leaders_along(F, u, Y0)
     base = v if v is not None else zero_field()
     if w is None:
-        return base
+        return base, leaders_for
 
     def batch(t, flow, X, V):
         f = None if v is None else v.eval_batch(t, flow, X, V)
@@ -182,10 +177,11 @@ def _coupled_drift(v, w, F, u, Y0, T, leaders_for):
         * math.exp((F.K_F + 1.0) * T)
     C2 = T * (F.L_F + L_u) * math.exp(F.L_F * T)
     K_G = base.K + w.K_w * (1.0 + F.K_F) * (1.0 + C1 + F.K_F + K_u)
-    return DriftField(batch=batch, K=K_G, beta=base.beta, alpha=base.alpha,
-                      L=base.L + w.L_w, D=base.D + w.L_w * (1.0 + C2),
-                      p=base.p, name=f"{base.name}+{w.name}",
-                      unbounded=base.unbounded)
+    G = DriftField(batch=batch, K=K_G, beta=base.beta, alpha=base.alpha,
+                   L=base.L + w.L_w, D=base.D + w.L_w * (1.0 + C2),
+                   p=base.p, name=f"{base.name}+{w.name}",
+                   unbounded=base.unbounded)
+    return G, leaders_for
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,7 @@ def solve_coupled(v, w, F, u, init_followers, Y0, cfg, tol=1e-6, max_iter=25,
     the last iterate's path as well. v may be None (no K11), as w may.
     Non-convergence is reported in the Picard field, not raised.
     record_gaps goes to picard_solve."""
-    leaders_for = _leaders_along(F, u, Y0)
-    G = _coupled_drift(v, w, F, u, Y0, cfg.T, leaders_for)
+    G, leaders_for = _coupled_drift(v, w, F, u, Y0, cfg.T)
     rep = picard_solve(G, init_followers, cfg, tol=tol, max_iter=max_iter,
                        record_gaps=record_gaps)
     leaders = leaders_for(rep.final_flow)

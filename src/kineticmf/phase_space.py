@@ -11,7 +11,6 @@ functional is one array expression over the node axis; its snapshots are
 locked ParticleEnsemble views of those arrays.
 """
 
-import csv
 import math
 import operator
 
@@ -31,9 +30,7 @@ __all__ = [
     "gamma_p",
     "IDENTITY_YOUNG",
     "write_flow_csv",
-    "read_flow_csv",
     "write_leader_csv",
-    "read_leader_csv",
 ]
 
 # Relative slack used when locating a time node on a grid. Nodes are exact
@@ -414,86 +411,28 @@ def gamma_p(p):
     return 1.0 / max(2.0, float(p))
 
 
-def _header(names, d):
-    index, x, v = names
-    return (["t", index] + [f"{x}{i}" for i in range(d)]
-            + [f"{v}{i}" for i in range(d)])
-
-
 def _write_csv(path, names, times, X, V):
     """CSV with header t,<index>,<x>0..<x>{d-1},<v>0..<v>{d-1} for names =
     (index, x, v) and one row t_k,i,X[k][i],V[k][i] per node k and row i,
     byte for byte as csv.writer writes it (comma separated, \r\n line
     ends) with every float as format(x, ".17g"), full round-trip
     precision."""
+    index, x, v = names
     d = X[0].shape[1]
+    header = (["t", index] + [f"{x}{i}" for i in range(d)]
+              + [f"{v}{i}" for i in range(d)])
     row = "%.17g,%d" + ",%.17g" * (2 * d) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_header(names, d)) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
         for t, Xk, Vk in zip(times.tolist(), X, V):
             rows = np.concatenate([Xk, Vk], axis=1).tolist()
             fh.write("".join([row % (t, i, *z) for i, z in enumerate(rows)]))
 
 
-def _read_csv(path, names):
-    """Inverse of _write_csv for the same names: (times, X, V) with X and V
-    of shape (nodes, rows, d), a node being a run of rows with one t. An
-    empty file, no data rows, a wrong header (_write_csv's for names and
-    some d >= 1), ragged nodes, or, naming its line, a row of another
-    width, a non-finite or non-numeric field, a t below the row above's or
-    an index other than the row's place in its node raise ValueError."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"CSV file '{path}' has no data rows")
-    width = len(rows[0])
-    d = (width - 2) // 2
-    index, x, v = names
-    if d < 1 or rows[0] != _header(names, d):
-        raise ValueError(f"CSV file '{path}' must start with header "
-                         f"t,{index},{x}0,...,{v}0,...")
-    data = np.empty((len(rows) - 1, width))
-    for line, r in enumerate(rows[1:], start=2):
-        if len(r) != width:
-            raise ValueError(f"CSV file '{path}' line {line} has {len(r)} "
-                             f"fields, not {width}")
-        try:
-            data[line - 2] = [float(c) for c in r]
-        except ValueError as e:
-            raise ValueError(f"CSV file '{path}' line {line}: {e}") from None
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"CSV file '{path}' line {bad[0] + 2}: not finite")
-    t = data[:, 0]
-    bad = np.flatnonzero(t[1:] < t[:-1])
-    if bad.size:
-        raise ValueError(f"CSV file '{path}' line {bad[0] + 3}: node times "
-                         "must be strictly increasing")
-    sizes = np.diff(np.r_[0, np.flatnonzero(t[1:] != t[:-1]) + 1, t.size])
-    if np.any(sizes != sizes[0]):
-        raise ValueError(f"CSV file '{path}' has ragged time nodes")
-    data = data.reshape(sizes.size, sizes[0], width)
-    bad = np.flatnonzero(data[:, :, 1] != np.arange(sizes[0]))
-    if bad.size:
-        raise ValueError(f"CSV file '{path}' line {bad[0] + 2}: the {index} "
-                         f"column must read 0..{sizes[0] - 1} at every node")
-    return data[:, 0, 0], data[:, :, 2 : 2 + d], data[:, :, 2 + d :]
-
-
-_FLOW_NAMES = ("particle", "x", "v")
-_LEADER_NAMES = ("leader", "y", "w")
-
-
 def write_flow_csv(flow, path):
     """Flow CSV: header t,particle,x0..x{d-1},v0..v{d-1}, one row per
     (time node, particle), full round-trip precision."""
-    _write_csv(path, _FLOW_NAMES, flow.times, flow.X, flow.V)
-
-
-def read_flow_csv(path):
-    """The flow write_flow_csv wrote; malformed files raise ValueError."""
-    times, X, V = _read_csv(path, _FLOW_NAMES)
-    return MeasureFlow(times, [ParticleEnsemble(x, v) for x, v in zip(X, V)])
+    _write_csv(path, ("particle", "x", "v"), flow.times, flow.X, flow.V)
 
 
 def write_leader_csv(lp, path):
@@ -502,10 +441,4 @@ def write_leader_csv(lp, path):
     before the file is opened."""
     if lp.m == 0:
         raise ValueError("a leader CSV needs at least one leader")
-    _write_csv(path, _LEADER_NAMES, lp.times, lp.Y, lp.W)
-
-
-def read_leader_csv(path):
-    """The leader path write_leader_csv wrote; malformed files raise
-    ValueError."""
-    return LeaderPath(*_read_csv(path, _LEADER_NAMES))
+    _write_csv(path, ("leader", "y", "w"), lp.times, lp.Y, lp.W)

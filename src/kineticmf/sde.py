@@ -194,8 +194,12 @@ def _sweep_fields(v, w, F, u, init_followers, init_leaders, cfg, paths):
     The step is cfg.dt, while solve_leader_ode steps by times[k + 1] -
     times[k]; the two differ in the last bit (on 23 of 25 steps at T = 2
     with 25 steps), so each level keeps its own. No leaders: pass
-    LeaderState.empty(d) and the F of kernel_fields({}, 0). A non-finite
-    state or final W raises FloatingPointError."""
+    LeaderState.empty(d) and the F of kernel_fields({}, 0). Leaders whose
+    d is not cfg.d raise ValueError; a non-finite state or final W raises
+    FloatingPointError."""
+    if init_leaders.d != cfg.d:
+        raise ValueError(
+            f"leaders have d={init_leaders.d}, the followers d={cfg.d}")
     m = init_leaders.m
     u = u if m > 0 else None
     times = cfg.grid()

@@ -176,7 +176,8 @@ def wasserstein_gap(a, b, p):
 
 
 def _sliced_w1_samples(A, B, n_proj, seed):
-    """Per-projection 1-d W_1 values between point clouds A, B of shape (N, D)."""
+    """Per-projection 1-d W_1 values between point clouds A, B of shape (N, D).
+    Kept, as the sliced functions are, for the sliced <= exact W_1 check."""
     D = A.shape[1]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     out = np.empty(n_proj)
@@ -198,7 +199,7 @@ def sliced_w1_points(A, B, n_proj, seed):
     points on the line: the average over n_proj random unit directions of
     the 1-d W_1 (sorted pairing) of the projections. In one dimension the
     projection is +/- identity and the value equals the exact W_1. Empty
-    clouds are refused."""
+    clouds are refused. Kept for the sliced <= exact W_1 check."""
     A, B = (np.asarray(C, dtype=float) for C in (A, B))
     A, B = (C[:, None] if C.ndim == 1 else C for C in (A, B))
     if A.ndim != 2 or B.ndim != 2:
@@ -214,6 +215,7 @@ def sliced_w1_points(A, B, n_proj, seed):
 
 def sliced_w1(a, b, n_proj, seed):
     """Sliced W_1 surrogate on ensembles; projects the concatenated
-    z = (x, v) cloud, deterministic for a given seed."""
+    z = (x, v) cloud, deterministic for a given seed. Kept for the sliced
+    <= exact W_1 check."""
     _check_pair(a, b, 1)
     return sliced_w1_points(a.Z(), b.Z(), n_proj, seed)

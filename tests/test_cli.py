@@ -33,7 +33,6 @@ from kineticmf.drift import (
 from kineticmf.phase_space import (
     MeasureFlow,
     ParticleEnsemble,
-    read_leader_csv,
     time_grid,
 )
 
@@ -472,6 +471,20 @@ class TestInitialLaw:
                            match=rf"\[model\] {key} must be finite"):
             _law("mixture", **kw)
 
+    @pytest.mark.parametrize("field, key", [("mean_x", "initial_x"),
+                                            ("std", "initial_std"),
+                                            ("mean_v2", "initial_v2")])
+    def test_a_vector_of_another_length_refused(self, field, key):
+        kw = dict(mean_x2=np.zeros(2), mean_v2=np.zeros(2), std2=np.ones(2))
+        kw[field] = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=rf"\[model\] {key} needs 1 or 2 "
+                           "components, got 3"):
+            _law("mixture", d=2, **kw)
+
+    def test_a_one_component_vector_is_checked_not_rewritten(self):
+        law = _law("gaussian", d=2, mean_x=np.array([1.0]))
+        np.testing.assert_array_equal(law.mean_x, [1.0])
+
 
 class TestRunScenarios:
     def test_every_scenario_name_has_its_function(self):
@@ -558,8 +571,12 @@ class TestRunScenarios:
             leaders="n_leaders = 2\nk12 = bounded_attraction\n"))
         out = tmp_path / "out"
         assert main(["run", cfg, "--output-dir", str(out)]) == 0
-        leaders = read_leader_csv(out / "leaders.csv")
-        assert leaders.m == 2 and len(leaders.times) == 5
+        path = out / "leaders.csv"
+        assert path.read_text().splitlines()[0] == "t,leader,y0,w0"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.isfinite(rows).all()
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(rows[::2, 0], 2))
+        np.testing.assert_array_equal(rows[:, 1], np.tile([0.0, 1.0], 5))
         manifest = json.loads((out / "manifest.json").read_text())
         assert "leaders.csv" in manifest["outputs"]
 

@@ -258,6 +258,8 @@ class TestSVControl:
             u.bin_index(1.5)
         with pytest.raises(ValueError):
             u.bin_index(-0.5)
+        with pytest.raises(ValueError, match=r"time nan outside \[0, 1.0\]"):
+            u.bin_index(float("nan"))
 
     def test_piecewise_constant_values_from_unit_feature(self):
         h = np.array([[[0.3]], [[-0.7]]])

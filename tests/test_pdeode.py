@@ -1,4 +1,4 @@
-"""Leader ODE, combined drift, and coupled-solver tests."""
+"""Leader ODE, coupled drift, and coupled-solver tests."""
 
 import hashlib
 import os
@@ -24,7 +24,6 @@ from kineticmf.meanfield import flow_gap, picard_solve
 from kineticmf.pdeode import (
     CoupledSolution,
     LeaderFollowerModel,
-    combined_drift,
     control_stability,
     leader_flow_sensitivity,
     solve_coupled,
@@ -148,6 +147,15 @@ class TestLeaderOde:
         np.testing.assert_array_equal(path.Y, np.full((11, 1, 1), 1.5))
         np.testing.assert_array_equal(path.W, np.zeros((11, 1, 1)))
 
+    @pytest.mark.parametrize("Y", [[[1.0]], np.zeros((0, 1))],
+                             ids=["d=1", "leaderless-d=1"])
+    def test_leaders_of_another_d_refused(self, Y):
+        ens = ParticleEnsemble(np.zeros((3, 2)), np.zeros((3, 2)))
+        flow = MeasureFlow.constant(ens, time_grid(1.0, 4))
+        with pytest.raises(ValueError,
+                           match="leaders have d=1, the followers d=2"):
+            solve_leader_ode(_zero_F(len(Y)), None, flow, LeaderState(Y))
+
     def test_constant_control_integrates_exactly(self):
         flow = _const_flow(0.0, n_steps=8)
         c = np.array([[0.6]])
@@ -217,13 +225,13 @@ class TestLeaderOde:
 class TestCombinedDrift:
     def test_no_coupling_returns_v_unchanged(self):
         v = zero_field()
-        assert combined_drift(v, None, _zero_F(), None,
-                              LeaderState.empty(1)) is v
+        assert pdeode._coupled_drift(v, None, _zero_F(), None,
+                                     LeaderState.empty(1), 1.0)[0] is v
 
     def test_static_leader_coupling_hand_value(self):
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
-        G = combined_drift(zero_field(), w, _zero_F(), None,
-                           LeaderState([[2.0]]))
+        G = pdeode._coupled_drift(zero_field(), w, _zero_F(), None,
+                                  LeaderState([[2.0]]), 1.0)[0]
         flow = _const_flow(1.0)
         out = G.eval_batch(0.5, flow, np.array([[1.0]]), np.array([[0.0]]))
         # Leader pinned at 2, follower at 1: K12(1) = 0.5.
@@ -244,8 +252,8 @@ class TestCombinedDrift:
         monkeypatch.setattr(pdeode, "solve_leader_ode", counting_solve)
         F = LeaderField(fn=counting, K_F=0.0, L_F=0.0)
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
-        G = combined_drift(zero_field(), w, F, None,
-                           LeaderState([[0.0]]))
+        G = pdeode._coupled_drift(zero_field(), w, F, None,
+                                  LeaderState([[0.0]]), 1.0)[0]
         flow = _const_flow(0.0, n_steps=4)
         X, V = np.zeros((2, 1)), np.zeros((2, 1))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -274,7 +282,8 @@ class TestCombinedDrift:
         w = coupling_from_kernel(kernel("bounded_attraction_position"))
         F = leader_field_from_kernels(kernel("bounded_attraction_position"),
                                       kernel("zero_position"), 1)
-        G = combined_drift(v, w, F, None, LeaderState([[1.0]]), T=1.0)
+        G = pdeode._coupled_drift(v, w, F, None, LeaderState([[1.0]]),
+                                  T=1.0)[0]
         assert G.K >= v.K
         assert G.D >= v.D
         assert G.L == v.L + w.L_w
@@ -499,15 +508,15 @@ class TestAbsentK11:
             LeaderFollowerModel(kernels={"K12": kernel("bounded_attraction")},
                                 Y0=LeaderState([[0.0]]),
                                 sampler=_gauss_sampler(1), d=1, p=1.0)
-        G = combined_drift(None, coupling_from_kernel(
+        G = pdeode._coupled_drift(None, coupling_from_kernel(
             kernel("bounded_attraction")), _zero_F(), None,
-            LeaderState([[0.0]]))
+            LeaderState([[0.0]]), 1.0)[0]
         zero = zero_field()
         assert (G.beta, G.alpha, G.p, G.unbounded) == (
             zero.beta, zero.alpha, zero.p, zero.unbounded)
         assert G.name == "zero+coupling[bounded_attraction]"
-        assert combined_drift(None, None, _zero_F(), None,
-                              LeaderState([[0.0]])).name == "zero"
+        assert pdeode._coupled_drift(None, None, _zero_F(), None,
+                                     LeaderState([[0.0]]), 1.0)[0].name == "zero"
 
     def test_signed_zeros_keep_the_bytes_of_an_added_zero_field(self):
         # No K11, a K12 whose every value is -0.0 and followers at

@@ -420,6 +420,18 @@ class TestInteracting:
                                  LeaderState([[0.0]]), cfg,
                                  generate_brownian(cfg))
 
+    @pytest.mark.parametrize("Y", [[[1.0]], np.zeros((0, 1)),
+                                   [[1.0, 2.0, 3.0]]],
+                             ids=["d=1", "leaderless-d=1", "d=3"])
+    def test_leaders_of_another_d_refused(self, Y):
+        # A d = 1 leader was once broadcast into a d = 2 path.
+        cfg = _cfg(N=2, n_steps=3, d=2)
+        leaders = LeaderState(Y)
+        with pytest.raises(ValueError, match=rf"leaders have d={leaders.d}, "
+                           "the followers d=2"):
+            simulate_interacting({}, None, _point_init(2, 2), leaders, cfg,
+                                 generate_brownian(cfg))
+
 
 class TestDoob:
     def test_bound_hand_values(self):
