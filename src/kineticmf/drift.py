@@ -51,20 +51,27 @@ class InteractionKernel:
 
     arity "phase" kernels map (dx, dv) -> R^d; arity "position" kernels map
     dx -> R^d (used for the leader position couplings). fn(dx, dv, out)
-    writes the values into out, a float array with dx's shape and memory
-    layout, and returns nothing; dv is None for position kernels. fn must
-    not write into dx or dv other than through out.
+    writes the values into out, a float array with dx's shape, and returns
+    nothing; dv is None for position kernels. fn must not write into dx or
+    dv other than through out.
+
+    reads_dx declares that the values depend on dx. One that does not
+    gives K(0, dv) at every dx, so pair_mean builds no position
+    differences for it and passes a read-only zero view,
+    np.broadcast_to(0.0, shape), in the dx slot: it still fixes the
+    call's (n, tile, d) shape. reads_dv declares that a phase kernel's
+    values depend on dv. One that reads dx alone may be called with dv
+    None, and pair_mean builds no dv for it. A custom kernel reads both
+    unless it says otherwise. pair_mean lays out out as the differences
+    the kernel reads.
 
     elementwise declares that the value at an entry depends only on that
     entry of dx and dv, so fn may write over its own input. Then, and only
-    then, out may be dx or dv itself (pair_mean hands such a kernel dv, or
-    dx when there is no dv); no other overlap of out with the inputs is
-    allowed. A kernel that sums over components is not elementwise, and
-    neither is a custom kernel unless it says so.
-
-    reads_dv declares that a phase kernel's values depend on dv. One that
-    reads dx alone may be called with dv None, and pair_mean builds no dv
-    for it; a custom kernel reads dv unless it says otherwise.
+    then, out may be dx or dv itself (pair_mean hands such a kernel the dv
+    it reads, else the dx it reads, and a fresh buffer when it reads
+    neither); no other overlap of out with the inputs is allowed. A kernel
+    that sums over components is not elementwise, and neither is a custom
+    kernel unless it says so.
 
     The declared L_ker and M_ker are promises checked by the validators,
     not by construction; kernels with M_ker = inf are flagged unbounded and
@@ -78,6 +85,7 @@ class InteractionKernel:
     arity: str = "phase"
     elementwise: bool = False
     reads_dv: bool = True
+    reads_dx: bool = True
 
     def __post_init__(self):
         if self.arity not in ("phase", "position"):
@@ -88,8 +96,8 @@ class InteractionKernel:
         return not math.isfinite(self.M_ker)
 
     def __call__(self, dx, dv=None, out=None):
-        """K(dx, dv) written into out, a float array shaped and laid out
-        like dx; without out, into a fresh np.empty_like(dx). Returns out."""
+        """K(dx, dv) written into out, a float array shaped like dx;
+        without out, into a fresh np.empty_like(dx). Returns out."""
         dx = np.asarray(dx, dtype=float)
         if self.arity == "position":
             dv = None
@@ -138,23 +146,24 @@ def _constant(d, params):
 
 
 # The kernel library, name: (fn, L_ker, M_ker, arity, elementwise,
-# reads_dv). A row whose M_ker is None needs the dimension d: its fn maps
-# (d, params) to (fn, M_ker). bounded_attraction sums over components: not
-# elementwise. Only the alignment kernels read dv.
+# reads_dv, reads_dx). A row whose M_ker is None needs the dimension d: its
+# fn maps (d, params) to (fn, M_ker). bounded_attraction sums over
+# components: not elementwise. The alignment kernels read dv alone, the
+# attraction kernels dx alone, and zero and constant neither.
 _KERNELS = {
-    "zero": (_k_zero, 0.0, 0.0, "phase", True, False),
-    "constant": (_constant, 0.0, None, "phase", True, False),
-    "alignment": (_k_alignment, 1.0, math.inf, "phase", True, True),
+    "zero": (_k_zero, 0.0, 0.0, "phase", True, False, False),
+    "constant": (_constant, 0.0, None, "phase", True, False, False),
+    "alignment": (_k_alignment, 1.0, math.inf, "phase", True, True, False),
     "bounded_alignment": (lambda d, _: (_k_bounded_alignment, math.sqrt(d)),
-                          1.0, None, "phase", True, True),
-    "attraction": (_k_attraction, 1.0, math.inf, "phase", True, False),
+                          1.0, None, "phase", True, True, False),
+    "attraction": (_k_attraction, 1.0, math.inf, "phase", True, False, True),
     "bounded_attraction": (_k_bounded_attraction, 1.0, 0.5, "phase", False,
-                           False),
-    "zero_position": (_k_zero, 0.0, 0.0, "position", True, False),
+                           False, True),
+    "zero_position": (_k_zero, 0.0, 0.0, "position", True, False, False),
     "attraction_position": (_k_attraction, 1.0, math.inf, "position", True,
-                            False),
+                            False, True),
     "bounded_attraction_position": (_k_bounded_attraction, 1.0, 0.5,
-                                    "position", False, False),
+                                    "position", False, False, True),
 }
 
 KERNEL_NAMES = tuple(_KERNELS)
@@ -169,13 +178,13 @@ def kernel(name, d=None, params=None):
     """
     if name not in KERNEL_NAMES:
         raise ValueError(f"unknown kernel '{name}'")
-    fn, L_ker, M_ker, arity, elementwise, reads_dv = _KERNELS[name]
+    fn, L_ker, M_ker, arity, elementwise, reads_dv, reads_dx = _KERNELS[name]
     if M_ker is None:
         if d is None:
             raise ValueError(f"{name} kernel needs the dimension d")
         fn, M_ker = fn(d, params or {})
     return InteractionKernel(name, fn, L_ker, M_ker, arity, elementwise,
-                             reads_dv)
+                             reads_dv, reads_dx)
 
 
 @dataclass(frozen=True)
@@ -266,10 +275,10 @@ _WORKSPACE = threading.local()
 
 
 def _workspace(slot, size):
-    """This thread's workspace buffer slot (0: dx, then dv and the kernel's
-    values in the next free slots), at least size values. Only the buffer
-    asked for grows, so a thread whose calls never use a slot never
-    allocates it.
+    """This thread's workspace buffer slot, at least size values: the
+    differences a kernel reads take the first slots (dx before dv), and
+    its values the next free one. Only the buffer asked for grows, so a
+    thread whose calls never use a slot never allocates it.
 
     A split pair_mean call tiles each thread's share at _PAIR_BLOCK //
     _WORKERS rows, so the tiles that one call holds across all its threads
@@ -332,18 +341,24 @@ def _differences(F, T, buf):
 
 def _pair_rows(K, A_to, A_from, B_to, B_from, out, start, stop, block):
     """Rows start:stop of pair_mean, written into out, in tiles of block
-    target rows in this thread's workspace."""
+    target rows in this thread's workspace: the differences K reads take
+    the first slots, and its values the next one unless K is elementwise
+    and gets a difference to write over."""
     n, d = A_from.shape
     size = n * d * min(stop - start, block)
     with_dv = K.arity == "phase" and K.reads_dv and B_to is not None
-    buf_a = _workspace(0, size)
-    buf_b = _workspace(1, size) if with_dv else None
-    buf_k = None if K.elementwise else _workspace(1 + with_dv, size)
+    buf_a = _workspace(0, size) if K.reads_dx else None
+    buf_b = _workspace(K.reads_dx, size) if with_dv else None
+    in_place = K.elementwise and (K.reads_dx or with_dv)
+    buf_k = None if in_place else _workspace(K.reads_dx + with_dv, size)
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        dA = _differences(A_from, A_to[lo:hi], buf_a)
+        if K.reads_dx:
+            dA = _differences(A_from, A_to[lo:hi], buf_a)
+        else:
+            dA = np.broadcast_to(0.0, (n, hi - lo, d))
         dB = _differences(B_from, B_to[lo:hi], buf_b) if with_dv else None
-        if K.elementwise:
+        if in_place:
             into = dA if dB is None else dB
         else:
             into = _tile(buf_k, n, hi - lo, d)
@@ -400,20 +415,22 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
 
     The differences live in a workspace of flat buffers per thread, reused
     across tiles and calls instead of allocated per tile: each tile takes a
-    contiguous prefix of a buffer, laid out as above. Every call builds dx,
-    and dv only for a kernel that reads it (InteractionKernel.reads_dv). An
-    elementwise kernel writes its values over dv (over dx when it gets no
-    dv), K(dx, dv, out=dv); any other kernel writes into the next buffer
-    no difference holds, the unused dv buffer when it reads dx alone. The
-    values, and so the mean, keep the same layout either way; each tile's
-    mean is the sum over sources divided by n, as mean(axis=0) computes
-    it, written straight into the result. Each buffer lives as long as its
-    thread and is as large as the largest tile that used it: at N = 2048,
-    d = 2 a serial tile is 8 MiB and a split one on a 2-core host 4 MiB on
-    each thread, so bounded_alignment and bounded_attraction each keep
-    16 MiB of tiles across both threads, as a serial call would. Threads
-    never share them, but the engine is not reentrant: a kernel must not
-    call pair_mean itself. The returned array is always fresh.
+    contiguous prefix of a buffer, laid out as above. A call builds only
+    the differences its kernel reads (InteractionKernel.reads_dx and
+    reads_dv), the first of them in the first buffer; a kernel that reads
+    no dx gets a read-only zero view of the tile's shape in its place. An
+    elementwise kernel writes its values over dv, else over dx, K(dx, dv,
+    out=dv); any other kernel, and one that gets no difference, writes
+    into the first buffer no difference holds. The values, and so the
+    mean, keep the same layout either way; each tile's mean is the sum
+    over sources divided by n, as mean(axis=0) computes it, written
+    straight into the result. Each buffer lives as long as its thread and
+    is as large as the largest tile that used it: at N = 2048, d = 2 a
+    serial tile is 8 MiB and a split one on a 2-core host 4 MiB on each
+    thread, so bounded_alignment keeps 8 MiB of tiles across both threads
+    and bounded_attraction 16 MiB, as a serial call would. Threads never
+    share them, but the engine is not reentrant: a kernel must not call
+    pair_mean itself. The returned array is always fresh.
     """
     out = np.zeros(np.shape(A_to))
     n, m = len(A_from), len(A_to)

@@ -81,9 +81,10 @@ def _gap_below(flow_a, flow_b, p, tol):
     paired bound itself. Otherwise the answer is yes when every paired
     bound times (1 + _PRUNE_RTOL) is below tol, no when some mean bound,
     less _PRUNE_RTOL times its paired bound, is at or above tol, and else
-    the comparison of flow_gap with tol. The margins cover the rounding of
-    the computed bounds against the computed exact values, so the answer
-    is the comparison of the computed gap, bit for bit."""
+    the comparison of flow_gap with tol, taken by _pruned_max over the
+    bounds already at hand. The margins cover the rounding of the computed
+    bounds against the computed exact values, so the answer is the
+    comparison of the computed gap, bit for bit."""
     upper = paired_bounds(flow_a.X, flow_a.V, flow_b.X, flow_b.V, p)
     if not gap_is_exact(flow_a.N):
         return max(upper) < tol
@@ -92,7 +93,9 @@ def _gap_below(flow_a, flow_b, p, tol):
     lower = _mean_gaps(flow_a, flow_b)
     if any(lo - _PRUNE_RTOL * up >= tol for lo, up in zip(lower, upper)):
         return False
-    return flow_gap(flow_a, flow_b, p) < tol
+    snaps_a, snaps_b = flow_a.snapshots, flow_b.snapshots
+    return _pruned_max(
+        upper, lambda k: wasserstein_gap(snaps_a[k], snaps_b[k], p)) < tol
 
 
 def flow_gap(flow_a, flow_b, p):

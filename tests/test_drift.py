@@ -747,10 +747,10 @@ class TestPairWorkspace:
 
         assert _in_fresh_thread(second_call_peak) < 256 * 1024
 
-    def test_first_elementwise_call_keeps_two_tiles(self):
-        # bounded_alignment writes its values over dv, so a first call at
-        # 512 x 512, d = 2 allocates the dx and dv tiles of 2 MiB each and
-        # no third tile for the kernel's values.
+    def test_first_alignment_call_keeps_one_tile(self):
+        # bounded_alignment reads dv alone and writes its values over it,
+        # so a first call at 512 x 512, d = 2 allocates the 2 MiB dv tile
+        # and neither a dx tile nor a tile for the kernel's values.
         rng = np.random.default_rng(8)
         X, V = rng.standard_normal((2, 512, 2))
         K = kernel("bounded_alignment", d=2)
@@ -763,7 +763,51 @@ class TestPairWorkspace:
             finally:
                 tracemalloc.stop()
 
-        assert _in_fresh_thread(first_call_peak) < 5 * 2**20
+        assert _in_fresh_thread(first_call_peak) < 3 * 2**20
+
+    @pytest.mark.parametrize("name", ["zero", "constant", "zero_position"])
+    def test_a_kernel_that_reads_no_difference_builds_none(self, monkeypatch,
+                                                           name):
+        # The kernel's values take the first buffer, one 256 x 512 x 2
+        # tile, and no difference is ever computed.
+        rng = np.random.default_rng(8)
+        X, V = rng.standard_normal((2, 512, 2))
+        K = kernel(name, d=2, params={"value": 0.5})
+        built = []
+        differences = drift._differences
+        monkeypatch.setattr(drift, "_differences",
+                            lambda *args: built.append(1) or differences(*args))
+
+        def first_call():
+            got = pair_mean(K, X, X, V, V)
+            return got, [buf.size for buf in drift._WORKSPACE.bufs]
+
+        got, sizes = _in_fresh_thread(first_call)
+        assert got.tobytes() == _untiled_pair_mean(K, X, X, V, V).tobytes()
+        assert built == []
+        assert sizes == [256 * 512 * 2, 0, 0]
+
+    def test_a_kernel_that_declares_nothing_gets_the_real_differences(self):
+        # 300 targets in tiles of 256 and 44: every tile of a custom phase
+        # kernel holds a_j - a_i and b_j - b_i, never the zero view.
+        rng = np.random.default_rng(12)
+        A_to, B_to = _spread(rng, (2, 300, 2))
+        A_from, B_from = _spread(rng, (2, 257, 2))
+        seen = []
+
+        def spy(dx, dv, out):
+            lo = sum(tile for tile, _ in seen)
+            hi = lo + dx.shape[1]
+            want_dx = A_from[:, None] - A_to[None, lo:hi]
+            want_dv = B_from[:, None] - B_to[None, lo:hi]
+            seen.append((dx.shape[1], dx.tobytes() == want_dx.tobytes()
+                         and dv.tobytes() == want_dv.tobytes()))
+            np.add(dx, dv, out=out)
+
+        custom = InteractionKernel("custom", spy, 1.0, math.inf)
+        assert custom.reads_dx and custom.reads_dv
+        pair_mean(custom, A_to, A_from, B_to, B_from)
+        assert seen == [(256, True), (44, True)]
 
     @pytest.mark.parametrize("name, writes_over", [
         ("bounded_alignment", "dv"), ("attraction_position", "dx"),
@@ -987,9 +1031,10 @@ class TestDvDeclaration:
                                          ("bounded_alignment", 2),
                                          ("constant", 3)])
     def test_a_kernel_that_reads_only_dx_gets_no_dv(self, name, d):
-        # The spy sees every tile: a dx-only kernel gets dv None, with the
-        # same dx tile (the pairs a tracer counts from dx stay the same),
-        # and the row means keep their bytes.
+        # The spy sees every tile: a dx-only kernel gets dv None, and every
+        # kernel a dx of the tile's shape, the zero view when it reads no
+        # dx (the pairs a tracer counts from dx stay the same); the row
+        # means keep their bytes.
         rng = np.random.default_rng(d)
         A_to, B_to = _spread(rng, (2, 300, d))
         A_from, B_from = _spread(rng, (2, 257, d))
@@ -1001,7 +1046,7 @@ class TestDvDeclaration:
             K.fn(dx, dv, out)
 
         spied = InteractionKernel(name, spy, K.L_ker, K.M_ker, K.arity,
-                                  K.elementwise, K.reads_dv)
+                                  K.elementwise, K.reads_dv, K.reads_dx)
         got = pair_mean(spied, A_to, A_from, B_to, B_from)
         assert got.tobytes() == _untiled_pair_mean(
             K, A_to, A_from, B_to, B_from).tobytes()
@@ -1026,6 +1071,45 @@ class TestDvDeclaration:
                 tracemalloc.stop()
 
         assert _in_fresh_thread(first_call_peak) < 6 * 2**20
+
+
+class TestDxDeclaration:
+    def test_declared_rows(self):
+        assert [name for name in KERNEL_NAMES
+                if kernel(name, d=2).reads_dx] == [
+            "attraction", "bounded_attraction", "attraction_position",
+            "bounded_attraction_position"]
+        custom = InteractionKernel("custom", lambda dx, dv, out: None, 1.0, 1.0)
+        assert custom.reads_dx
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(KERNEL_NAMES),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_declarations_hold_on_random_tiles(self, seed, name, d, n, tile,
+                                               component_major):
+        # pair_mean skips the work a declaration says is unread: an unread
+        # dx becomes zeros (the read-only view pair_mean passes, too), an
+        # unread dv None, and an elementwise kernel may be fed any slice.
+        rng = np.random.default_rng(seed)
+        K = kernel(name, d=d, params={"value": float(rng.standard_normal())})
+        dx, dv = (_laid_out(_spread(rng, (n, tile, d)), component_major)
+                  for _ in range(2))
+        fresh = K(dx, dv).tobytes()
+        if not K.reads_dx:
+            zeros = _laid_out(np.zeros((n, tile, d)), component_major)
+            assert K(zeros, dv).tobytes() == fresh
+            view = np.broadcast_to(0.0, (n, tile, d))
+            assert K(view, dv, out=np.empty_like(dx)).tobytes() == fresh
+        if not K.reads_dv:
+            assert K(dx, None).tobytes() == fresh
+        if K.elementwise:
+            j, i = rng.integers(0, n, size=2), rng.integers(0, tile, size=2)
+            part = np.s_[min(j):max(j) + 1, min(i):max(i) + 1]
+            assert K(dx[part], dv[part]).tobytes() == K(dx, dv)[part].tobytes()
 
 
 class TestLeaderFields:
