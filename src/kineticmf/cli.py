@@ -8,11 +8,11 @@ configuration; `kineticmf validate config.ini` only checks the file.
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence
 (for `optimize`, no candidate with a finite cost), 4 I/O failure.
-A pair sum of at least 2^20 pairs runs on every core the process may run
-on (see kineticmf.drift.pair_mean); a run starts no other threads.
-`--threads` is accepted and has no effect: it changes neither that nor any
-output. Identical configs produce byte-identical CSVs; manifests differ
-only in their single timestamp line.
+A pair sum large enough to split runs on every core the process may run
+on (kineticmf.drift.pair_mean states the size and why); a run starts no
+other threads. `--threads` is accepted and has no effect: it changes
+neither that nor any output. Identical configs produce byte-identical
+CSVs; manifests differ only in their single timestamp line.
 """
 
 import argparse
@@ -690,9 +690,9 @@ _SCENARIO_FNS = {
 
 def run(rc, threads=None, progress=False, output_dir=None):
     """Execute a parsed config; returns the process exit code. threads is
-    accepted and has no effect: pair sums of at least 2^20 pairs use every
-    core the process may run on whatever its value, and no output depends
-    on it."""
+    accepted and has no effect: drift.pair_mean alone decides which pair
+    sums use every core the process may run on, and no output depends on
+    it."""
     out = Path(output_dir or rc.output_dir)
     prog = _Progress(progress, rc.scenario)
     start = time.perf_counter()
@@ -733,9 +733,10 @@ def main(argv=None):
     runp = sub.add_parser("run", help="execute a configured scenario")
     runp.add_argument("config", help="path to the INI config file")
     runp.add_argument("--threads", type=int, default=None,
-                      help="accepted, no effect: pair sums of at least "
-                      "2^20 pairs use every core whatever its value, and "
-                      "no output depends on it")
+                      help="accepted, no effect: large pair sums use "
+                      "every core whatever its value (see "
+                      "kineticmf.drift.pair_mean), and no output depends "
+                      "on it")
     runp.add_argument("--progress", action="store_true",
                       help="machine-readable progress on standard error")
     runp.add_argument("--output-dir", default=None,

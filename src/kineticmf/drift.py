@@ -257,11 +257,12 @@ class LeaderCouplingField:
 
 
 _PAIR_BLOCK = 256
-# A pair_mean call of at least this many pairs splits its target rows
-# across _WORKERS threads, one per core the process may run on (at most
-# _PAIR_BLOCK, so that a share's tiles keep a row): the calling thread and
-# a pool of _WORKERS - 1.
-_SPLIT_PAIRS = 2**20
+# A pair_mean call that fills and reduces at least this many values (n x
+# len(A_to) x d) splits its target rows across _WORKERS threads, one per
+# core the process may run on (at most _PAIR_BLOCK, so that a share's tiles
+# keep a row): the calling thread and a pool of _WORKERS - 1. pair_mean's
+# docstring gives the measured reason for the size.
+_SPLIT_VALUES = 2**19
 _WORKERS = min(len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
                _PAIR_BLOCK)
@@ -400,18 +401,31 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     -0.0 (tests/test_numpy_assumptions.py checks these summation orders),
     whatever the tile's width.
 
-    A call of at least _SPLIT_PAIRS = 2^20 pairs (n x len(A_to)) splits its
-    target rows into _WORKERS contiguous shares, one per core the process
-    may run on. The calling thread computes the first share, and a module
-    pool of _WORKERS - 1 threads, built on the first such call, the
-    others; every share is tiled at _PAIR_BLOCK // _WORKERS rows. numpy
-    releases the interpreter lock in the differences, the kernel and the
-    mean, so the shares overlap. Each row is still one tile's K(dx, dv,
-    out=...).mean(axis=0), so the result has the same bytes at any core
-    count. Smaller calls run the serial loop on the calling thread: on a
-    2-core host a split at N = 512 (2^18 pairs) lost to it, while one call
-    at N = 1024 or 2048 ran 1.7-1.9x faster. If a share raises, the call
-    raises in the caller once every share has finished.
+    A call that fills and reduces at least _SPLIT_VALUES = 2^19 values (n
+    x len(A_to) x d; its tiles scale with d, so a rule in pairs alone would
+    mis-size it by d) splits its target rows into _WORKERS contiguous
+    shares, one per core the process may run on. The calling thread
+    computes the first share, and a module pool of _WORKERS - 1 threads,
+    built on the first such call, the others; every share is tiled at
+    _PAIR_BLOCK // _WORKERS rows. numpy releases the interpreter lock in
+    the differences, the kernel and the mean, so the shares overlap. Each
+    row is still one tile's K(dx, dv, out=...).mean(axis=0), so the result
+    has the same bytes at any core count. Smaller calls run the serial loop
+    on the calling thread, and a run whose calls are all smaller builds no
+    pool. If a share raises, the call raises in the caller once every
+    share has finished.
+
+    2^19 values is the smallest size at which a split did not lose when
+    the second core had been idle before the call, as it is when a lone
+    call starts: waking it costs about what a smaller share saves. On a
+    2-core host (numpy 2.4.6; bounded_alignment and bounded_attraction at
+    d = 1 and 2; 7 alternating rounds of medians of 21 calls, each after
+    20 ms idle), split over serial time had medians of 1.03-1.36 below
+    2^18 values, where the split won 3 of 84 rounds, 1.00-1.19 at
+    2^18-2^18.5 (11 of 84) and 0.98-1.03 at 2^19 (16 of 28). Calls back
+    to back gave 1.08-1.29 below 2^18 and 0.90-1.04 from 2^19 on. So the
+    512 x 512, d = 2 follower sums of a coupled run split, and a 512 x 512
+    sum at d = 1 does not.
 
     The differences live in a workspace of flat buffers per thread, reused
     across tiles and calls instead of allocated per tile: each tile takes a
@@ -436,7 +450,7 @@ def pair_mean(K, A_to, A_from, B_to=None, B_from=None):
     n, m = len(A_from), len(A_to)
     if n == 0:
         return out
-    if n * m < _SPLIT_PAIRS or _WORKERS == 1:
+    if n * out.size < _SPLIT_VALUES or _WORKERS == 1:  # n x m x d values
         _pair_rows(K, A_to, A_from, B_to, B_from, out, 0, m, _PAIR_BLOCK)
         return out
     bounds = [m * k // _WORKERS for k in range(_WORKERS + 1)]

@@ -1,5 +1,6 @@
 """Kernel library, drift construction, truncation, and validator tests."""
 
+import contextlib
 import hashlib
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kineticmf import drift
+from kineticmf import cli, drift
 from kineticmf.drift import (
     KERNEL_NAMES,
     DriftField,
@@ -627,19 +628,39 @@ def _spread(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """split(workers, pairs=1) makes every pair_mean call of at least pairs
-    pairs split its rows across workers threads, on a pool built for the
-    test and shut down after it."""
-    def force(workers, pairs=1):
-        monkeypatch.setattr(drift, "_SPLIT_PAIRS", pairs)
-        monkeypatch.setattr(drift, "_WORKERS", workers)
-        monkeypatch.setattr(drift, "_POOL", None)
+@contextlib.contextmanager
+def _forced_split():
+    """Yields force: force(workers, values=1) makes every pair_mean call of
+    at least values values (n x len(A_to) x d) split its rows across
+    workers threads, on a pool that the first such call builds. On leaving,
+    and on the next force, that pool is shut down; a pool the module held
+    before the first force is never touched, and comes back on leaving."""
+    forced = False
 
-    yield force
-    if drift._POOL is not None:
-        drift._POOL.shutdown()
+    def shut_own_pool():
+        if forced and drift._POOL is not None:
+            drift._POOL.shutdown()
+
+    with pytest.MonkeyPatch.context() as mp:
+        def force(workers, values=1):
+            nonlocal forced
+            shut_own_pool()
+            mp.setattr(drift, "_SPLIT_VALUES", values)
+            mp.setattr(drift, "_WORKERS", workers)
+            mp.setattr(drift, "_POOL", None)
+            forced = True
+
+        try:
+            yield force
+        finally:
+            shut_own_pool()
+
+
+@pytest.fixture
+def split():
+    """_forced_split's force for one test."""
+    with _forced_split() as force:
+        yield force
 
 
 class TestPairWorkspace:
@@ -729,12 +750,14 @@ class TestPairWorkspace:
         assert not any(t.is_alive() for t in threads)
         assert got == serial
 
-    def test_repeated_calls_reuse_the_workspace(self):
-        # One 256 x 512 x 2 tile of differences is 2 MiB; a call that
-        # reuses the workspace allocates only its result and row means.
+    def test_repeated_calls_reuse_the_workspace(self, split):
+        # On one thread, one 256 x 512 x 2 tile of differences is 2 MiB; a
+        # call that reuses the workspace allocates only its result and row
+        # means.
         rng = np.random.default_rng(8)
         X, V = rng.standard_normal((2, 512, 2))
         K = kernel("bounded_alignment", d=2)
+        split(1)
 
         def second_call_peak():
             pair_mean(K, X, X, V, V)
@@ -747,13 +770,15 @@ class TestPairWorkspace:
 
         assert _in_fresh_thread(second_call_peak) < 256 * 1024
 
-    def test_first_alignment_call_keeps_one_tile(self):
+    def test_first_alignment_call_keeps_one_tile(self, split):
         # bounded_alignment reads dv alone and writes its values over it,
-        # so a first call at 512 x 512, d = 2 allocates the 2 MiB dv tile
-        # and neither a dx tile nor a tile for the kernel's values.
+        # so a first call at 512 x 512, d = 2 on one thread allocates the
+        # 2 MiB dv tile and neither a dx tile nor a tile for the kernel's
+        # values.
         rng = np.random.default_rng(8)
         X, V = rng.standard_normal((2, 512, 2))
         K = kernel("bounded_alignment", d=2)
+        split(1)
 
         def first_call_peak():
             tracemalloc.start()
@@ -765,14 +790,41 @@ class TestPairWorkspace:
 
         assert _in_fresh_thread(first_call_peak) < 3 * 2**20
 
+    def test_first_split_alignment_call_keeps_one_tile_per_thread(self,
+                                                                  split):
+        # The same call splits on two threads (2^19 values), each tiling
+        # its 256-row share at 128 rows: the caller and the fresh pool
+        # thread each allocate one 1 MiB dv tile, under the same 3 MiB.
+        rng = np.random.default_rng(8)
+        X, V = rng.standard_normal((2, 512, 2))
+        K = kernel("bounded_alignment", d=2)
+        split(2, values=drift._SPLIT_VALUES)
+
+        def sizes():
+            return [buf.size for buf in drift._WORKSPACE.bufs]
+
+        def first_call_peak():
+            tracemalloc.start()
+            try:
+                pair_mean(K, X, X, V, V)
+                return tracemalloc.get_traced_memory()[1], sizes()
+            finally:
+                tracemalloc.stop()
+
+        peak, caller_sizes = _in_fresh_thread(first_call_peak)
+        assert peak < 3 * 2**20
+        assert caller_sizes == [128 * 512 * 2, 0, 0]
+        assert drift._POOL.submit(sizes).result(timeout=30) == caller_sizes
+
     @pytest.mark.parametrize("name", ["zero", "constant", "zero_position"])
     def test_a_kernel_that_reads_no_difference_builds_none(self, monkeypatch,
-                                                           name):
-        # The kernel's values take the first buffer, one 256 x 512 x 2
-        # tile, and no difference is ever computed.
+                                                           split, name):
+        # On one thread, the kernel's values take the first buffer, one
+        # 256 x 512 x 2 tile, and no difference is ever computed.
         rng = np.random.default_rng(8)
         X, V = rng.standard_normal((2, 512, 2))
         K = kernel(name, d=2, params={"value": 0.5})
+        split(1)
         built = []
         differences = drift._differences
         monkeypatch.setattr(drift, "_differences",
@@ -813,10 +865,12 @@ class TestPairWorkspace:
         ("bounded_alignment", "dv"), ("attraction_position", "dx"),
         ("bounded_attraction", None), ("bounded_attraction_position", None)])
     def test_only_elementwise_kernels_write_over_a_difference(
-            self, name, writes_over):
+            self, split, name, writes_over):
+        # On one thread: two tiles of 256 targets.
         rng = np.random.default_rng(9)
         X, V = rng.standard_normal((2, 512, 2))
         K = kernel(name, d=2)
+        split(1)
         seen = []
 
         def spy(dx, dv, out):
@@ -863,8 +917,15 @@ class TestPairSplit:
         assert [pair_mean(*c).tobytes() for c in calls] == serial
         assert (drift._POOL is None) == (workers == 1)
 
-    def test_the_split_starts_at_2_20_pairs(self, split):
-        split(2, pairs=drift._SPLIT_PAIRS)
+    @pytest.mark.parametrize("d, below, at", [(1, (2, 2**18 - 1), (2, 2**18)),
+                                              (2, (511, 513), (512, 512))])
+    def test_the_split_starts_at_2_19_values(self, split, d, below, at):
+        # (targets, sources) below give 2^19 - 2 values, the most below
+        # the size that two targets or more reach (2^19 - 1 is prime), and
+        # stay on one thread; at gives 2^19 and splits. 2 x (2^18 - 1) at
+        # d = 1 is more pairs than 512 x 512 at d = 2, so no rule in pairs
+        # splits the one and not the other.
+        split(2, values=drift._SPLIT_VALUES)
         seen = set()
 
         def spy(dx, dv, out):
@@ -872,10 +933,68 @@ class TestPairSplit:
             out[...] = 0.0
 
         K = InteractionKernel("spy", spy, 0.0, 0.0, "position")
-        for N, n, threads in [(1023, 1025, 1), (1024, 1024, 2)]:
+        for (N, n), threads in [(below, 1), (at, 2)]:
             seen.clear()
-            pair_mean(K, np.zeros((N, 1)), np.zeros((n, 1)))
-            assert len(seen) == threads, N * n
+            pair_mean(K, np.zeros((N, d)), np.zeros((n, d)))
+            assert len(seen) == threads, N * n * d
+
+    def test_forced_splits_shut_down_only_their_own_pools(self,
+                                                          monkeypatch):
+        # A pool the module built before a test forced a split must keep
+        # running after it: shut down, every later split call would fail
+        # with "cannot schedule new futures after shutdown".
+        from concurrent.futures import ThreadPoolExecutor
+
+        module_pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(drift, "_POOL", module_pool)
+        K = kernel("zero_position")
+        try:
+            with _forced_split():
+                pass
+            assert drift._POOL is module_pool
+            assert module_pool.submit(int).result(timeout=30) == 0
+            with _forced_split() as force:
+                built = []
+                for workers in (2, 3):
+                    force(workers)
+                    pair_mean(K, np.zeros((3, 1)), np.zeros((1, 1)))
+                    built.append(drift._POOL)
+                assert module_pool not in built and built[0] is not built[1]
+            assert drift._POOL is module_pool
+            assert module_pool.submit(int).result(timeout=30) == 0
+            for pool in built:
+                with pytest.raises(RuntimeError, match="after shutdown"):
+                    pool.submit(int)
+        finally:
+            module_pool.shutdown()
+
+    def test_a_coupled_run_has_the_serial_bytes_at_any_core_count(
+            self, split, tmp_path):
+        # At 96 followers every pair sum of the run is serial unless forced;
+        # forced, all four kernels' sums split, the two-leader ones too, so
+        # at 3 workers one of their shares is empty.
+        cfg = tmp_path / "coupled.ini"
+        cfg.write_text("[run]\nscenario = coupled\nseed = 5\n"
+                       "[model]\nd = 2\nsigma = 0.1\nn_particles = 96\n"
+                       "n_leaders = 2\nleader_x = 1.0,-0.5\n"
+                       "k11 = bounded_alignment\nk12 = bounded_attraction\n"
+                       "k21 = bounded_attraction_position\n"
+                       "k22 = bounded_attraction_position\n"
+                       "initial = gaussian\n"
+                       "[grid]\nt = 0.5\nn_steps = 10\n"
+                       "[experiment]\ntol = 1e-6\nmax_iter = 25\n")
+
+        def outputs(name):
+            out = tmp_path / name
+            assert cli.run(cli.parse_config(str(cfg)), output_dir=str(out)) == 0
+            return {f: (out / f).read_bytes()
+                    for f in ("flow.csv", "leaders.csv", "picard_report.txt")}
+
+        serial = outputs("serial")
+        for workers in (1, 2, 3):
+            split(workers)
+            assert outputs(f"workers{workers}") == serial, workers
+            assert (drift._POOL is None) == (workers == 1)
 
     def test_a_raising_share_raises_after_every_share_finished(self, split):
         # Three shares of three rows each. The pool share of rows 3-5
@@ -1053,14 +1172,15 @@ class TestDvDeclaration:
         assert seen == [((257, 256, d), not K.reads_dv),
                         ((257, 44, d), not K.reads_dv)]
 
-    def test_a_dx_only_kernel_keeps_two_tiles(self):
+    def test_a_dx_only_kernel_keeps_two_tiles(self, split):
         # bounded_attraction reads dx alone and is not elementwise: its
         # values go into the dv buffer it does not use, so a first call at
-        # 512 x 512, d = 2 allocates two 2 MiB tiles, not three, plus its
-        # 1 MiB tile of |dx|^2.
+        # 512 x 512, d = 2 on one thread allocates two 2 MiB tiles, not
+        # three, plus its 1 MiB tile of |dx|^2.
         rng = np.random.default_rng(8)
         X, V = rng.standard_normal((2, 512, 2))
         K = kernel("bounded_attraction", d=2)
+        split(1)
 
         def first_call_peak():
             tracemalloc.start()

@@ -503,8 +503,9 @@ class TestSolverLoader:
 
 
 class TestNoPoolBelowTheSplit:
-    """pair_mean builds its thread pool on the first call of at least 2^20
-    pairs, so a run below that starts no thread and loads no executor."""
+    """pair_mean builds its thread pool on its first call that splits (its
+    docstring states the size), so a run whose pair sums are all smaller
+    starts no thread and loads no executor."""
 
     def test_simulate_run_starts_no_thread(self, tmp_path):
         cfg = tmp_path / "simulate.ini"
