@@ -432,7 +432,7 @@ def evaluate_cost_N(u, model, cost, N, cfg, seeds):
     """F^N[u]: Monte Carlo mean and standard error (mean_stderr) of the
     pathwise cost of the finite-N system over the given seeds (one i.i.d.
     initial draw and noise realization per seed)."""
-    if not seeds:
+    if len(seeds) == 0:  # an array of seeds has no truth value
         raise ValueError("at least one seed is required")
     vals = []
     for s in seeds:

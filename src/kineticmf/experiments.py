@@ -155,8 +155,8 @@ def chaos_experiment(model, N_list, N_ref, cfg, seeds, min_ref_factor=4):
 def gamma_convergence_experiment(u, model, cost, N_list, cfg, seeds):
     """|F^N[u] - F[u]| per N, mean and stderr over seeds. F[u] is the cost
     of one more cell, (cfg.N, cfg.seed): one sweep of the N-particle
-    system, which is the exact discrete mean-field fixed point (leaders
-    stepped by cfg.dt), so no Picard loop runs."""
+    system, which is the exact discrete mean-field fixed point, so no
+    Picard loop runs."""
     N_list = _sweep_sizes(N_list, seeds)
 
     def cell_cost(cell):

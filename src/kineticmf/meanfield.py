@@ -168,7 +168,7 @@ def picard_solve(f, init, cfg, tol=1e-6, max_iter=25, *, record_gaps=True):
     Non-convergence is reported, not raised. A caller that wants the
     moment-truncation cutoff passes clamp_drift(f, cap) as f.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     if init.N != cfg.N:
         raise ValueError("initial ensemble does not match the configuration")

@@ -21,7 +21,7 @@ import numpy as np
 from .drift import DriftField, kernel_fields, zero_field
 from .meanfield import PicardReport, flow_gap, picard_solve
 from .phase_space import LeaderPath, LeaderState, MeasureFlow, _agreeing_nodes
-from .sde import _sweep_fields, generate_brownian
+from .sde import _leader_step, _sweep_fields, generate_brownian
 
 __all__ = [
     "LeaderFollowerModel",
@@ -80,15 +80,8 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
     along a given follower flow.
 
     Explicit Euler on the flow's grid, written node by node into the
-    arrays of the returned path: W[k] = F.rhs(times[k], flow, Y[k], u),
-    shared with the finite-N simulator, then Y[k + 1] = Y[k] +
-    (times[k + 1] - times[k]) W[k]; W[M] ends the path. A non-finite Y or
-    right-hand side raises FloatingPointError naming the time. Y[k + 1] is
-    checked once, and W[k] only when that check fails: a non-finite W[k]
-    always makes Y[k + 1] non-finite (the step is > 0, Y[k] is finite), so
-    it raises at the same time, with the same message, as a check of W[k]
-    would. Y[k] needs no check: it is Y0, a node copied from a checked
-    path or the node checked one step earlier.
+    arrays of the returned path by the finite-N sweep's leader step
+    (sde._leader_step, which also checks each node); W[M] ends the path.
 
     The scheme is causal: Y at node k + 1 and W at node k read the flow on
     the nodes <= k only. So solving on the full grid subsumes every prefix
@@ -110,20 +103,8 @@ def solve_leader_ode(F, u, flow, Y0, *, _resume=None):
         Y[: start + 1], W[:agree] = prior.Y[: start + 1], prior.W[:agree]
     else:
         Y[0] = Y0.Y
-    for k in range(start, M):
-        W[k] = F.rhs(times[k], flow, Y[k], u)
-        Y[k + 1] = Y[k] + (times[k + 1] - times[k]) * W[k]
-        if not np.isfinite(Y[k + 1]).all():
-            if not np.isfinite(W[k]).all():
-                raise FloatingPointError(
-                    f"non-finite leader right-hand side at t={times[k]}")
-            raise FloatingPointError(
-                f"non-finite leader state at t={times[k + 1]}")
-    if agree <= M:
-        W[M] = F.rhs(times[M], flow, Y[M], u)
-        if not np.isfinite(W[M]).all():
-            raise FloatingPointError(
-                f"non-finite leader right-hand side at t={times[M]}")
+    for k in range(start, M + (agree <= M)):
+        _leader_step(F, u, times, flow, Y, W, k)
     return LeaderPath._of(times, Y, W)
 
 
@@ -217,9 +198,8 @@ def control_stability(u_seq, u, v, w, F, init, Y0, cfg):
     """Per-control gaps sup_t W_p(mu^j_t, mu_t) + sup_t |H^j(t) - H(t)|,
     H = (Y, W), of the fixed point under each control in u_seq to the one
     under u, all sharing one Brownian realization and one initial ensemble.
-    A fixed point is one sweep (sde._sweep_fields); solve_coupled's differs
-    from it by the rounding of its leader step. A non-finite state raises
-    FloatingPointError."""
+    A fixed point is one sweep (sde._sweep_fields), bit for bit the one
+    solve_coupled reaches. A non-finite state raises FloatingPointError."""
     p = v.p if v is not None else zero_field().p
     paths = generate_brownian(cfg)
     flow, leaders = _sweep_fields(v, w, F, u, init, Y0, cfg, paths)

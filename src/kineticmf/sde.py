@@ -102,14 +102,12 @@ def generate_brownian(cfg):
     return inc
 
 
-def _euler_maruyama(init, cfg, paths, drift, Y=None, resume=None):
+def _euler_maruyama(init, cfg, paths, drift, resume=None):
     """The one kinetic Euler-Maruyama loop: v' = v + f dt + sqrt(2 sigma) dB,
     x' = x + v' dt, written node by node into the (n_steps + 1, N, d)
     arrays of the returned flow. f = drift(k, X, V) is an (N, d) array;
     X and V are locked views of the arrays being filled, valid on the
-    nodes <= k, whose node k is the current state. Y, when given, is the
-    (n_steps + 1, m, d) leader history that drift fills one node ahead;
-    Y[k + 1] joins the state check of step k. resume = (flow, a), when
+    nodes <= k, whose node k is the current state. resume = (flow, a), when
     given, is a flow that this run is known to agree with on the nodes
     0..a: those nodes are copied from it, and stepping starts at node a.
 
@@ -141,8 +139,7 @@ def _euler_maruyama(init, cfg, paths, drift, Y=None, resume=None):
         # (v + f dt) + sqrt(2 sigma) dB, in that order: the bits depend on it.
         np.add(V[k] + f * dt, noise * inc[k], out=V[k + 1])
         np.add(X[k], V[k + 1] * dt, out=X[k + 1])
-        if not (np.isfinite(state[:, k + 1]).all()
-                and (Y is None or np.isfinite(Y[k + 1]).all())):
+        if not np.isfinite(state[:, k + 1]).all():
             if not np.isfinite(f).all():
                 i = int(np.argwhere(~np.isfinite(f))[0][0])
                 raise FloatingPointError(
@@ -189,14 +186,11 @@ def _sweep_fields(v, w, F, u, init_followers, init_leaders, cfg, paths):
     the exact discrete fixed point, which picard_solve and solve_coupled
     reach after at most n_steps + 1 iterates since every drift is
     non-anticipative. Followers feel v[t_k, mu^N] + w[t_k, H^N], a None v
-    or w adding nothing. Leaders step Y' = Y + W dt, W = F.rhs(t_k, mu^N,
-    Y, u) stored at every node, u being (t, flow prefix) -> (m, d) or None.
-    The step is cfg.dt, while solve_leader_ode steps by times[k + 1] -
-    times[k]; the two differ in the last bit (on 23 of 25 steps at T = 2
-    with 25 steps), so each level keeps its own. No leaders: pass
-    LeaderState.empty(d) and the F of kernel_fields({}, 0). Leaders whose
-    d is not cfg.d raise ValueError; a non-finite state or final W raises
-    FloatingPointError."""
+    or w adding nothing. Leaders take solve_leader_ode's step
+    (_leader_step) along mu^N, u being (t, flow prefix) -> (m, d) or None.
+    No leaders: pass LeaderState.empty(d) and the F of kernel_fields({},
+    0). Leaders whose d is not cfg.d raise ValueError; a non-finite state
+    raises FloatingPointError."""
     if init_leaders.d != cfg.d:
         raise ValueError(
             f"leaders have d={init_leaders.d}, the followers d={cfg.d}")
@@ -209,8 +203,7 @@ def _sweep_fields(v, w, F, u, init_followers, init_leaders, cfg, paths):
 
     def drift(k, X_all, V_all):
         prefix = MeasureFlow._of(times[: k + 1], X_all[: k + 1], V_all[: k + 1])
-        W[k] = F.rhs(times[k], prefix, Y[k], u)
-        Y[k + 1] = Y[k] + W[k] * cfg.dt
+        _leader_step(F, u, times, prefix, Y, W, k)
         X, V = X_all[k], V_all[k]
         f = None if v is None else v.eval_batch(times[k], prefix, X, V)
         if w is not None:
@@ -219,12 +212,35 @@ def _sweep_fields(v, w, F, u, init_followers, init_leaders, cfg, paths):
             f = g if f is None else f + g
         return np.zeros_like(X) if f is None else f
 
-    flow = _euler_maruyama(init_followers, cfg, paths, drift, Y)
-    W[-1] = F.rhs(times[-1], flow, Y[-1], u)
-    if not np.all(np.isfinite(W[-1])):
-        raise FloatingPointError(
-            f"non-finite leader right-hand side at t={times[-1]}")
+    flow = _euler_maruyama(init_followers, cfg, paths, drift)
+    _leader_step(F, u, times, flow, Y, W, cfg.n_steps)
     return flow, LeaderPath._of(times, Y, W)
+
+
+def _leader_step(F, u, times, flow, Y, W, k):
+    """The leaders' explicit Euler step at node k of the grid times, written
+    into the (len(times), m, d) arrays Y and W: W[k] = F.rhs(times[k],
+    flow, Y[k], u), then, before the last node, Y[k + 1] = Y[k] +
+    (times[k + 1] - times[k]) W[k]. flow is read on the nodes <= k only.
+    The sweep and solve_leader_ode both step their leaders here.
+
+    A non-finite Y or right-hand side raises FloatingPointError naming the
+    time. Y[k + 1] is checked once, and W[k] only when that check fails or
+    at the last node: a non-finite W[k] always makes Y[k + 1] non-finite
+    (the step is > 0, Y[k] is finite), so it raises at the same time, with
+    the same message, as a check of W[k] would. Y[k] needs no check: it is
+    Y0, a node copied from a checked path or the node checked one step
+    earlier."""
+    W[k] = F.rhs(times[k], flow, Y[k], u)
+    last = k + 1 == len(times)
+    if not last:
+        Y[k + 1] = Y[k] + (times[k + 1] - times[k]) * W[k]
+    if np.isfinite(W[k] if last else Y[k + 1]).all():
+        return
+    if not np.isfinite(W[k]).all():
+        raise FloatingPointError(
+            f"non-finite leader right-hand side at t={times[k]}")
+    raise FloatingPointError(f"non-finite leader state at t={times[k + 1]}")
 
 
 @dataclass(frozen=True)

@@ -562,6 +562,24 @@ class TestCostEvaluation:
         assert mean > 0.0
         assert stderr > 0.0
 
+    def test_finite_N_takes_an_array_of_seeds(self):
+        # minima_convergence_experiment passes its seeds through as given;
+        # an array has no truth value, so the guard reads its length.
+        def sampler(N, seed):
+            rng = np.random.default_rng(seed)
+            return ParticleEnsemble(rng.standard_normal((N, 1)),
+                                    rng.standard_normal((N, 1)))
+
+        model = _free_model(sampler=sampler)
+        cost = CostSpec(lagrangian=lagrangian_track_mean_x(0.0), psi=None, dim=1)
+        got = evaluate_cost_N(None, model, cost, N=8, cfg=_cfg(),
+                              seeds=np.array([1, 2]))
+        assert got == evaluate_cost_N(None, model, cost, N=8, cfg=_cfg(),
+                                      seeds=[1, 2])
+        with pytest.raises(ValueError, match="at least one seed"):
+            evaluate_cost_N(None, model, cost, N=8, cfg=_cfg(),
+                            seeds=np.array([], dtype=int))
+
     def test_finite_N_guards(self):
         model = _free_model()
         cost = CostSpec(lagrangian=lagrangian_zero(), psi=None, dim=1)

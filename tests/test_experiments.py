@@ -238,8 +238,8 @@ class TestMeanFieldReference:
 
     @pytest.mark.parametrize("N, seed", [(64, 2), (16, 5)])
     def test_reference_meets_the_picard_cost(self, N, seed):
-        # Leaders step by cfg.dt in the sweep and by times[k + 1] -
-        # times[k] in the Picard solve, so the two agree to rounding.
+        # The sweep is the fixed point that the Picard solve meets to tol,
+        # so rel=1e-8 covers tol=1e-6 alone.
         model, u, cost, cfg = _steered_problem(N, seed)
         table = gamma_convergence_experiment(u, model, cost, [4], cfg, [1])
         picard = evaluate_cost_meanfield(u, model, cost, cfg, tol=1e-6)

@@ -398,6 +398,10 @@ class TestPicard:
         cfg = _cfg(N=4)
         with pytest.raises(ValueError, match="tolerance"):
             picard_solve(zero_field(), _spread_init(4, 1), cfg, tol=0.0)
+        # NaN fails tol > 0 as 0.0 does: no gap would ever meet it.
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            picard_solve(zero_field(), _spread_init(4, 1), cfg,
+                         tol=float("nan"), max_iter=3)
         with pytest.raises(ValueError, match="initial ensemble"):
             picard_solve(zero_field(), _spread_init(5, 1), cfg)
 

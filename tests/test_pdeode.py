@@ -6,6 +6,8 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kineticmf import pdeode
 from kineticmf.control_opt import sv_control
@@ -16,6 +18,7 @@ from kineticmf.drift import (
     coupling_from_kernel,
     drift_from_kernel,
     kernel,
+    kernel_fields,
     leader_field_from_kernels,
     pair_mean,
     zero_field,
@@ -343,6 +346,15 @@ class TestSolveCoupled:
         assert sol.picard.converged
         assert float(sol.flow.snapshots[-1].X.mean()) > 0.05
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0])
+    def test_a_tolerance_that_is_not_positive_is_refused(self, tol):
+        # A NaN tolerance is refused as 0.0 is: no gap would ever meet it.
+        init = _gauss_sampler(1)(4, 3)
+        w = coupling_from_kernel(kernel("bounded_attraction_position"))
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve_coupled(zero_field(), w, _zero_F(), None, init,
+                          LeaderState([[2.0]]), _cfg(N=4), tol=tol)
+
     def test_grid_mismatch_rejected(self):
         flow = _const_flow(0.0, n_steps=4)
         lp = LeaderPath(time_grid(1.0, 2), np.zeros((3, 1, 1)),
@@ -461,11 +473,16 @@ class TestLeaderRestart:
 
 class TestFixedPointAgainstTheParticleSystem:
     """n_steps + 1 Picard iterates reach the discrete fixed point, which is
-    the N-particle system on the same ensemble and paths. The leaders step
-    by times[k + 1] - times[k] in solve_leader_ode and by cfg.dt in
-    simulate_interacting, which differ in the last bit on most grids."""
+    the N-particle system on the same ensemble and paths, bit for bit: both
+    levels step the leaders by sde._leader_step."""
 
-    def _both(self, T, n_steps):
+    # Grids whose steps times[k + 1] - times[k] all equal cfg.dt (T = 1
+    # with 8 steps) and grids where most differ from it in the last bit.
+    GRIDS = [(2.0, 25), (1.0, 25), (0.7, 13), (0.5, 20), (3.3, 17),
+             (1.0, 8)]
+
+    @pytest.mark.parametrize("T, n_steps", GRIDS)
+    def test_equal_bits_on_every_grid(self, T, n_steps):
         cfg = _cfg(T=T, N=6, n_steps=n_steps, sigma=0.2, seed=8)
         model = LeaderFollowerModel(
             kernels={"K11": kernel("bounded_alignment", d=1),
@@ -482,24 +499,37 @@ class TestFixedPointAgainstTheParticleSystem:
         flow, leaders = simulate_interacting(model.kernels, None, init,
                                              model.Y0, cfg,
                                              generate_brownian(cfg))
-        return cfg, sol, flow, leaders
-
-    def test_equal_bits_where_the_two_leader_steps_agree(self):
-        # T = 1 with 8 steps: every times[k + 1] - times[k] is cfg.dt.
-        cfg, sol, flow, leaders = self._both(1.0, 8)
-        assert np.all(np.diff(cfg.grid()) == cfg.dt)
         for a, b in ((sol.flow.X, flow.X), (sol.flow.V, flow.V),
                      (sol.leaders.Y, leaders.Y), (sol.leaders.W, leaders.W)):
             assert a.tobytes() == b.tobytes()
 
-    def test_within_rounding_where_they_differ(self):
-        # T = 2 with 25 steps: the steps differ from cfg.dt in the last
-        # bit, so the two levels part by rounding only.
-        cfg, sol, flow, leaders = self._both(2.0, 25)
-        assert np.any(np.diff(cfg.grid()) != cfg.dt)
+    @settings(max_examples=25, deadline=None)
+    @given(T=st.floats(0.05, 5.0), n_steps=st.integers(1, 12),
+           d=st.integers(1, 2), m=st.integers(0, 3),
+           slots=st.sets(st.sampled_from(["K11", "K12", "K21", "K22"])),
+           controlled=st.booleans(), seed=st.integers(0, 2**16))
+    def test_equal_bits_as_a_property(self, T, n_steps, d, m, slots,
+                                      controlled, seed):
+        library = {"K11": kernel("bounded_alignment", d=d),
+                   "K12": kernel("bounded_attraction"),
+                   "K21": kernel("bounded_attraction_position"),
+                   "K22": kernel("attraction_position")}
+        kernels = {s: library[s] for s in slots}
+        cfg = SimConfig(T=T, n_steps=n_steps, N=5, sigma=0.3, seed=seed, d=d)
+        rng = np.random.default_rng(seed)
+        init = ParticleEnsemble(rng.standard_normal((5, d)),
+                                rng.standard_normal((5, d)))
+        Y0 = LeaderState(rng.standard_normal((m, d)))
+        u = sv_control(0.5 * rng.standard_normal((3, m * d, 2 * d + 1)), T,
+                       5.0, m, d) if controlled and m > 0 else None
+        sol = solve_coupled(*kernel_fields(kernels, m), u, init, Y0,
+                            cfg, tol=1e-300, max_iter=n_steps + 1)
+        assert sol.picard.converged and sol.picard.gaps[-1] == 0.0
+        flow, leaders = simulate_interacting(kernels, u, init, Y0, cfg,
+                                             generate_brownian(cfg))
         for a, b in ((sol.flow.X, flow.X), (sol.flow.V, flow.V),
                      (sol.leaders.Y, leaders.Y), (sol.leaders.W, leaders.W)):
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+            assert a.tobytes() == b.tobytes()
 
 
 class TestAbsentK11:
@@ -610,20 +640,14 @@ class TestControlStability:
                 for sol in map(fixed_point, u_seq)]
         got = control_stability(u_seq, base, v, w, F, init, Y0, cfg)
         assert got[0] == want[0] == 0.0 and got[1] > got[2] > 0.0
-        return cfg, got, want
+        return got, want
 
-    def test_equal_to_the_picard_fixed_points_where_the_leader_steps_agree(self):
-        # T = 1 with 8 steps: every times[k + 1] - times[k] is cfg.dt.
-        cfg, got, want = self._against_picard(1.0, 8)
-        assert np.all(np.diff(cfg.grid()) == cfg.dt)
+    @pytest.mark.parametrize("T, n_steps", [(1.0, 8), (2.0, 25)])
+    def test_equal_to_the_picard_fixed_points(self, T, n_steps):
+        # T = 2 with 25 steps: times[k + 1] - times[k] differs from cfg.dt
+        # in the last bit; both levels step the leaders by the former.
+        got, want = self._against_picard(T, n_steps)
         assert got == want
-
-    def test_within_rounding_of_the_picard_fixed_points_elsewhere(self):
-        # T = 2 with 25 steps: the sweep's leader step cfg.dt differs from
-        # solve_leader_ode's in the last bit, so the gaps part by rounding.
-        cfg, got, want = self._against_picard(2.0, 25)
-        assert np.any(np.diff(cfg.grid()) != cfg.dt)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestLeaderSensitivity:

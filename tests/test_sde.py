@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from kineticmf.control_opt import sv_control
 from kineticmf.drift import (coupling_from_kernel, drift_from_kernel, kernel,
-                             leader_field_from_kernels, pair_mean)
+                             kernel_fields, leader_field_from_kernels,
+                             pair_mean)
+from kineticmf.pdeode import solve_leader_ode
 from kineticmf.phase_space import (LeaderPath, LeaderState, MeasureFlow,
                                    ParticleEnsemble)
 from kineticmf.sde import (
@@ -47,7 +49,7 @@ def _hand_built_interacting(kernels, u, init_followers, init_leaders, cfg,
     right-hand side and stepping loop: the reference the shared engine of
     simulate_interacting must reproduce byte for byte."""
     K11, K12, K21, K22 = (kernels.get(s) for s in ("K11", "K12", "K21", "K22"))
-    m, d, dt = init_leaders.m, cfg.d, cfg.dt
+    m, d, dt = init_leaders.m, cfg.d, cfg.dt  # dt steps the followers
     noise = math.sqrt(2.0 * cfg.sigma)
     times = cfg.grid()
     X = init_followers.X.copy()
@@ -79,7 +81,7 @@ def _hand_built_interacting(kernels, u, init_followers, init_leaders, cfg,
             drift += pair_mean(K12, X, Y, V, rhs)
         V = V + drift * dt + noise * paths[k, : cfg.N]
         X = X + V * dt
-        Y = Y + rhs * dt
+        Y = Y + (times[k + 1] - times[k]) * rhs
         snapshots.append(ParticleEnsemble(X, V))
         Y_hist[k + 1] = Y
     W_hist[cfg.n_steps] = leader_rhs(cfg.n_steps, X, Y)
@@ -412,13 +414,30 @@ class TestInteracting:
                                  LeaderState([[0.0]]), cfg,
                                  generate_brownian(cfg))
 
-    def test_nonfinite_leader_state_detected(self):
-        cfg = _cfg(N=2, n_steps=3)
-        bad = lambda t, pre: np.array([[np.inf]])
-        with pytest.raises(FloatingPointError, match="non-finite state"):
-            simulate_interacting({}, bad, _point_init(2, 1),
-                                 LeaderState([[0.0]]), cfg,
-                                 generate_brownian(cfg))
+    # test_pdeode's BLOWUPS: (node a where the control turns to value,
+    # failure node, message) on 4 steps of 2. A right-hand side of inf
+    # fails at the node it is read on, a finite 1e308 overflows Y one step
+    # later.
+    BLOWUPS = [(a, np.inf, a, "non-finite leader right-hand side")
+               for a in range(5)] \
+        + [(a, 1e308, a + 1, "non-finite leader state") for a in range(4)]
+
+    @pytest.mark.parametrize("a, value, node, message", BLOWUPS)
+    def test_nonfinite_leader_state_detected(self, a, value, node, message):
+        # Both levels step the leaders by sde._leader_step: the same
+        # message at the same time.
+        cfg = _cfg(T=8.0, n_steps=4, N=2)
+        times = cfg.grid()
+        u = lambda t, flow: np.array([[value if t >= times[a] else 0.5]])
+        init, Y0 = _point_init(2, 1), LeaderState([[0.0]])
+        paths = generate_brownian(cfg)
+        with pytest.raises(FloatingPointError) as sweep:
+            simulate_interacting({}, u, init, Y0, cfg, paths)
+        flow = simulate_frozen(lambda t, X, V: 0.0, init, cfg, paths)
+        with pytest.raises(FloatingPointError) as ode:
+            solve_leader_ode(kernel_fields({}, 1)[2], u, flow, Y0)
+        assert str(sweep.value) == str(ode.value) \
+            == f"{message} at t={times[node]}"
 
     @pytest.mark.parametrize("Y", [[[1.0]], np.zeros((0, 1)),
                                    [[1.0, 2.0, 3.0]]],
